@@ -679,9 +679,6 @@ def parse_document(text: str) -> CmlDocument:
     return _Parser(text).parse()
 
 
-parse = parse_document
-
-
 def validate_document(doc: CmlDocument) -> list[str]:
     """Post-parse diagnostics: dangling names, duplicates, bad step targets."""
     problems = []

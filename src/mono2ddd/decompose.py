@@ -13,6 +13,7 @@ are assigned by each cluster's smallest member.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,6 +22,11 @@ from .errors import ContractError, DecompositionError
 from .model import READ, WRITE, MonolithModel
 
 WEIGHT_TOLERANCE = 1e-9
+# Largest number of (weights, n) candidates a grid may have: C(parts + 3, 3)
+# weight vectors, where parts = 1 / step, times the number of distinct
+# cluster counts. Larger grids are rejected before any is built; step 0.02
+# with three counts (70278 candidates) still fits, step 0.01 does not.
+MAX_GRID_CANDIDATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,21 @@ def _accessors(model: MonolithModel, mode: str | None = None) -> dict[str, set[s
     return table
 
 
-def build_similarity(model: MonolithModel, weights: SimilarityWeights) -> SimilarityMatrix:
-    """Compute the symmetrized similarity matrix for all model entities."""
+@dataclass(frozen=True)
+class _Criteria:
+    """The weight-independent part of the similarity of one model.
+
+    ``pairs`` holds, for every entity pair ``(e1, e2)`` in model order, the
+    directed access, write and read ratios both ways plus the symmetric
+    sequence ratio: ``(e1, e2, a12, w12, r12, a21, w21, r21, s)``.
+    """
+
+    entities: tuple[str, ...]
+    pairs: tuple[tuple[str, str, float, float, float, float, float, float, float], ...]
+
+
+def _criteria(model: MonolithModel) -> _Criteria:
+    """Compute the four similarity criteria of every entity pair once."""
     entities = model.entity_names()
     acc = _accessors(model)
     wr = _accessors(model, WRITE)
@@ -116,24 +135,100 @@ def build_similarity(model: MonolithModel, weights: SimilarityWeights) -> Simila
             return 0.0
         return len(shared & base) / len(base)
 
-    def directed(e1: str, e2: str) -> float:
-        s_access = ratio(acc[e2], acc[e1])
-        s_write = ratio(wr[e2], wr[e1])
-        s_read = ratio(rd[e2], rd[e1])
-        follows = pair_counts.get((min(e1, e2), max(e1, e2)), 0)
-        s_seq = follows / max_pair if max_pair else 0.0
-        return (
-            weights.access * s_access
-            + weights.write * s_write
-            + weights.read * s_read
-            + weights.sequence * s_seq
-        )
-
-    values: dict[tuple[str, str], float] = {}
+    pairs = []
     for i, e1 in enumerate(entities):
         for e2 in entities[i + 1 :]:
-            values[(e1, e2)] = (directed(e1, e2) + directed(e2, e1)) / 2.0
-    return SimilarityMatrix(entities, values)
+            follows = pair_counts.get((min(e1, e2), max(e1, e2)), 0)
+            pairs.append(
+                (
+                    e1,
+                    e2,
+                    ratio(acc[e2], acc[e1]),
+                    ratio(wr[e2], wr[e1]),
+                    ratio(rd[e2], rd[e1]),
+                    ratio(acc[e1], acc[e2]),
+                    ratio(wr[e1], wr[e2]),
+                    ratio(rd[e1], rd[e2]),
+                    follows / max_pair if max_pair else 0.0,
+                )
+            )
+    return _Criteria(entities, tuple(pairs))
+
+
+def _combine(criteria: _Criteria, weights: SimilarityWeights) -> SimilarityMatrix:
+    """Weigh the criteria into a similarity matrix.
+
+    Each direction is ``wa*a + ww*w + wr*r + ws*s`` and the pair's value is
+    the mean of both directions, evaluated in this order so every weight
+    vector gives the same floats as a from-scratch computation.
+    """
+    wa, ww, wr, ws = weights.as_tuple()
+    values = {
+        (e1, e2): (
+            (wa * a12 + ww * w12 + wr * r12 + ws * s)
+            + (wa * a21 + ww * w21 + wr * r21 + ws * s)
+        )
+        / 2.0
+        for e1, e2, a12, w12, r12, a21, w21, r21, s in criteria.pairs
+    }
+    return SimilarityMatrix(criteria.entities, values)
+
+
+def build_similarity(model: MonolithModel, weights: SimilarityWeights) -> SimilarityMatrix:
+    """Compute the symmetrized similarity matrix for all model entities."""
+    return _combine(_criteria(model), weights)
+
+
+def _agglomerate(
+    matrix: SimilarityMatrix, weights: SimilarityWeights, n_values: list[int]
+) -> list[Decomposition]:
+    """Merge down to ``min(n_values)`` clusters, cutting at every requested count.
+
+    The merge sequence does not depend on where it stops, so each cut equals
+    a separate run down to that count. A cluster is keyed by its smallest
+    member (its head). The linkage of two clusters is the exact in-order sum
+    of their entity distances, outer loop over the cluster with the smaller
+    head; it is computed when either cluster is formed and kept until one of
+    them merges, so no running totals change the float results.
+    """
+    entities = matrix.entities
+    distance = {x: {y: matrix.distance(x, y) for y in entities} for x in entities}
+    members: dict[str, list[str]] = {e: [e] for e in entities}
+
+    def linkage(lo: str, hi: str) -> tuple[float, str, str]:
+        left, right = members[lo], members[hi]
+        total = sum(distance[x][y] for x in left for y in right)
+        return (total / (len(left) * len(right)), lo, hi)
+
+    heads = sorted(members)
+    linkages = {
+        (lo, hi): linkage(lo, hi)
+        for i, lo in enumerate(heads)
+        for hi in heads[i + 1 :]
+    }
+    cuts: dict[int, Decomposition] = {}
+    wanted = set(n_values)
+    while True:
+        if len(members) in wanted:
+            named = tuple(
+                (f"Cluster{idx}", tuple(members[head]))
+                for idx, head in enumerate(sorted(members))
+            )
+            cuts[len(members)] = Decomposition(weights, len(members), named)
+        if len(members) <= min(wanted):
+            break
+        _, lo, hi = min(linkages.values())
+        merged = sorted(members.pop(lo) + members.pop(hi))
+        for head in members:
+            for gone in (lo, hi):
+                del linkages[(head, gone) if head < gone else (gone, head)]
+        del linkages[(lo, hi)]
+        members[lo] = merged
+        for head in members:
+            if head != lo:
+                pair = (head, lo) if head < lo else (lo, head)
+                linkages[pair] = linkage(*pair)
+    return [cuts[n] for n in sorted(wanted)]
 
 
 def cluster(matrix: SimilarityMatrix, weights: SimilarityWeights, n: int) -> Decomposition:
@@ -148,44 +243,37 @@ def cluster(matrix: SimilarityMatrix, weights: SimilarityWeights, n: int) -> Dec
         raise DecompositionError(f"cluster count must be positive, got {n}")
     if n > len(entities):
         raise DecompositionError(f"cannot make {n} clusters from {len(entities)} entities")
-
-    clusters: list[list[str]] = [[e] for e in entities]
-    while len(clusters) > n:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                total = sum(
-                    matrix.distance(x, y) for x in clusters[i] for y in clusters[j]
-                )
-                d = total / (len(clusters[i]) * len(clusters[j]))
-                lo, hi = sorted((clusters[i][0], clusters[j][0]))
-                key = (d, lo, hi)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        _, i, j = best
-        merged = sorted(clusters[i] + clusters[j])
-        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
-        clusters.append(merged)
-        clusters.sort(key=lambda c: c[0])
-
-    clusters.sort(key=lambda c: c[0])
-    named = tuple(
-        (f"Cluster{idx}", tuple(members)) for idx, members in enumerate(clusters)
-    )
-    return Decomposition(weights, n, named)
+    return _agglomerate(matrix, weights, [n])[0]
 
 
 def decompose(model: MonolithModel, weights: SimilarityWeights, n: int) -> Decomposition:
     return cluster(build_similarity(model, weights), weights, n)
 
 
-def weight_grid(step: float) -> list[SimilarityWeights]:
-    """All weight combinations on a grid of the given step, summing to 1."""
-    if step <= 0 or step > 1:
+def _grid_parts(step: float) -> int:
+    """Validate a grid step and return the number of steps that make up 1."""
+    if not math.isfinite(step) or step <= 0 or step > 1:
         raise DecompositionError(f"grid step must be in (0, 1], got {step}")
-    parts = round(1.0 / step)
+    inverse = 1.0 / step
+    parts = round(inverse) if math.isfinite(inverse) else 0
     if abs(parts * step - 1.0) > WEIGHT_TOLERANCE:
         raise DecompositionError(f"grid step {step} does not divide 1")
+    return parts
+
+
+def _check_grid_size(parts: int, counts: int) -> None:
+    size = math.comb(parts + 3, 3) * counts
+    if size > MAX_GRID_CANDIDATES:
+        raise DecompositionError(
+            f"grid of {size} candidates exceeds the limit of {MAX_GRID_CANDIDATES}; "
+            "use a coarser step or fewer cluster counts"
+        )
+
+
+def weight_grid(step: float) -> list[SimilarityWeights]:
+    """All weight combinations on a grid of the given step, summing to 1."""
+    parts = _grid_parts(step)
+    _check_grid_size(parts, 1)
     grid = []
     for a in range(parts + 1):
         for w in range(parts - a + 1):
@@ -218,30 +306,33 @@ def search_decompositions(
 ) -> list[Decomposition]:
     """Cluster the model for every grid weight and every requested size.
 
-    Results come back sorted by (weights, n) regardless of thread count, so
-    parallel and serial runs are byte-identical downstream.
+    The similarity criteria are computed once, and each weight vector is
+    clustered once and cut at every requested size. Results come back sorted
+    by (weights, n) regardless of thread count, so parallel and serial runs
+    are byte-identical downstream.
     """
     if not n_values:
         raise DecompositionError("no cluster counts requested")
     for n in n_values:
         if n < 1 or n > len(model.entity_names()):
             raise DecompositionError(f"cluster count {n} out of range for this model")
+    counts = sorted(set(n_values))
+    _check_grid_size(_grid_parts(step), len(counts))
     if threads is None:
         threads = default_thread_count()
 
-    combos = [
-        (weights, n) for weights in weight_grid(step) for n in sorted(set(n_values))
-    ]
+    criteria = _criteria(model)
 
-    def job(combo):
-        weights, n = combo
-        return decompose(model, weights, n)
+    def job(weights: SimilarityWeights) -> list[Decomposition]:
+        return _agglomerate(_combine(criteria, weights), weights, counts)
 
+    grid = weight_grid(step)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, combos))
+            per_weights = list(pool.map(job, grid))
     else:
-        results = [job(c) for c in combos]
+        per_weights = [job(w) for w in grid]
+    results = [d for cuts in per_weights for d in cuts]
     results.sort(key=lambda d: (d.weights.as_tuple(), d.n))
     return results
 

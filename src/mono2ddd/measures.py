@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .decompose import Decomposition, decomposition_to_json, search_decompositions
 from .errors import DecompositionError
-from .model import READ, WRITE, Functionality, MonolithModel
+from .model import READ, WRITE, MonolithModel
 
 
 @dataclass(frozen=True)
@@ -39,102 +39,116 @@ class MeasureReport:
         raise DecompositionError(f"unknown cluster {name!r}")
 
 
-def _touching(model: MonolithModel, members: tuple[str, ...]) -> list[Functionality]:
-    member_set = set(members)
-    return [f for f in model.functionalities if f.entities() & member_set]
-
-
 def cohesion(model: MonolithModel, decomposition: Decomposition, name: str) -> float:
-    members = decomposition.members(name)
-    touching = _touching(model, members)
-    if not touching:
-        return 0.0
-    member_set = set(members)
-    total = sum(len(f.entities() & member_set) / len(members) for f in touching)
-    return total / len(touching)
+    return measure(model, decomposition).cluster(name).cohesion
 
 
 def coupling(model: MonolithModel, decomposition: Decomposition, name: str) -> float:
-    if len(decomposition.clusters) == 1:
-        return 0.0
-    members = set(decomposition.members(name))
+    return measure(model, decomposition).cluster(name).coupling
+
+
+def _assignment(model: MonolithModel, decomposition: Decomposition) -> dict[str, str]:
+    """Entity -> cluster name, checked to cover every traced entity."""
     assignment = decomposition.assignment()
-
-    followed: dict[str, set[str]] = {}
     for f in model.functionalities:
-        for prev, cur in zip(f.trace, f.trace[1:]):
-            if prev.entity in members and cur.entity not in members:
-                followed.setdefault(assignment[cur.entity], set()).add(cur.entity)
-
-    total = 0.0
-    for other, other_members in decomposition.clusters:
-        if other == name:
-            continue
-        total += len(followed.get(other, ())) / len(other_members)
-    return total / (len(decomposition.clusters) - 1)
+        for a in f.trace:
+            if a.entity not in assignment:
+                raise DecompositionError(f"entity {a.entity!r} is not mapped to a cluster")
+    return assignment
 
 
-def _distributed(model: MonolithModel, decomposition: Decomposition) -> dict[str, Functionality]:
-    assignment = decomposition.assignment()
-    result = {}
+def _cluster_hits(model: MonolithModel, assignment: dict[str, str]) -> list[dict[str, int]]:
+    """Per functionality, in model order: cluster -> its distinct entities there."""
+    result = []
     for f in model.functionalities:
-        clusters = {assignment[a.entity] for a in f.trace}
-        if len(clusters) > 1:
-            result[f.name] = f
+        hits: dict[str, int] = {}
+        for e in f.entities():
+            hits[assignment[e]] = hits.get(assignment[e], 0) + 1
+        result.append(hits)
+    return result
+
+
+def _complexities(model: MonolithModel, hits: list[dict[str, int]]) -> dict[str, float]:
+    """Complexity of every functionality, keyed by name in model order.
+
+    A distributed functionality (one touching more than one cluster) scores,
+    per access, the number of other distributed functionalities that access
+    the same entity in the opposite mode. The writer and reader tables are
+    built once; a functionality's own entry is subtracted from them.
+    """
+    distributed = [f for f, h in zip(model.functionalities, hits) if len(h) > 1]
+    writers: dict[str, set[str]] = {}
+    readers: dict[str, set[str]] = {}
+    for g in distributed:
+        for a in g.trace:
+            table = writers if a.mode == WRITE else readers
+            table.setdefault(a.entity, set()).add(g.name)
+
+    result = dict.fromkeys((f.name for f in model.functionalities), 0.0)
+    for f in distributed:
+        total = 0
+        for a in f.trace:
+            others = (writers if a.mode == READ else readers).get(a.entity, ())
+            total += len(others) - (f.name in others)
+        result[f.name] = float(total)
     return result
 
 
 def complexity(model: MonolithModel, decomposition: Decomposition, name: str) -> float:
     """Complexity of one functionality under the given decomposition."""
     f = model.functionality(name)
-    distributed = _distributed(model, decomposition)
-    if f.name not in distributed:
-        return 0.0
-
-    writers: dict[str, set[str]] = {}
-    readers: dict[str, set[str]] = {}
-    for g in distributed.values():
-        if g.name == f.name:
-            continue
-        for a in g.trace:
-            table = writers if a.mode == WRITE else readers
-            table.setdefault(a.entity, set()).add(g.name)
-
-    total = 0
-    for a in f.trace:
-        if a.mode == READ:
-            total += len(writers.get(a.entity, ()))
-        else:
-            total += len(readers.get(a.entity, ()))
-    return float(total)
+    hits = _cluster_hits(model, _assignment(model, decomposition))
+    return _complexities(model, hits)[f.name]
 
 
 def measure(model: MonolithModel, decomposition: Decomposition) -> MeasureReport:
-    """Per-cluster and decomposition-level measures in one pass."""
-    by_functionality = {
-        f.name: complexity(model, decomposition, f.name) for f in model.functionalities
-    }
+    """Per-cluster and decomposition-level measures in one pass over the traces."""
+    assignment = _assignment(model, decomposition)
+    hits = _cluster_hits(model, assignment)
+    by_functionality = _complexities(model, hits)
 
+    # Cluster -> (functionality, its distinct entities in the cluster) in
+    # model order; cluster -> next cluster in a trace -> entities entered.
+    touching: dict[str, list[tuple[str, int]]] = {
+        name: [] for name, _ in decomposition.clusters
+    }
+    followed: dict[str, dict[str, set[str]]] = {name: {} for name in touching}
+    for f, f_hits in zip(model.functionalities, hits):
+        for name, count in f_hits.items():
+            touching[name].append((f.name, count))
+        for prev, cur in zip(f.trace, f.trace[1:]):
+            source, target = assignment[prev.entity], assignment[cur.entity]
+            if source != target:
+                followed[source].setdefault(target, set()).add(cur.entity)
+
+    k = len(decomposition.clusters)
     rows = []
     for name, members in decomposition.clusters:
-        touching = _touching(model, members)
-        cluster_complexity = (
-            sum(by_functionality[f.name] for f in touching) / len(touching)
-            if touching
-            else 0.0
-        )
+        users = touching[name]
+        coupling_total = 0.0
+        if k > 1:
+            for other, other_members in decomposition.clusters:
+                if other != name:
+                    coupling_total += len(followed[name].get(other, ())) / len(other_members)
         rows.append(
             ClusterMeasures(
                 name=name,
                 size=len(members),
-                functionalities=len(touching),
-                cohesion=cohesion(model, decomposition, name),
-                coupling=coupling(model, decomposition, name),
-                complexity=cluster_complexity,
+                functionalities=len(users),
+                cohesion=(
+                    sum(count / len(members) for _, count in users) / len(users)
+                    if users
+                    else 0.0
+                ),
+                coupling=coupling_total / (k - 1) if k > 1 else 0.0,
+                complexity=(
+                    sum(by_functionality[f] for f, _ in users) / len(users)
+                    if users
+                    else 0.0
+                ),
             )
         )
 
-    k = len(rows)
     total_functionalities = len(model.functionalities)
     return MeasureReport(
         clusters=tuple(rows),
@@ -154,11 +168,18 @@ def search_candidates(
     n_values: list[int] | tuple[int, ...],
     threads: int | None = None,
 ) -> list[tuple[Decomposition, MeasureReport]]:
-    """Grid-search decompositions and attach measures to each candidate."""
-    return [
-        (d, measure(model, d))
-        for d in search_decompositions(model, step, n_values, threads)
-    ]
+    """Grid-search decompositions and attach measures to each candidate.
+
+    Cluster names follow from the partition, so equal partitions get equal
+    reports and each distinct one is measured once.
+    """
+    reports: dict[tuple, MeasureReport] = {}
+    candidates = []
+    for d in search_decompositions(model, step, n_values, threads):
+        if d.clusters not in reports:
+            reports[d.clusters] = measure(model, d)
+        candidates.append((d, reports[d.clusters]))
+    return candidates
 
 
 def rank_decompositions(

@@ -267,6 +267,36 @@ def test_bad_thread_count_is_an_input_error(workdir, capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+
+@pytest.mark.parametrize("command", ["assess", "sagas", "to-cml"])
+def test_decomposition_missing_a_traced_entity_exits_one(workdir, capsys, command):
+    dec = workdir / "partial.json"
+    dec.write_text('{"clusters": {"Cluster0": ["A", "B"], "Cluster1": ["C"]}}')
+    code, _, err = run(
+        capsys,
+        command,
+        "--accesses",
+        str(workdir / "accesses.json"),
+        "--decomposition",
+        str(dec),
+    )
+    assert code == 1
+    assert err == "error: entity 'D' is not mapped to a cluster\n"
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0.0001"])
+def test_search_rejects_unusable_steps(workdir, capsys, step):
+    code, _, err = run(
+        capsys,
+        "search",
+        "--accesses",
+        str(workdir / "accesses.json"),
+        "--step",
+        step,
+    )
+    assert code == 1
+    assert err.startswith("error:")
+
 def test_diagram_dot_from_decomposition(workdir, capsys):
     dec = workdir / "dec.json"
     run(
