@@ -20,6 +20,7 @@ from . import cml as cml_mod
 from . import diagrams
 from .decompose import (
     SimilarityWeights,
+    check_decomposition,
     decompose,
     decomposition_to_json,
     parse_decomposition,
@@ -105,6 +106,12 @@ def _load_model(args):
     return parse_model(accesses, structure)
 
 
+def _load_decomposition(args, model):
+    decomposition = parse_decomposition(_read(args.decomposition))
+    check_decomposition(model, decomposition)
+    return decomposition
+
+
 def _load_sagas(args, model, decomposition):
     if getattr(args, "sagas", None):
         return parse_sagas(_read(args.sagas))
@@ -138,7 +145,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_assess(args) -> int:
     model = _load_model(args)
-    decomposition = parse_decomposition(_read(args.decomposition))
+    decomposition = _load_decomposition(args, model)
     report = measure(model, decomposition)
     _write(args.output, report_tsv(report), _stamp(args, "# generated {}"))
     return 0
@@ -146,7 +153,7 @@ def _cmd_assess(args) -> int:
 
 def _cmd_sagas(args) -> int:
     model = _load_model(args)
-    decomposition = parse_decomposition(_read(args.decomposition))
+    decomposition = _load_decomposition(args, model)
     pairs = refactor_model(model, decomposition, args.orchestrator)
     tsv = stats_tsv([stats for _, stats in pairs])
     if args.output:
@@ -158,7 +165,7 @@ def _cmd_sagas(args) -> int:
 
 def _cmd_to_cml(args) -> int:
     model = _load_model(args)
-    decomposition = parse_decomposition(_read(args.decomposition))
+    decomposition = _load_decomposition(args, model)
     sagas = _load_sagas(args, model, decomposition)
     ddd = build_ddd_model(model, decomposition, sagas, args.naming, args.map_name)
     doc = cml_mod.document_from_ddd(ddd)
@@ -183,7 +190,7 @@ def _cmd_diagram(args) -> int:
                 "--format dot needs either --cml or --accesses with --decomposition"
             )
         model = _load_model(args)
-        decomposition = parse_decomposition(_read(args.decomposition))
+        decomposition = _load_decomposition(args, model)
         text = diagrams.decomposition_dot(model, decomposition)
     _write(args.output, text, _stamp(args, "// generated {}"))
     return 0

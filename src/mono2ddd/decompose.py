@@ -348,6 +348,26 @@ def decomposition_to_json(decomposition: Decomposition) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> None:
+    """Reject a decomposition that does not fit the model.
+
+    Every entity it names must exist in the model, and every traced entity
+    must be in one of its clusters.
+    """
+    known = set(model.entity_names())
+    for _, members in decomposition.clusters:
+        for entity in members:
+            if entity not in known:
+                raise DecompositionError(
+                    f"decomposition names entity {entity!r}, which the model does not have"
+                )
+    assigned = {e for _, members in decomposition.clusters for e in members}
+    for f in model.functionalities:
+        for a in f.trace:
+            if a.entity not in assigned:
+                raise DecompositionError(f"entity {a.entity!r} is not mapped to a cluster")
+
+
 def parse_decomposition(text: str) -> Decomposition:
     try:
         doc = json.loads(text)

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import Decomposition, decomposition_to_json, search_decompositions
+from .decompose import (
+    Decomposition,
+    check_decomposition,
+    decomposition_to_json,
+    search_decompositions,
+)
 from .errors import DecompositionError
 from .model import READ, WRITE, MonolithModel
 
@@ -48,13 +53,9 @@ def coupling(model: MonolithModel, decomposition: Decomposition, name: str) -> f
 
 
 def _assignment(model: MonolithModel, decomposition: Decomposition) -> dict[str, str]:
-    """Entity -> cluster name, checked to cover every traced entity."""
-    assignment = decomposition.assignment()
-    for f in model.functionalities:
-        for a in f.trace:
-            if a.entity not in assignment:
-                raise DecompositionError(f"entity {a.entity!r} is not mapped to a cluster")
-    return assignment
+    """Entity -> cluster name, after `check_decomposition` accepts the pair."""
+    check_decomposition(model, decomposition)
+    return decomposition.assignment()
 
 
 def _cluster_hits(model: MonolithModel, assignment: dict[str, str]) -> list[dict[str, int]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .decompose import Decomposition
 from .errors import ContractError, SagaError
-from .model import WRITE, Access, MonolithModel
+from .model import WRITE, Access, Functionality, MonolithModel
 
 ORCHESTRATOR_POLICIES = ("first", "max-accesses")
 
@@ -65,16 +65,35 @@ def collapse_runs(
     return steps
 
 
-def _blocks(moved: list[Access], intervening: list[Access]) -> bool:
-    """True when reordering would swap two conflicting accesses."""
-    writes = {a.entity for a in moved if a.mode == WRITE}
-    touched = {a.entity for a in moved}
-    for a in intervening:
-        if a.entity in writes:
-            return True
-        if a.mode == WRITE and a.entity in touched:
-            return True
-    return False
+def _collapse(steps: list[tuple[str, list[Access]]]) -> list[tuple[str, list[Access]]]:
+    """Join adjacent same-cluster steps, copying every access list."""
+    collapsed: list[tuple[str, list[Access]]] = []
+    for cluster, accesses in steps:
+        if collapsed and collapsed[-1][0] == cluster:
+            collapsed[-1][1].extend(accesses)
+        else:
+            collapsed.append((cluster, list(accesses)))
+    return collapsed
+
+
+def _merge_target(
+    live: list[tuple[str, list[Access], set[str], set[str]]],
+    cluster: str,
+    written: set[str],
+    touched: set[str],
+) -> int | None:
+    """Index of the live step a new step may merge into, or None.
+
+    Walks back to the last step of ``cluster`` and stops early at the first
+    step whose accesses conflict with the moved ones.
+    """
+    for j in range(len(live) - 1, -1, -1):
+        other, _, other_written, other_touched = live[j]
+        if other == cluster:
+            return j
+        if not (written.isdisjoint(other_touched) and touched.isdisjoint(other_written)):
+            return None
+    return None
 
 
 def merge_steps(
@@ -82,37 +101,46 @@ def merge_steps(
 ) -> list[tuple[str, list[Access]]]:
     """Merge steps into earlier same-cluster steps where conflicts allow.
 
-    One scan moves at most one step, then collapses any adjacency it
-    created and starts over; the loop stops at a fixpoint.
+    The result is the fixpoint of this rule: take the first step ``i`` whose
+    last earlier same-cluster step ``t`` exists and whose accesses do not
+    conflict with those of steps ``t+1 .. i-1``; append step ``i`` to step
+    ``t``, delete it, join adjacent same-cluster steps, and apply the rule
+    again. Moving accesses M past accesses B conflicts exactly when an
+    entity written in M is touched in B or an entity touched in M is
+    written in B, so each step keeps its written and touched entity sets
+    and the test walks step by step with ``isdisjoint``.
+
+    The scan never restarts. A merge only grows earlier steps, and the
+    conflict test is monotone in both the moved and the intervening
+    accesses, so every step before ``i`` that was blocked, or had no earlier
+    step of its cluster, stays that way; the scan resumes after ``i``. In a
+    collapsed list the only adjacency a merge creates is the seam between
+    steps ``i-1`` and ``i+1``, and the next scan step closes it as an
+    ordinary merge into its neighbour. Input that is not collapsed is fully
+    collapsed at the first merge, as the rule does, so the result is the
+    same for any input. Each step is moved at most once and walks back only
+    over live steps.
     """
-    steps = [(cluster, list(accesses)) for cluster, accesses in steps]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(steps)):
-            cluster, accesses = steps[i]
-            target = None
-            for j in range(i - 1, -1, -1):
-                if steps[j][0] == cluster:
-                    target = j
-                    break
-            if target is None:
-                continue
-            between = [a for _, acc in steps[target + 1 : i] for a in acc]
-            if _blocks(accesses, between):
-                continue
-            steps[target][1].extend(accesses)
-            del steps[i]
-            collapsed: list[tuple[str, list[Access]]] = []
-            for c, acc in steps:
-                if collapsed and collapsed[-1][0] == c:
-                    collapsed[-1][1].extend(acc)
-                else:
-                    collapsed.append((c, acc))
-            steps = collapsed
-            changed = True
-            break
-    return steps
+    live: list[tuple[str, list[Access], set[str], set[str]]] = []
+    pending = steps
+    k = 0
+    collapsed = False
+    while k < len(pending):
+        cluster, accesses = pending[k]
+        k += 1
+        written = {a.entity for a in accesses if a.mode == WRITE}
+        touched = {a.entity for a in accesses}
+        target = _merge_target(live, cluster, written, touched)
+        if target is None:
+            live.append((cluster, list(accesses), written, touched))
+            continue
+        _, merged, merged_written, merged_touched = live[target]
+        merged.extend(accesses)
+        merged_written |= written
+        merged_touched |= touched
+        if not collapsed:
+            pending, k, collapsed = _collapse(pending[k:]), 0, True
+    return [(cluster, accesses) for cluster, accesses, _, _ in live]
 
 
 def _pick_orchestrator(steps: list[tuple[str, list[Access]]], policy: str) -> str:
@@ -127,19 +155,12 @@ def _pick_orchestrator(steps: list[tuple[str, list[Access]]], policy: str) -> st
     raise SagaError(f"unknown orchestrator policy {policy!r}")
 
 
-def refactor_functionality(
-    model: MonolithModel,
-    decomposition: Decomposition,
-    name: str,
-    orchestrator_policy: str = "first",
+def _refactor(
+    functionality: Functionality, mapping: dict[str, str], orchestrator_policy: str
 ) -> tuple[Saga, ReductionStats]:
-    functionality = model.functionality(name)
-    mapping = decomposition.assignment()
-    raw = collapse_runs(functionality.trace, mapping)
-    merged = merge_steps(raw)
-
+    merged = merge_steps(collapse_runs(functionality.trace, mapping))
     saga = Saga(
-        functionality=name,
+        functionality=functionality.name,
         orchestrator=_pick_orchestrator(merged, orchestrator_policy),
         steps=tuple(
             Step(cluster, tuple(accesses), index)
@@ -149,7 +170,7 @@ def refactor_functionality(
     fgi = len(functionality.trace)
     cgi = len(merged)
     stats = ReductionStats(
-        functionality=name,
+        functionality=functionality.name,
         clusters_touched=len({cluster for cluster, _ in merged}),
         cgi=cgi,
         fgi=fgi,
@@ -158,15 +179,24 @@ def refactor_functionality(
     return saga, stats
 
 
+def refactor_functionality(
+    model: MonolithModel,
+    decomposition: Decomposition,
+    name: str,
+    orchestrator_policy: str = "first",
+) -> tuple[Saga, ReductionStats]:
+    return _refactor(
+        model.functionality(name), decomposition.assignment(), orchestrator_policy
+    )
+
+
 def refactor_model(
     model: MonolithModel,
     decomposition: Decomposition,
     orchestrator_policy: str = "first",
 ) -> list[tuple[Saga, ReductionStats]]:
-    return [
-        refactor_functionality(model, decomposition, f.name, orchestrator_policy)
-        for f in model.functionalities
-    ]
+    mapping = decomposition.assignment()
+    return [_refactor(f, mapping, orchestrator_policy) for f in model.functionalities]
 
 
 def sagas_to_json(sagas: list[Saga]) -> str:

@@ -284,6 +284,72 @@ def test_decomposition_missing_a_traced_entity_exits_one(workdir, capsys, comman
     assert err == "error: entity 'D' is not mapped to a cluster\n"
 
 
+_DECOMPOSITION_COMMANDS = {
+    "assess": ["assess"],
+    "sagas": ["sagas"],
+    "to-cml": ["to-cml"],
+    "diagram": ["diagram", "--format", "dot"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DECOMPOSITION_COMMANDS))
+@pytest.mark.parametrize(
+    ("clusters", "message"),
+    [
+        (
+            '{"Cluster0": ["A", "B"], "Cluster1": ["C"]}',
+            "entity 'D' is not mapped to a cluster",
+        ),
+        (
+            '{"Cluster0": ["A", "B"], "Cluster1": ["C", "D", "Zed"]}',
+            "decomposition names entity 'Zed', which the model does not have",
+        ),
+    ],
+    ids=["unmapped-traced-entity", "unknown-entity"],
+)
+def test_every_subcommand_checks_the_decomposition(
+    workdir, capsys, command, clusters, message
+):
+    dec = workdir / "bad_dec.json"
+    dec.write_text(f'{{"clusters": {clusters}}}')
+    code, _, err = run(
+        capsys,
+        *_DECOMPOSITION_COMMANDS[command],
+        "--accesses",
+        str(workdir / "accesses.json"),
+        "--decomposition",
+        str(dec),
+    )
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
+def test_structure_only_entity_left_out_of_decomposition(workdir, capsys):
+    # An untraced entity may be left out; to-cml then fails on the
+    # reference to it, not on the decomposition check.
+    structure = workdir / "extra.dsl"
+    structure.write_text(
+        "entity Topic {\n    ref extra -> Extra;\n}\n"
+        "entity Question {\n    attr title: String;\n}\n"
+        "entity Extra {\n    attr note: String;\n}\n"
+    )
+    dec = workdir / "dec.json"
+    dec.write_text('{"clusters": {"Cluster0": ["Topic"], "Cluster1": ["Question"]}}')
+    args = [
+        "--accesses",
+        str(workdir / "tq_accesses.json"),
+        "--structure",
+        str(structure),
+        "--decomposition",
+        str(dec),
+    ]
+    code, _, err = run(capsys, "assess", *args)
+    assert code == 0, err
+    code, _, err = run(capsys, "to-cml", *args)
+    assert code == 1
+    assert err == "error: reference target 'Extra' not found in any context\n"
+
+
 @pytest.mark.parametrize("step", ["nan", "inf", "0.0001"])
 def test_search_rejects_unusable_steps(workdir, capsys, step):
     code, _, err = run(

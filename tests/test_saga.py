@@ -5,14 +5,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import UNIT_WEIGHTS, random_model, random_partition
 from oracles import check_saga
 
 from mono2ddd.decompose import decompose
 from mono2ddd.errors import ContractError, SagaError
-from mono2ddd.model import Access
+from mono2ddd.model import WRITE, Access
 from mono2ddd.saga import (
+    ORCHESTRATOR_POLICIES,
     collapse_runs,
     merge_steps,
     parse_sagas,
@@ -196,3 +199,153 @@ def test_stats_tsv_format(fixture_a, fixture_a_decomposition):
     assert lines[0] == "name\tclusters\tCGI\tFGI\treduction%"
     assert lines[1] == "f1\t1\t1\t3\t66.67"
     assert lines[4] == "f4\t2\t2\t3\t33.33"
+
+
+def _restarting_blocks(moved, intervening):
+    """Literal copy of the conflict test of the restart-from-zero loop."""
+    writes = {a.entity for a in moved if a.mode == WRITE}
+    touched = {a.entity for a in moved}
+    for a in intervening:
+        if a.entity in writes:
+            return True
+        if a.mode == WRITE and a.entity in touched:
+            return True
+    return False
+
+
+def _restarting_merge_steps(steps):
+    """Literal copy of the loop that rescanned from step 1 after every merge."""
+    steps = [(cluster, list(accesses)) for cluster, accesses in steps]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(steps)):
+            cluster, accesses = steps[i]
+            target = None
+            for j in range(i - 1, -1, -1):
+                if steps[j][0] == cluster:
+                    target = j
+                    break
+            if target is None:
+                continue
+            between = [a for _, acc in steps[target + 1 : i] for a in acc]
+            if _restarting_blocks(accesses, between):
+                continue
+            steps[target][1].extend(accesses)
+            del steps[i]
+            collapsed = []
+            for c, acc in steps:
+                if collapsed and collapsed[-1][0] == c:
+                    collapsed[-1][1].extend(acc)
+                else:
+                    collapsed.append((c, acc))
+            steps = collapsed
+            changed = True
+            break
+    return steps
+
+
+def _identities(steps):
+    """Steps as (cluster, access ids): equal only for the very same objects in order."""
+    return [(cluster, [id(a) for a in accesses]) for cluster, accesses in steps]
+
+
+def _assert_matches_restarting_loop(steps):
+    before = _identities(steps)
+    assert _identities(merge_steps(steps)) == _identities(_restarting_merge_steps(steps))
+    assert _identities(steps) == before, "merge_steps changed its input"
+
+
+def _random_steps(rng, clusters, entities, length, collapsed, modes="RW"):
+    steps = []
+    for _ in range(length):
+        choices = clusters
+        if collapsed and steps and len(clusters) > 1:
+            choices = [c for c in clusters if c != steps[-1][0]]
+        accesses = [
+            Access(rng.choice(entities), rng.choice(modes))
+            for _ in range(rng.randint(1, 4))
+        ]
+        steps.append((rng.choice(choices), accesses))
+    return steps
+
+
+def test_merge_steps_matches_restarting_loop_on_random_lists():
+    rng = random.Random(20261018)
+    for case in range(3000):
+        clusters = [f"c{k}" for k in range(rng.randint(1, 5))]
+        entities = "ABCDEF"[: rng.randint(1, 6)]
+        collapsed = case % 2 == 0
+        steps = _random_steps(rng, clusters, entities, rng.randint(0, 30), collapsed)
+        _assert_matches_restarting_loop(steps)
+
+
+def test_merge_steps_matches_restarting_loop_on_edge_shapes():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        entities = "ABC"[: rng.randint(1, 3)]
+        length = rng.randint(1, 40)
+        # Only writes: every shared entity conflicts.
+        clusters = [f"c{k}" for k in range(rng.randint(2, 4))]
+        _assert_matches_restarting_loop(
+            _random_steps(rng, clusters, entities, length, rng.random() < 0.5, modes="W")
+        )
+        # Strict alternation between two clusters.
+        alternating = [
+            (f"c{i % 2}", [Access(rng.choice(entities), rng.choice("RW"))])
+            for i in range(length)
+        ]
+        _assert_matches_restarting_loop(alternating)
+        # A single cluster, given as uncollapsed steps.
+        _assert_matches_restarting_loop(
+            _random_steps(rng, ["c0"], entities, length, collapsed=False)
+        )
+
+
+def test_merge_steps_collapses_uncollapsed_input_at_the_first_merge():
+    # The first merge moves C. The last two steps alone would end up apart:
+    # D could move and the read of E could not. The restarting loop joins
+    # them at that first merge, and the write of E then blocks the pair.
+    steps = _steps(
+        ("c1", (("A", "R"),)),
+        ("c2", (("B", "R"),)),
+        ("c1", (("C", "R"),)),
+        ("c2", (("E", "W"),)),
+        ("c1", (("D", "R"),)),
+        ("c1", (("E", "R"),)),
+    )
+    _assert_matches_restarting_loop(steps)
+    assert merge_steps(steps) == _steps(
+        ("c1", (("A", "R"), ("C", "R"))),
+        ("c2", (("B", "R"), ("E", "W"))),
+        ("c1", (("D", "R"), ("E", "R"))),
+    )
+
+
+_ACCESSES = st.builds(Access, st.sampled_from("ABCDE"), st.sampled_from("RW"))
+_STEP_LISTS = st.lists(
+    st.tuples(
+        st.sampled_from(("c0", "c1", "c2", "c3")),
+        st.lists(_ACCESSES, min_size=1, max_size=4),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STEP_LISTS)
+def test_merge_steps_property_equals_restarting_loop(steps):
+    _assert_matches_restarting_loop(steps)
+
+
+@pytest.mark.parametrize("policy", ORCHESTRATOR_POLICIES)
+def test_refactor_model_equals_per_functionality_refactoring(policy):
+    rng = random.Random(20261020)
+    for _ in range(100):
+        model = random_model(rng, max_trace=40)
+        names = list(model.entity_names())
+        dec = random_partition(rng, names, rng.randint(1, min(4, len(names))))
+        assert refactor_model(model, dec, policy) == [
+            refactor_functionality(model, dec, f.name, policy)
+            for f in model.functionalities
+        ]
