@@ -32,6 +32,7 @@ Application (services with void operations, coordinations with
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .dddmap import DddModel, REFERENCE_SUFFIX
@@ -368,9 +369,6 @@ def emit_document(doc: CmlDocument) -> str:
     return "\n\n".join("\n".join(b) for b in blocks) + "\n"
 
 
-emit = emit_document
-
-
 _TOKEN = re.compile(
     r"(?P<comment>//[^\n]*)"
     r"|(?P<rel>\[U\]-\[D\])"
@@ -452,13 +450,30 @@ class _Parser:
         self.pending_comments = []
         return comments
 
+    def members(self) -> Iterator[tuple[tuple[str, ...], _Token]]:
+        """Yield (leading comments, first token) per member up to the closing '}'.
+
+        The caller consumes each member before asking for the next one.
+        """
+        while True:
+            tok = self.peek()
+            if tok is None or tok.text == "}":
+                self.take("}")
+                return
+            yield self.grab_comments(), tok
+
+    @staticmethod
+    def _outside(tok: _Token, expected: str) -> CmlParseError:
+        return CmlParseError(
+            f"{tok.text!r} is outside supported subset (expected {expected})",
+            tok.line,
+            tok.column,
+        )
+
     def parse(self) -> CmlDocument:
         context_map = None
         contexts: list[CmlBoundedContext] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
+        while self.peek() is not None:
             comments = self.grab_comments()
             tok = self.tokens[self.pos]
             if tok.text == "ContextMap":
@@ -468,12 +483,7 @@ class _Parser:
             elif tok.text == "BoundedContext":
                 contexts.append(self._bounded_context(comments))
             else:
-                raise CmlParseError(
-                    f"{tok.text!r} is outside supported subset "
-                    "(expected 'ContextMap' or 'BoundedContext')",
-                    tok.line,
-                    tok.column,
-                )
+                raise self._outside(tok, "'ContextMap' or 'BoundedContext'")
         trailing = tuple(self.pending_comments)
         self.pending_comments = []
         return CmlDocument(context_map, tuple(contexts), trailing)
@@ -484,15 +494,7 @@ class _Parser:
         self.take("{")
         contains: list[str] = []
         relationships: list[CmlRelationship] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                self.take("}")
-            if tok.text == "}":
-                self.take("}")
-                break
-            node_comments = self.grab_comments()
-            tok = self.tokens[self.pos]
+        for node_comments, tok in self.members():
             if tok.text == "contains":
                 self.take("contains")
                 contains.append(self.take_id("context name").text)
@@ -507,12 +509,7 @@ class _Parser:
                     CmlRelationship(upstream, downstream, node_comments)
                 )
             else:
-                raise CmlParseError(
-                    f"{tok.text!r} is outside supported subset "
-                    "(expected 'contains', a relationship, or '}')",
-                    tok.line,
-                    tok.column,
-                )
+                raise self._outside(tok, "'contains', a relationship, or '}'")
         return CmlContextMap(name, tuple(contains), tuple(relationships), comments)
 
     def _bounded_context(self, comments: tuple[str, ...]) -> CmlBoundedContext:
@@ -522,47 +519,21 @@ class _Parser:
         services: list[CmlService] = []
         coordinations: list[CmlCoordination] = []
         aggregates: list[CmlAggregate] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                self.take("}")
-            if tok.text == "}":
-                self.take("}")
-                break
-            node_comments = self.grab_comments()
-            tok = self.tokens[self.pos]
+        for node_comments, tok in self.members():
             if tok.text == "Application":
                 self.take("Application")
                 self.take("{")
-                while True:
-                    inner = self.peek()
-                    if inner is None:
-                        self.take("}")
-                    if inner.text == "}":
-                        self.take("}")
-                        break
-                    inner_comments = self.grab_comments()
-                    inner = self.tokens[self.pos]
+                for inner_comments, inner in self.members():
                     if inner.text == "Service":
                         services.append(self._service(inner_comments))
                     elif inner.text == "Coordination":
                         coordinations.append(self._coordination(inner_comments))
                     else:
-                        raise CmlParseError(
-                            f"{inner.text!r} is outside supported subset "
-                            "(expected 'Service' or 'Coordination')",
-                            inner.line,
-                            inner.column,
-                        )
+                        raise self._outside(inner, "'Service' or 'Coordination'")
             elif tok.text == "Aggregate":
                 aggregates.append(self._aggregate(node_comments))
             else:
-                raise CmlParseError(
-                    f"{tok.text!r} is outside supported subset "
-                    "(expected 'Application' or 'Aggregate')",
-                    tok.line,
-                    tok.column,
-                )
+                raise self._outside(tok, "'Application' or 'Aggregate'")
         return CmlBoundedContext(
             name, tuple(services), tuple(coordinations), tuple(aggregates), comments
         )
@@ -572,14 +543,7 @@ class _Parser:
         name = self.take_id("service name").text
         self.take("{")
         operations: list[CmlOperation] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                self.take("}")
-            if tok.text == "}":
-                self.take("}")
-                break
-            op_comments = self.grab_comments()
+        for op_comments, _ in self.members():
             self.take("void", what="'void'")
             op_name = self.take_id("operation name").text
             self.take("(")
@@ -593,14 +557,7 @@ class _Parser:
         name = self.take_id("coordination name").text
         self.take("{")
         steps: list[CmlStep] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                self.take("}")
-            if tok.text == "}":
-                self.take("}")
-                break
-            step_comments = self.grab_comments()
+        for step_comments, _ in self.members():
             context = self.take_id("context name").text
             self.take("::")
             service = self.take_id("service name").text
@@ -615,21 +572,9 @@ class _Parser:
         name = self.take_id("aggregate name").text
         self.take("{")
         entities: list[CmlEntity] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                self.take("}")
-            if tok.text == "}":
-                self.take("}")
-                break
-            entity_comments = self.grab_comments()
-            tok = self.tokens[self.pos]
+        for entity_comments, tok in self.members():
             if tok.text != "Entity":
-                raise CmlParseError(
-                    f"{tok.text!r} is outside supported subset (expected 'Entity')",
-                    tok.line,
-                    tok.column,
-                )
+                raise self._outside(tok, "'Entity'")
             entities.append(self._entity(entity_comments))
         return CmlAggregate(name, tuple(entities), comments)
 
@@ -644,15 +589,7 @@ class _Parser:
             aggregate_root = True
         attributes: list[CmlAttribute] = []
         references: list[CmlReference] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                self.take("}")
-            if tok.text == "}":
-                self.take("}")
-                break
-            member_comments = self.grab_comments()
-            tok = self.tokens[self.pos]
+        for member_comments, tok in self.members():
             if tok.text == "-":
                 self.take("-")
                 target = self.take_id("reference target").text
@@ -663,12 +600,7 @@ class _Parser:
                 attr_name = self.take_id("attribute name").text
                 attributes.append(CmlAttribute(attr_type, attr_name, member_comments))
             else:
-                raise CmlParseError(
-                    f"{tok.text!r} is outside supported subset "
-                    "(expected an attribute, a reference, or '}')",
-                    tok.line,
-                    tok.column,
-                )
+                raise self._outside(tok, "an attribute, a reference, or '}'")
         return CmlEntity(
             name, aggregate_root, tuple(attributes), tuple(references), comments
         )

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import ContractError, DecompositionError
@@ -41,7 +39,8 @@ class SimilarityWeights:
     def __post_init__(self):
         values = self.as_tuple()
         for v in values:
-            if v < -WEIGHT_TOLERANCE or v > 1 + WEIGHT_TOLERANCE:
+            # Written as "not in range" so that NaN, which fails every comparison, fails it.
+            if not -WEIGHT_TOLERANCE <= v <= 1 + WEIGHT_TOLERANCE:
                 raise DecompositionError(f"weight out of range: {v}")
         if abs(sum(values) - 1.0) > WEIGHT_TOLERANCE:
             raise DecompositionError(f"weights must sum to 1, got {sum(values)}")
@@ -82,12 +81,6 @@ class Decomposition:
             if cname == name:
                 return members
         raise DecompositionError(f"unknown cluster {name!r}")
-
-    def cluster_of(self, entity: str) -> str:
-        for cname, members in self.clusters:
-            if entity in members:
-                return cname
-        raise DecompositionError(f"entity {entity!r} is not in any cluster")
 
     def assignment(self) -> dict[str, str]:
         return {e: name for name, members in self.clusters for e in members}
@@ -285,31 +278,14 @@ def weight_grid(step: float) -> list[SimilarityWeights]:
     return grid
 
 
-def default_thread_count() -> int:
-    raw = os.environ.get("MONO2DDD_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ContractError(f"MONO2DDD_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ContractError(f"MONO2DDD_THREADS must be positive, got {value}")
-    return value
-
-
 def search_decompositions(
-    model: MonolithModel,
-    step: float,
-    n_values: list[int] | tuple[int, ...],
-    threads: int | None = None,
+    model: MonolithModel, step: float, n_values: list[int] | tuple[int, ...]
 ) -> list[Decomposition]:
     """Cluster the model for every grid weight and every requested size.
 
     The similarity criteria are computed once, and each weight vector is
     clustered once and cut at every requested size. Results come back sorted
-    by (weights, n) regardless of thread count, so parallel and serial runs
-    are byte-identical downstream.
+    by (weights, n).
     """
     if not n_values:
         raise DecompositionError("no cluster counts requested")
@@ -318,21 +294,12 @@ def search_decompositions(
             raise DecompositionError(f"cluster count {n} out of range for this model")
     counts = sorted(set(n_values))
     _check_grid_size(_grid_parts(step), len(counts))
-    if threads is None:
-        threads = default_thread_count()
-
     criteria = _criteria(model)
-
-    def job(weights: SimilarityWeights) -> list[Decomposition]:
-        return _agglomerate(_combine(criteria, weights), weights, counts)
-
-    grid = weight_grid(step)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_weights = list(pool.map(job, grid))
-    else:
-        per_weights = [job(w) for w in grid]
-    results = [d for cuts in per_weights for d in cuts]
+    results = [
+        d
+        for weights in weight_grid(step)
+        for d in _agglomerate(_combine(criteria, weights), weights, counts)
+    ]
     results.sort(key=lambda d: (d.weights.as_tuple(), d.n))
     return results
 
@@ -371,15 +338,25 @@ def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> N
 def parse_decomposition(text: str) -> Decomposition:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, nesting depth or integer size
         raise ContractError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "clusters" not in doc:
         raise ContractError("decomposition document must have a 'clusters' object")
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ContractError("'params' must be an object")
     raw_weights = params.get("weights", [1.0, 0.0, 0.0, 0.0])
-    if not isinstance(raw_weights, list) or len(raw_weights) != 4:
+    if (
+        not isinstance(raw_weights, list)
+        or len(raw_weights) != 4
+        or not all(type(v) in (int, float) for v in raw_weights)
+    ):
         raise ContractError("params.weights must be a list of four numbers")
-    weights = SimilarityWeights(*[float(v) for v in raw_weights])
+    try:
+        values = [float(v) for v in raw_weights]
+    except OverflowError as exc:
+        raise ContractError("params.weights must be a list of four numbers") from exc
+    weights = SimilarityWeights(*values)
     raw_clusters = doc["clusters"]
     if not isinstance(raw_clusters, dict) or not raw_clusters:
         raise ContractError("'clusters' must be a non-empty object")

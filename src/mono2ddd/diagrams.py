@@ -48,19 +48,6 @@ def document_dot(doc: CmlDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def context_map_dot(
-    decomposition: Decomposition | None = None,
-    model: MonolithModel | None = None,
-    document: CmlDocument | None = None,
-) -> str:
-    """Dispatch on input kind: decomposition+model or a parsed document."""
-    if document is not None:
-        return document_dot(document)
-    if decomposition is None or model is None:
-        raise MappingError("need either a document or a decomposition with its model")
-    return decomposition_dot(model, decomposition)
-
-
 def coordination_bpmn(doc: CmlDocument, coordination_name: str) -> str:
     """One lane line per step: ``<ContextName>: <operationName>``."""
     for ctx in doc.contexts:

@@ -50,7 +50,7 @@ def parse_accesses(text: str) -> list[Functionality]:
     """Parse an accesses document into functionalities, preserving order."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, nesting depth or integer size
         raise ContractError(f"malformed JSON: {exc}") from exc
     _require(doc, dict, "$")
     items = _require(doc.get("functionalities", None), list, "functionalities")
@@ -119,7 +119,7 @@ def _check_entity_fields(name, attributes, references, location=None, line=None)
 def parse_structure_json(text: str) -> list[EntityStructure]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, nesting depth or integer size
         raise ContractError(f"malformed JSON: {exc}") from exc
     _require(doc, dict, "$")
     items = _require(doc.get("entities", None), list, "entities")
@@ -136,7 +136,7 @@ def parse_structure_json(text: str) -> list[EntityStructure]:
             raise ContractError(f"duplicate entity {name!r}", loc)
         names.add(name)
         attrs = []
-        for j, a in enumerate(raw.get("attributes", [])):
+        for j, a in enumerate(_require(raw.get("attributes", []), list, f"{loc}.attributes")):
             aloc = f"{loc}.attributes[{j}]"
             _require(a, dict, aloc)
             attrs.append(
@@ -146,7 +146,7 @@ def parse_structure_json(text: str) -> list[EntityStructure]:
                 )
             )
         refs = []
-        for j, r in enumerate(raw.get("references", [])):
+        for j, r in enumerate(_require(raw.get("references", []), list, f"{loc}.references")):
             rloc = f"{loc}.references[{j}]"
             _require(r, dict, rloc)
             kind = r.get("kind", ASSOCIATION)

@@ -97,9 +97,11 @@ def _complexities(model: MonolithModel, hits: list[dict[str, int]]) -> dict[str,
 
 def complexity(model: MonolithModel, decomposition: Decomposition, name: str) -> float:
     """Complexity of one functionality under the given decomposition."""
-    f = model.functionality(name)
     hits = _cluster_hits(model, _assignment(model, decomposition))
-    return _complexities(model, hits)[f.name]
+    complexities = _complexities(model, hits)
+    if name not in complexities:
+        raise DecompositionError(f"unknown functionality {name!r}")
+    return complexities[name]
 
 
 def measure(model: MonolithModel, decomposition: Decomposition) -> MeasureReport:
@@ -164,10 +166,7 @@ def measure(model: MonolithModel, decomposition: Decomposition) -> MeasureReport
 
 
 def search_candidates(
-    model: MonolithModel,
-    step: float,
-    n_values: list[int] | tuple[int, ...],
-    threads: int | None = None,
+    model: MonolithModel, step: float, n_values: list[int] | tuple[int, ...]
 ) -> list[tuple[Decomposition, MeasureReport]]:
     """Grid-search decompositions and attach measures to each candidate.
 
@@ -176,7 +175,7 @@ def search_candidates(
     """
     reports: dict[tuple, MeasureReport] = {}
     candidates = []
-    for d in search_decompositions(model, step, n_values, threads):
+    for d in search_decompositions(model, step, n_values):
         if d.clusters not in reports:
             reports[d.clusters] = measure(model, d)
         candidates.append((d, reports[d.clusters]))

@@ -110,9 +110,3 @@ class MonolithModel:
             if f.name == name:
                 return f
         raise KeyError(name)
-
-    def accessed_entities(self) -> frozenset[str]:
-        out: set[str] = set()
-        for f in self.functionalities:
-            out.update(a.entity for a in f.trace)
-        return frozenset(out)

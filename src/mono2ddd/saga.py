@@ -31,13 +31,6 @@ class Saga:
     orchestrator: str
     steps: tuple[Step, ...]
 
-    def clusters(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for step in self.steps:
-            if step.cluster not in seen:
-                seen.append(step.cluster)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class ReductionStats:
@@ -185,9 +178,11 @@ def refactor_functionality(
     name: str,
     orchestrator_policy: str = "first",
 ) -> tuple[Saga, ReductionStats]:
-    return _refactor(
-        model.functionality(name), decomposition.assignment(), orchestrator_policy
-    )
+    try:
+        functionality = model.functionality(name)
+    except KeyError:
+        raise SagaError(f"unknown functionality {name!r}") from None
+    return _refactor(functionality, decomposition.assignment(), orchestrator_policy)
 
 
 def refactor_model(
@@ -222,7 +217,7 @@ def sagas_to_json(sagas: list[Saga]) -> str:
 def parse_sagas(text: str) -> list[Saga]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, nesting depth or integer size
         raise ContractError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("sagas", None), list):
         raise ContractError("sagas document must have a 'sagas' list")

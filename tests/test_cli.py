@@ -238,7 +238,7 @@ def test_search_top_one_keeps_lowest_coupling(workdir, capsys):
     assert doc["clusters"] == {"Cluster0": ["A", "B"], "Cluster1": ["C", "D"]}
 
 
-def test_search_is_reproducible(workdir, capsys, monkeypatch):
+def test_search_is_reproducible(workdir, capsys):
     args = (
         "search",
         "--accesses",
@@ -248,23 +248,9 @@ def test_search_is_reproducible(workdir, capsys, monkeypatch):
         "--n",
         "2,3",
     )
-    monkeypatch.setenv("MONO2DDD_THREADS", "1")
     _, first, _ = run(capsys, *args)
-    monkeypatch.setenv("MONO2DDD_THREADS", "4")
     _, second, _ = run(capsys, *args)
     assert first == second
-
-
-def test_bad_thread_count_is_an_input_error(workdir, capsys, monkeypatch):
-    monkeypatch.setenv("MONO2DDD_THREADS", "zero")
-    code, _, err = run(
-        capsys,
-        "search",
-        "--accesses",
-        str(workdir / "accesses.json"),
-    )
-    assert code == 1
-    assert err.startswith("error:")
 
 
 
@@ -322,6 +308,46 @@ def test_every_subcommand_checks_the_decomposition(
     )
     assert code == 1
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    ("params", "message"),
+    [
+        ('{"weights": ["x", 0, 0, 0]}', "params.weights must be a list of four numbers"),
+        ('{"weights": [null, 0, 0, 1]}', "params.weights must be a list of four numbers"),
+        ("[1, 0, 0, 0]", "'params' must be an object"),
+        ('{"weights": [NaN, 0, 0, 1]}', "weight out of range: nan"),
+    ],
+    ids=["string-weight", "null-weight", "params-not-an-object", "nan-weight"],
+)
+def test_unusable_decomposition_params_exit_one(workdir, capsys, params, message):
+    dec = workdir / "bad_params.json"
+    dec.write_text(f'{{"params": {params}, "clusters": {{"C0": ["A", "B", "C", "D"]}}}}')
+    code, _, err = run(
+        capsys,
+        "assess",
+        "--accesses",
+        str(workdir / "accesses.json"),
+        "--decomposition",
+        str(dec),
+    )
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
+def test_decompose_rejects_nan_weights(workdir, capsys):
+    code, out, err = run(
+        capsys,
+        "decompose",
+        "--accesses",
+        str(workdir / "accesses.json"),
+        "--weights",
+        "nan,0,0,1",
+        "-n",
+        "2",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: weight out of range: nan\n"
 
 
 def test_structure_only_entity_left_out_of_decomposition(workdir, capsys):

@@ -26,7 +26,16 @@ from mono2ddd.ingest import parse_model
 TOL = 1e-9
 
 
-@pytest.mark.parametrize("bad", [(0.5, 0.5, 0.5, 0.5), (1.0, 0.1, -0.1, 0.0)])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (0.5, 0.5, 0.5, 0.5),
+        (1.0, 0.1, -0.1, 0.0),
+        (float("nan"), 0.0, 0.0, 1.0),
+        (float("inf"), 0.0, 0.0, 1.0),
+        (float("-inf"), float("inf"), 0.0, 1.0),
+    ],
+)
 def test_weights_must_be_convex(bad):
     with pytest.raises(DecompositionError):
         SimilarityWeights(*bad)
@@ -145,19 +154,11 @@ def test_weight_grid_sizes():
         assert abs(sum(weights.as_tuple()) - 1.0) < TOL
 
 
-def test_search_is_sorted_and_thread_stable(fixture_a, monkeypatch):
-    serial = search_decompositions(fixture_a, 0.5, [2, 3], threads=1)
-    threaded = search_decompositions(fixture_a, 0.5, [2, 3], threads=4)
-    assert serial == threaded
-    assert len(serial) == 20
-    keys = [(d.weights.as_tuple(), d.n) for d in serial]
+def test_search_is_sorted(fixture_a):
+    results = search_decompositions(fixture_a, 0.5, [2, 3])
+    assert len(results) == 20
+    keys = [(d.weights.as_tuple(), d.n) for d in results]
     assert keys == sorted(keys)
-
-    monkeypatch.setenv("MONO2DDD_THREADS", "3")
-    assert search_decompositions(fixture_a, 0.5, [2, 3]) == serial
-    monkeypatch.setenv("MONO2DDD_THREADS", "zero")
-    with pytest.raises(ContractError):
-        search_decompositions(fixture_a, 0.5, [2])
 
 
 def test_decomposition_json_round_trip(fixture_a_decomposition):
@@ -176,12 +177,31 @@ def test_decomposition_json_round_trip(fixture_a_decomposition):
         ('{"clusters": {"c": []}}', "at least one entity"),
         ('{"clusters": {"c": ["A"], "d": ["A"]}}', "more than one cluster"),
         ('{"params": {"n": 3}, "clusters": {"c": ["A"]}}', "params.n"),
+        ('{"params": {"weights": ["x", 0, 0, 0]}, "clusters": {"c": ["A"]}}', "params.weights"),
+        ('{"params": {"weights": [null, 0, 0, 1]}, "clusters": {"c": ["A"]}}', "params.weights"),
+        ('{"params": {"weights": [true, 0, 0, 0]}, "clusters": {"c": ["A"]}}', "params.weights"),
+        pytest.param(
+            '{"params": {"weights": [1%s, 0, 0, 0]}, "clusters": {"c": ["A"]}}' % ("0" * 400),
+            "params.weights",
+            id="weight-too-large-for-a-float",
+        ),
+        ('{"params": [], "clusters": {"c": ["A"]}}', "'params' must be an object"),
+        ('{"params": 3, "clusters": {"c": ["A"]}}', "'params' must be an object"),
+        pytest.param("[" * 100000, "malformed JSON", id="nested-too-deep"),
+        pytest.param('{"clusters": %s}' % ("1" * 5000), "malformed JSON", id="integer-too-long"),
     ],
 )
 def test_parse_decomposition_rejects_bad_documents(doc, fragment):
     with pytest.raises(ContractError) as err:
         parse_decomposition(doc)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "1e999"])
+def test_parse_decomposition_rejects_weights_that_are_not_finite(weight):
+    doc = '{"params": {"weights": [%s, 0, 0, 1]}, "clusters": {"c": ["A"]}}' % weight
+    with pytest.raises(DecompositionError, match="weight out of range"):
+        parse_decomposition(doc)
 
 
 def test_partition_invariant_on_random_models():

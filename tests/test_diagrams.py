@@ -12,12 +12,7 @@ from helpers import UNIT_WEIGHTS, random_model, random_partition
 from mono2ddd.cml import parse_document
 from mono2ddd.dddmap import build_ddd_model
 from mono2ddd.decompose import decompose
-from mono2ddd.diagrams import (
-    context_map_dot,
-    coordination_bpmn,
-    decomposition_dot,
-    document_dot,
-)
+from mono2ddd.diagrams import coordination_bpmn, decomposition_dot, document_dot
 from mono2ddd.errors import MappingError
 from mono2ddd.saga import refactor_model
 from mono2ddd.cml import document_from_ddd, emit_document
@@ -51,16 +46,6 @@ def test_document_dot_directed_edges(topic_question, topic_question_decompositio
     check_dot(dot)
     assert dot.startswith('digraph "ContextMap" {')
     assert '"Cluster0" -> "Cluster1";' in dot
-
-
-def test_dispatcher_prefers_document(fixture_a, fixture_a_decomposition):
-    doc = _document(fixture_a, fixture_a_decomposition)
-    assert context_map_dot(document=doc) == document_dot(doc)
-    assert context_map_dot(fixture_a_decomposition, fixture_a) == decomposition_dot(
-        fixture_a, fixture_a_decomposition
-    )
-    with pytest.raises(MappingError):
-        context_map_dot(decomposition=fixture_a_decomposition)
 
 
 def test_bpmn_lane_per_step(fixture_a, fixture_a_decomposition):

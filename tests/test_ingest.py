@@ -117,6 +117,25 @@ def test_parse_structure_json_rejects_unknown_kind():
     assert "unknown reference kind" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "doc,location",
+    [
+        ('{"entities": [{"name": "A", "attributes": 5}]}', "entities[0].attributes"),
+        ('{"entities": [{"name": "A", "attributes": null}]}', "entities[0].attributes"),
+        ('{"entities": [{"name": "A", "attributes": "ab"}]}', "entities[0].attributes"),
+        ('{"entities": [{"name": "A", "references": 5}]}', "entities[0].references"),
+        ('{"entities": [{"name": "A"}, {"name": "B", "references": null}]}',
+         "entities[1].references"),
+        ('{"entities": [{"name": "A", "references": {"f": "B"}}]}', "entities[0].references"),
+    ],
+)
+def test_parse_structure_json_rejects_fields_that_are_not_lists(doc, location):
+    with pytest.raises(ContractError) as err:
+        parse_structure_json(doc)
+    assert err.value.location == location
+    assert "expected list" in str(err.value)
+
+
 def test_structure_autodetect_picks_json():
     entities = parse_structure('  {"entities": [{"name": "A"}]}')
     assert entities == [EntityStructure("A")]

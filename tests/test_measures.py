@@ -16,6 +16,7 @@ from oracles import (
 )
 
 from mono2ddd.decompose import Decomposition, decompose, decomposition_to_json
+from mono2ddd.errors import DecompositionError
 from mono2ddd.ingest import parse_model
 from mono2ddd.measures import (
     cohesion,
@@ -82,6 +83,11 @@ def test_making_the_other_functionality_local_zeroes_complexity(fixture_a):
         UNIT_WEIGHTS, 2, (("Cluster0", ("A", "B", "C")), ("Cluster1", ("D",)))
     )
     assert complexity(fixture_a, dec, "f3") == 0.0
+
+
+def test_complexity_of_unknown_functionality_rejected(fixture_a, fixture_a_decomposition):
+    with pytest.raises(DecompositionError, match="unknown functionality 'nope'"):
+        complexity(fixture_a, fixture_a_decomposition, "nope")
 
 
 def test_measures_match_oracle_on_random_models():

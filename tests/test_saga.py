@@ -139,6 +139,11 @@ def test_unknown_orchestrator_policy_rejected(fixture_a, fixture_a_decomposition
         )
 
 
+def test_unknown_functionality_rejected(fixture_a, fixture_a_decomposition):
+    with pytest.raises(SagaError, match="unknown functionality 'nope'"):
+        refactor_functionality(fixture_a, fixture_a_decomposition, "nope")
+
+
 def test_saga_invariants_on_random_traces():
     rng = random.Random(20240819)
     for _ in range(200):

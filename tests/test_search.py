@@ -108,20 +108,13 @@ def test_search_equals_one_decomposition_per_combination():
             for weights in weight_grid(step)
             for n in sorted(set(n_values))
         ]
-        assert search_decompositions(model, step, n_values, threads=1) == expected
-
-
-def test_search_is_the_same_on_one_and_four_threads():
-    for rng, model in seeded_models(12):
-        n_values = sorted({1, len(model.entities), rng.randint(1, len(model.entities))})
-        serial = search_decompositions(model, 0.25, n_values, threads=1)
-        assert search_decompositions(model, 0.25, n_values, threads=4) == serial
+        assert search_decompositions(model, step, n_values) == expected
 
 
 def test_candidate_reports_match_the_oracles():
     for rng, model in seeded_models(24):
         n_values = list(range(1, len(model.entities) + 1))
-        for d, report in search_candidates(model, 0.5, n_values, threads=1):
+        for d, report in search_candidates(model, 0.5, n_values):
             clusters = clusters_dict(d)
             cohesion, coupling, complexity = oracle_decomposition_measures(model, clusters)
             assert report.cohesion == pytest.approx(cohesion, abs=TOL)
@@ -153,7 +146,7 @@ def test_candidate_reports_match_the_oracles():
 def test_equal_partitions_share_one_report():
     rng = random.Random(7)
     model = tied_model(rng)
-    candidates = search_candidates(model, 0.25, [1, 2], threads=1)
+    candidates = search_candidates(model, 0.25, [1, 2])
     by_partition: dict = {}
     for d, report in candidates:
         assert by_partition.setdefault(d.clusters, report) is report
@@ -182,17 +175,17 @@ def test_oversized_grid_is_rejected_before_it_is_built(no_grid, fixture_a):
     with pytest.raises(DecompositionError, match="exceeds the limit"):
         weight_grid(0.0001)
     with pytest.raises(DecompositionError, match="exceeds the limit"):
-        search_decompositions(fixture_a, 0.0001, [2], threads=1)
+        search_decompositions(fixture_a, 0.0001, [2])
 
 
 def test_grid_limit_counts_every_cluster_count(no_grid, fixture_a):
     # step 1/75: C(78, 3) = 76076 weight vectors, under the limit alone.
     assert 76076 <= MAX_GRID_CANDIDATES < 76076 * 2
     with pytest.raises(DecompositionError, match="152152 candidates"):
-        search_decompositions(fixture_a, 1 / 75, [1, 2, 2], threads=1)
+        search_decompositions(fixture_a, 1 / 75, [1, 2, 2])
 
 
 def test_search_rejects_nan_step(fixture_a):
     with pytest.raises(DecompositionError, match="grid step"):
-        search_decompositions(fixture_a, float("nan"), [2], threads=1)
+        search_decompositions(fixture_a, float("nan"), [2])
 
