@@ -32,8 +32,10 @@ Application (services with void operations, coordinations with
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .dddmap import DddModel, REFERENCE_SUFFIX
 from .errors import CmlEmitError, CmlParseError, RefactorError
@@ -369,183 +371,196 @@ def emit_document(doc: CmlDocument) -> str:
     return "\n\n".join("\n".join(b) for b in blocks) + "\n"
 
 
+# Everything str.splitlines splits at; a ``//`` comment ends at any of them.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 _TOKEN = re.compile(
-    r"(?P<comment>//[^\n]*)"
-    r"|(?P<rel>\[U\]-\[D\])"
-    r"|(?P<coloncolon>::)"
-    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[{}();,\-])"
-    r"|(?P<bad>\S)"
+    r"[A-Za-z_][A-Za-z0-9_]*"
+    r"|[{}();,\-]|::|\[U\]-\[D\]"
+    rf"|//[^{_LINE_BREAKS}]*"
+    r"|\S"
 )
+_PUNCT = frozenset(("{", "}", "(", ")", ";", ",", "-", "::", "[U]-[D]"))
+_ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# Tokens that cannot open an attribute or a relationship.
+_NOT_NAMES = _PUNCT | KEYWORDS
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _position(text: str, index: int) -> tuple[int, int]:
+    """Line and column of the index-th token, comments counted.
+
+    Positions are only needed for errors, so the tokenizer keeps none and
+    this rescans. Lines are numbered as ``str.splitlines`` splits them.
+    """
+    start = next(islice(_TOKEN.finditer(text), index, None)).start()
+    head = text[:start].splitlines(keepends=True)
+    if head and head[-1][-1] not in _LINE_BREAKS:
+        return len(head), len(head[-1]) + 1
+    return len(head) + 1, 1
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for m in _TOKEN.finditer(line):
-            kind = m.lastgroup
-            value = m.group(0)
-            col = m.start() + 1
-            if kind == "bad":
-                raise CmlParseError(f"unexpected character {value!r}", lineno, col)
-            if kind == "comment":
-                tokens.append(_Token("comment", value[2:].strip(), lineno, col))
-            elif kind == "id":
-                tokens.append(_Token("id", value, lineno, col))
-            else:
-                tokens.append(_Token(value, value, lineno, col))
-    return tokens
+def _tokenize(text: str) -> tuple[list[str | None], list[int], tuple[str, ...]]:
+    """Split text in one pass into tokens and, out of their stream, comments.
+
+    Returns the tokens followed by a None end marker; for each token and
+    the marker, how many comments come before it; and the comment texts.
+    """
+    tokens: list[str | None] = []
+    before: list[int] = []
+    comments: list[str] = []
+    for tok in _TOKEN.findall(text):
+        if tok in _PUNCT or tok[0] in _ID_START:
+            tokens.append(tok)
+            before.append(len(comments))
+        elif tok[:2] == "//":
+            comments.append(tok[2:].strip())
+        else:
+            raise CmlParseError(
+                f"unexpected character {tok!r}",
+                *_position(text, len(tokens) + len(comments)),
+            )
+    tokens.append(None)
+    before.append(len(comments))
+    return tokens, before, tuple(comments)
 
 
 class _Parser:
-    """Recursive-descent parser for the subset grammar."""
+    """Recursive-descent parser for the subset grammar.
+
+    A token is its text; every token that is not punctuation is an
+    identifier. Comments are attached by ``grab_comments``: those between
+    the previous grab and the current token.
+    """
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens, self.before, self.comments = _tokenize(text)
         self.pos = 0
-        self.pending_comments: list[str] = []
+        self.grabbed = 0
 
-    def _skip_comments(self) -> None:
-        while self.pos < len(self.tokens) and self.tokens[self.pos].kind == "comment":
-            self.pending_comments.append(self.tokens[self.pos].text)
-            self.pos += 1
+    def error(self, message: str, pos: int) -> CmlParseError:
+        return CmlParseError(message, *_position(self.text, pos + self.before[pos]))
 
-    def peek(self) -> _Token | None:
-        self._skip_comments()
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> str | None:
+        return self.tokens[self.pos]
 
-    def take(self, expected: str | None = None, what: str = "") -> _Token:
-        tok = self.peek()
+    def take(self, expected: str | None = None, what: str = "") -> str:
+        tok = self.tokens[self.pos]
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
+            # Point at the last token, comments included, or at 1:1.
+            last = self.pos + self.before[self.pos] - 1
             raise CmlParseError(
                 f"unexpected end of input (expected {expected or what or 'more input'})",
-                last.line,
-                last.column,
+                *(_position(self.text, last) if last >= 0 else (1, 1)),
             )
-        if expected is not None and tok.text != expected:
-            raise CmlParseError(
-                f"expected {expected!r}, got {tok.text!r}", tok.line, tok.column
-            )
+        if expected is not None and tok != expected:
+            raise self.error(f"expected {expected!r}, got {tok!r}", self.pos)
         self.pos += 1
         return tok
 
-    def take_id(self, what: str) -> _Token:
+    def take_id(self, what: str) -> str:
         tok = self.take(None, what)
-        if tok.kind != "id":
-            raise CmlParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.column)
+        if tok in _PUNCT:
+            raise self.error(f"expected {what}, got {tok!r}", self.pos - 1)
         return tok
 
     def grab_comments(self) -> tuple[str, ...]:
-        self._skip_comments()
-        comments = tuple(self.pending_comments)
-        self.pending_comments = []
-        return comments
+        start, self.grabbed = self.grabbed, self.before[self.pos]
+        return self.comments[start : self.grabbed]
 
-    def members(self) -> Iterator[tuple[tuple[str, ...], _Token]]:
+    def members(self) -> Iterator[tuple[tuple[str, ...], str]]:
         """Yield (leading comments, first token) per member up to the closing '}'.
 
         The caller consumes each member before asking for the next one.
         """
         while True:
-            tok = self.peek()
-            if tok is None or tok.text == "}":
+            tok = self.tokens[self.pos]
+            if tok is None or tok == "}":
                 self.take("}")
                 return
             yield self.grab_comments(), tok
 
-    @staticmethod
-    def _outside(tok: _Token, expected: str) -> CmlParseError:
-        return CmlParseError(
-            f"{tok.text!r} is outside supported subset (expected {expected})",
-            tok.line,
-            tok.column,
+    def _outside(self, expected: str) -> CmlParseError:
+        """The current token does not start any member allowed here."""
+        return self.error(
+            f"{self.peek()!r} is outside supported subset (expected {expected})",
+            self.pos,
         )
 
     def parse(self) -> CmlDocument:
         context_map = None
         contexts: list[CmlBoundedContext] = []
-        while self.peek() is not None:
+        while (tok := self.peek()) is not None:
             comments = self.grab_comments()
-            tok = self.tokens[self.pos]
-            if tok.text == "ContextMap":
+            if tok == "ContextMap":
                 if context_map is not None:
-                    raise CmlParseError("duplicate ContextMap block", tok.line, tok.column)
+                    raise self.error("duplicate ContextMap block", self.pos)
                 context_map = self._context_map(comments)
-            elif tok.text == "BoundedContext":
+            elif tok == "BoundedContext":
                 contexts.append(self._bounded_context(comments))
             else:
-                raise self._outside(tok, "'ContextMap' or 'BoundedContext'")
-        trailing = tuple(self.pending_comments)
-        self.pending_comments = []
+                raise self._outside("'ContextMap' or 'BoundedContext'")
+        trailing = self.comments[self.grabbed :]
         return CmlDocument(context_map, tuple(contexts), trailing)
 
     def _context_map(self, comments: tuple[str, ...]) -> CmlContextMap:
         self.take("ContextMap")
-        name = self.take_id("map name").text
+        name = self.take_id("map name")
         self.take("{")
         contains: list[str] = []
         relationships: list[CmlRelationship] = []
         for node_comments, tok in self.members():
-            if tok.text == "contains":
+            if tok == "contains":
                 self.take("contains")
-                contains.append(self.take_id("context name").text)
-                while self.peek() is not None and self.peek().text == ",":
+                contains.append(self.take_id("context name"))
+                while self.peek() == ",":
                     self.take(",")
-                    contains.append(self.take_id("context name").text)
-            elif tok.kind == "id" and tok.text not in KEYWORDS:
-                upstream = self.take_id("context name").text
+                    contains.append(self.take_id("context name"))
+            elif tok not in _NOT_NAMES:
+                upstream = self.take_id("context name")
                 self.take("[U]-[D]", what="'[U]-[D]'")
-                downstream = self.take_id("context name").text
+                downstream = self.take_id("context name")
                 relationships.append(
                     CmlRelationship(upstream, downstream, node_comments)
                 )
             else:
-                raise self._outside(tok, "'contains', a relationship, or '}'")
+                raise self._outside("'contains', a relationship, or '}'")
         return CmlContextMap(name, tuple(contains), tuple(relationships), comments)
 
     def _bounded_context(self, comments: tuple[str, ...]) -> CmlBoundedContext:
         self.take("BoundedContext")
-        name = self.take_id("context name").text
+        name = self.take_id("context name")
         self.take("{")
         services: list[CmlService] = []
         coordinations: list[CmlCoordination] = []
         aggregates: list[CmlAggregate] = []
         for node_comments, tok in self.members():
-            if tok.text == "Application":
+            if tok == "Application":
                 self.take("Application")
                 self.take("{")
                 for inner_comments, inner in self.members():
-                    if inner.text == "Service":
+                    if inner == "Service":
                         services.append(self._service(inner_comments))
-                    elif inner.text == "Coordination":
+                    elif inner == "Coordination":
                         coordinations.append(self._coordination(inner_comments))
                     else:
-                        raise self._outside(inner, "'Service' or 'Coordination'")
-            elif tok.text == "Aggregate":
+                        raise self._outside("'Service' or 'Coordination'")
+            elif tok == "Aggregate":
                 aggregates.append(self._aggregate(node_comments))
             else:
-                raise self._outside(tok, "'Application' or 'Aggregate'")
+                raise self._outside("'Application' or 'Aggregate'")
         return CmlBoundedContext(
             name, tuple(services), tuple(coordinations), tuple(aggregates), comments
         )
 
     def _service(self, comments: tuple[str, ...]) -> CmlService:
         self.take("Service")
-        name = self.take_id("service name").text
+        name = self.take_id("service name")
         self.take("{")
         operations: list[CmlOperation] = []
         for op_comments, _ in self.members():
             self.take("void", what="'void'")
-            op_name = self.take_id("operation name").text
+            op_name = self.take_id("operation name")
             self.take("(")
             self.take(")")
             self.take(";")
@@ -554,53 +569,52 @@ class _Parser:
 
     def _coordination(self, comments: tuple[str, ...]) -> CmlCoordination:
         self.take("Coordination")
-        name = self.take_id("coordination name").text
+        name = self.take_id("coordination name")
         self.take("{")
         steps: list[CmlStep] = []
         for step_comments, _ in self.members():
-            context = self.take_id("context name").text
+            context = self.take_id("context name")
             self.take("::")
-            service = self.take_id("service name").text
+            service = self.take_id("service name")
             self.take("::")
-            operation = self.take_id("operation name").text
+            operation = self.take_id("operation name")
             self.take(";")
             steps.append(CmlStep(context, service, operation, step_comments))
         return CmlCoordination(name, tuple(steps), comments)
 
     def _aggregate(self, comments: tuple[str, ...]) -> CmlAggregate:
         self.take("Aggregate")
-        name = self.take_id("aggregate name").text
+        name = self.take_id("aggregate name")
         self.take("{")
         entities: list[CmlEntity] = []
         for entity_comments, tok in self.members():
-            if tok.text != "Entity":
-                raise self._outside(tok, "'Entity'")
+            if tok != "Entity":
+                raise self._outside("'Entity'")
             entities.append(self._entity(entity_comments))
         return CmlAggregate(name, tuple(entities), comments)
 
     def _entity(self, comments: tuple[str, ...]) -> CmlEntity:
         self.take("Entity")
-        name = self.take_id("entity name").text
+        name = self.take_id("entity name")
         self.take("{")
         aggregate_root = False
-        tok = self.peek()
-        if tok is not None and tok.text == "aggregateRoot":
+        if self.peek() == "aggregateRoot":
             self.take("aggregateRoot")
             aggregate_root = True
         attributes: list[CmlAttribute] = []
         references: list[CmlReference] = []
         for member_comments, tok in self.members():
-            if tok.text == "-":
+            if tok == "-":
                 self.take("-")
-                target = self.take_id("reference target").text
-                field_name = self.take_id("reference field").text
+                target = self.take_id("reference target")
+                field_name = self.take_id("reference field")
                 references.append(CmlReference(target, field_name, member_comments))
-            elif tok.kind == "id" and tok.text not in KEYWORDS:
-                attr_type = self.take_id("attribute type").text
-                attr_name = self.take_id("attribute name").text
+            elif tok not in _NOT_NAMES:
+                attr_type = self.take_id("attribute type")
+                attr_name = self.take_id("attribute name")
                 attributes.append(CmlAttribute(attr_type, attr_name, member_comments))
             else:
-                raise self._outside(tok, "an attribute, a reference, or '}'")
+                raise self._outside("an attribute, a reference, or '}'")
         return CmlEntity(
             name, aggregate_root, tuple(attributes), tuple(references), comments
         )
@@ -658,9 +672,9 @@ def validate_document(doc: CmlDocument) -> list[str]:
                             f"{r.target!r} is not an entity of this context"
                         )
         for s in ctx.services:
-            names = [op.name for op in s.operations]
-            for name in names:
-                if names.count(name) > 1:
+            # Counter keeps first-seen order: report the first name repeated.
+            for name, count in Counter(op.name for op in s.operations).items():
+                if count > 1:
                     problems.append(
                         f"duplicate operation {name!r} in service {s.name!r}"
                     )

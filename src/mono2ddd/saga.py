@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .decompose import Decomposition
 from .errors import ContractError, SagaError
@@ -194,24 +195,39 @@ def refactor_model(
     return [_refactor(f, mapping, orchestrator_policy) for f in model.functionalities]
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of already indented items, closed at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{indent}]"
+
+
 def sagas_to_json(sagas: list[Saga]) -> str:
-    doc = {
-        "sagas": [
-            {
-                "functionality": s.functionality,
-                "orchestrator": s.orchestrator,
-                "steps": [
-                    {
-                        "cluster": step.cluster,
-                        "accesses": [[a.entity, a.mode] for a in step.accesses],
-                    }
-                    for step in s.steps
-                ],
-            }
-            for s in sagas
-        ]
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write what ``json.dumps(..., indent=2, sort_keys=True)`` writes.
+
+    With ``indent`` the json module runs its pure-Python encoder, so the
+    layout is written here and only the strings go through its C quoting.
+    """
+    quote = encode_basestring_ascii
+    saga_items = []
+    for s in sagas:
+        step_items = []
+        for step in s.steps:
+            accesses = [
+                f"            [\n              {quote(a.entity)},\n"
+                f"              {quote(a.mode)}\n            ]"
+                for a in step.accesses
+            ]
+            step_items.append(
+                f'        {{\n          "accesses": {_json_array(accesses, " " * 10)},\n'
+                f'          "cluster": {quote(step.cluster)}\n        }}'
+            )
+        saga_items.append(
+            f'    {{\n      "functionality": {quote(s.functionality)},\n'
+            f'      "orchestrator": {quote(s.orchestrator)},\n'
+            f'      "steps": {_json_array(step_items, " " * 6)}\n    }}'
+        )
+    return f'{{\n  "sagas": {_json_array(saga_items, "  ")}\n}}\n'
 
 
 def parse_sagas(text: str) -> list[Saga]:

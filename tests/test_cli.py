@@ -461,6 +461,32 @@ def test_cml_merge_demotes_single_step_coordinations(workdir, capsys):
     assert "Coordination" not in out
 
 
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.cml")))
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+def test_cml_merge_reads_any_line_ending(workdir, capsys, golden, line_end):
+    text = (GOLDEN / golden).read_text()
+    # A stray character a few lines down, to compare error positions.
+    lines = text.split("\n")
+    stray = "\n".join(lines[:5] + ["    @"] + lines[5:])
+    results = {}
+    for name, ending in (("lf", "\n"), ("other", line_end)):
+        for kind, source in (("merge", text), ("stray", stray)):
+            path = workdir / f"{kind}_{name}.cml"
+            path.write_bytes(source.replace("\n", ending).encode("utf-8"))
+            out = workdir / f"{kind}_{name}.out"
+            code, _, err = run(
+                capsys, "cml", "merge", "--in", str(path),
+                "-a", "Cluster0", "-b", "Cluster1", "-o", str(out),
+            )
+            results[kind, name] = code, err, out.read_bytes() if code == 0 else None
+    assert results["merge", "lf"][0] == 0
+    assert results["merge", "other"] == results["merge", "lf"]
+    assert results["stray", "lf"][:2] == (
+        1, "error: line 6, column 5: unexpected character '@'\n"
+    )
+    assert results["stray", "other"] == results["stray", "lf"]
+
+
 def test_cml_split_renames_aggregates(workdir, capsys):
     cml = workdir / "model.cml"
     cml.write_text((GOLDEN / "fixture_a.cml").read_text())

@@ -15,6 +15,8 @@ from mono2ddd.cml import (
     CmlContextMap,
     CmlDocument,
     CmlEntity,
+    CmlOperation,
+    CmlService,
     document_from_ddd,
     emit_document,
     external_share,
@@ -193,6 +195,12 @@ def test_validate_flags_problems():
     assert "aggregateRoot" in joined or "root" in joined
     assert "unknown operation A::S::missing" in joined
     assert "unknown service A::T" in joined
+
+
+def test_validate_reports_the_first_repeated_operation_once():
+    service = CmlService("S", tuple(CmlOperation(name) for name in "abba"))
+    doc = CmlDocument(None, (CmlBoundedContext("A", services=(service,)),))
+    assert validate_document(doc) == ["duplicate operation 'a' in service 'S'"]
 
 
 def test_external_share_reads_stats_comment():

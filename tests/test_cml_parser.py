@@ -1,8 +1,12 @@
-"""The CML parser against a literal copy of its block-loop-per-block predecessor.
+"""The CML reader against a literal copy of its per-line, per-token predecessor.
 
-The parser reads every block body with one `members()` loop. The copy below
-is the parser as it was before that, with its seven hand-copied loops; on
-seeded token soup and on mutated well-formed documents both must give the
+The reader tokenizes the whole text in one pass into flat lists, keeps
+comments out of the token stream and works out a line and column only for
+an error. The copies below are the tokenizer as it was before that, which
+scanned each `str.splitlines` line and built a `_Token` with a position per
+token, and the parser as it was before its block bodies shared one
+`members()` loop. On seeded token soup, on mutated well-formed documents
+and on documents laid out with every kind of line break, both must give the
 same tree, or the same error type, message, line and column.
 """
 
@@ -10,6 +14,10 @@ from __future__ import annotations
 
 import pathlib
 import random
+import re
+from dataclasses import dataclass
+
+import pytest
 
 from mono2ddd.cml import (
     KEYWORDS,
@@ -25,8 +33,6 @@ from mono2ddd.cml import (
     CmlRelationship,
     CmlService,
     CmlStep,
-    _Token,
-    _tokenize,
     parse_document,
 )
 from mono2ddd.errors import CmlParseError
@@ -34,8 +40,44 @@ from mono2ddd.errors import CmlParseError
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
+_TOKEN = re.compile(
+    r"(?P<comment>//[^\n]*)"
+    r"|(?P<rel>\[U\]-\[D\])"
+    r"|(?P<coloncolon>::)"
+    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>[{}();,\-])"
+    r"|(?P<bad>\S)"
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for m in _TOKEN.finditer(line):
+            kind = m.lastgroup
+            value = m.group(0)
+            col = m.start() + 1
+            if kind == "bad":
+                raise CmlParseError(f"unexpected character {value!r}", lineno, col)
+            if kind == "comment":
+                tokens.append(_Token("comment", value[2:].strip(), lineno, col))
+            elif kind == "id":
+                tokens.append(_Token("id", value, lineno, col))
+            else:
+                tokens.append(_Token(value, value, lineno, col))
+    return tokens
+
+
 class _OldParser:
-    """Literal copy of the parser with one hand-written loop per block."""
+    """Literal copy of the parser with one hand-written loop per block, over `_Token`s."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -454,3 +496,64 @@ def test_parser_matches_the_block_loop_copy_on_goldens():
         _assert_same(text)
         for cut in range(0, len(text), 7):
             _assert_same(text[:cut])
+
+
+# Every boundary `str.splitlines` splits at, and whitespace that is none.
+_LINE_BREAKS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
+_BLANKS = (" ", "\t", "\x1f", "\u00a0")
+
+
+def _render_with_line_breaks(rng, tokens):
+    parts = []
+    for tok in tokens:
+        parts.append(tok)
+        if tok.startswith("//"):
+            if rng.random() < 0.2:
+                parts.append(rng.choice(_BLANKS))
+            # Half the comments end right at a "\r" or a NEL.
+            parts.append(rng.choice(("\r", "\x85") if rng.random() < 0.5 else _LINE_BREAKS))
+        else:
+            for _ in range(rng.randint(1, 2)):
+                parts.append(rng.choice(_LINE_BREAKS if rng.random() < 0.4 else _BLANKS))
+    return "".join(parts)
+
+
+def _line_break_soup(rng):
+    writer = _Writer(rng)
+    writer.document()
+    tokens = writer.tokens
+    if rng.random() < 0.5:
+        _mutate(rng, tokens)
+    if rng.random() < 0.15:
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(("@", "#")))
+    return _render_with_line_breaks(rng, tokens)
+
+
+def test_parser_matches_the_old_copy_on_every_line_break():
+    rng = random.Random(20261019)
+    outcomes = {"parsed": 0, "stray": 0, "end": 0}
+    for _ in range(30_000):
+        text = _line_break_soup(rng)
+        outcome = _outcome(parse_document, text)
+        assert outcome == _outcome(_old_parse, text), repr(text)
+        if isinstance(outcome, str):
+            outcomes["parsed"] += 1
+        elif outcome[1].endswith(("'@'", "'#'")) and "unexpected character" in outcome[1]:
+            outcomes["stray"] += 1
+        elif "unexpected end of input" in outcome[1]:
+            outcomes["end"] += 1
+    # Each outcome whose position depends on line counting must come up often.
+    assert all(count > 1_000 for count in outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("line_break", _LINE_BREAKS)
+def test_comment_ends_at_every_line_break(line_break):
+    text = f"// a{line_break}BoundedContext A {{ }}{line_break}// b{line_break}@"
+    with pytest.raises(CmlParseError) as info:
+        parse_document(text)
+    assert (info.value.line, info.value.column) == (4, 1)
+    doc = parse_document(text[:-1])
+    assert doc.contexts == (CmlBoundedContext("A", comments=("a",)),)
+    assert doc.trailing_comments == ("b",)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from mono2ddd.errors import ContractError, SagaError
 from mono2ddd.model import WRITE, Access
 from mono2ddd.saga import (
     ORCHESTRATOR_POLICIES,
+    Saga,
+    Step,
     collapse_runs,
     merge_steps,
     parse_sagas,
@@ -354,3 +357,62 @@ def test_refactor_model_equals_per_functionality_refactoring(policy):
             refactor_functionality(model, dec, f.name, policy)
             for f in model.functionalities
         ]
+
+
+def _json_dumps_sagas(sagas):
+    doc = {
+        "sagas": [
+            {
+                "functionality": s.functionality,
+                "orchestrator": s.orchestrator,
+                "steps": [
+                    {
+                        "cluster": step.cluster,
+                        "accesses": [[a.entity, a.mode] for a in step.accesses],
+                    }
+                    for step in s.steps
+                ],
+            }
+            for s in sagas
+        ]
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Quotes, backslashes, control characters and text outside ASCII.
+_AWKWARD_NAMES = (
+    "A",
+    'say "hi"',
+    "back\\slash",
+    "tab\there\n",
+    "\x00\x1f\x7f",
+    "\u00dcn\u00efc\u00f6d\u00e9",
+    "\u540d\u524d",
+    "\U0001f600",
+    "\u2028",
+)
+
+
+def test_sagas_to_json_writes_what_json_dumps_writes():
+    rng = random.Random(20261020)
+    assert sagas_to_json([]) == _json_dumps_sagas([])
+    for _ in range(500):
+        sagas = [
+            Saga(
+                rng.choice(_AWKWARD_NAMES),
+                rng.choice(_AWKWARD_NAMES),
+                tuple(
+                    Step(
+                        rng.choice(_AWKWARD_NAMES),
+                        tuple(
+                            Access(rng.choice(_AWKWARD_NAMES), rng.choice("RW"))
+                            for _ in range(rng.randint(0, 3))
+                        ),
+                        index,
+                    )
+                    for index in range(rng.randint(0, 3))
+                ),
+            )
+            for _ in range(rng.randint(0, 3))
+        ]
+        assert sagas_to_json(sagas) == _json_dumps_sagas(sagas)
