@@ -215,19 +215,24 @@ def map_decomposition(
             op_name = name_operation(saga.functionality, step.index, step.accesses, naming)
             add_operation(step.cluster, OperationDef(op_name, step.accesses))
             addressed.append((step.cluster, f"{step.cluster}Service", op_name))
+        if saga.orchestrator not in coordinations:
+            raise MappingError(
+                f"saga {saga.functionality!r} names unknown orchestrator {saga.orchestrator!r}"
+            )
         if len(saga.steps) > 1:
             coordinations[saga.orchestrator].append(
                 Coordination(saga.functionality, tuple(addressed))
             )
 
+    structures = {e.name: e for e in model.entities}
     contexts = []
     for name, members in decomposition.clusters:
         stats = access_stats(members, sagas)
         entities = [
             DddEntity(
                 name=member,
-                attributes=model.structure(member).attributes,
-                local_refs=model.structure(member).references,
+                attributes=structures[member].attributes,
+                local_refs=structures[member].references,
                 stats=stats[member],
             )
             for member in members

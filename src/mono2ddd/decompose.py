@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ContractError, DecompositionError
-from .model import READ, WRITE, MonolithModel
+from .model import WRITE, MonolithModel
 
 WEIGHT_TOLERANCE = 1e-9
 # Largest number of (weights, n) candidates a grid may have: C(parts + 3, 3)
@@ -86,15 +86,6 @@ class Decomposition:
         return {e: name for name, members in self.clusters for e in members}
 
 
-def _accessors(model: MonolithModel, mode: str | None = None) -> dict[str, set[str]]:
-    table: dict[str, set[str]] = {e: set() for e in model.entity_names()}
-    for f in model.functionalities:
-        for a in f.trace:
-            if mode is None or a.mode == mode:
-                table.setdefault(a.entity, set()).add(f.name)
-    return table
-
-
 @dataclass(frozen=True)
 class _Criteria:
     """The weight-independent part of the similarity of one model.
@@ -109,39 +100,62 @@ class _Criteria:
 
 
 def _criteria(model: MonolithModel) -> _Criteria:
-    """Compute the four similarity criteria of every entity pair once."""
-    entities = model.entity_names()
-    acc = _accessors(model)
-    wr = _accessors(model, WRITE)
-    rd = _accessors(model, READ)
+    """Compute the four similarity criteria of every entity pair once.
 
+    One walk over each trace collects the functionalities that access,
+    write and read each entity, and counts consecutive pairs of distinct
+    entities. A set of functionalities is a bit mask over their names, so
+    an intersection size is ``(m1 & m2).bit_count()``; a pair's two
+    directed ratios share that size and divide it by either side's size.
+    """
+    entities = model.entity_names()
+    acc = dict.fromkeys(entities, 0)
+    wr = dict.fromkeys(entities, 0)
+    rd = dict.fromkeys(entities, 0)
+    bits: dict[str, int] = {}
     pair_counts: dict[tuple[str, str], int] = {}
     for f in model.functionalities:
-        for prev, cur in zip(f.trace, f.trace[1:]):
-            if prev.entity != cur.entity:
-                key = (min(prev.entity, cur.entity), max(prev.entity, cur.entity))
-                pair_counts[key] = pair_counts.get(key, 0) + 1
+        bit = 1 << bits.setdefault(f.name, len(bits))
+        written: set[str] = set()
+        read: set[str] = set()
+        prev = None
+        for a in f.trace:
+            e = a.entity
+            if a.mode == WRITE:
+                written.add(e)
+            else:
+                read.add(e)
+            if e != prev:
+                if prev is not None:
+                    key = (prev, e) if prev < e else (e, prev)
+                    pair_counts[key] = pair_counts.get(key, 0) + 1
+                prev = e
+        for table, touched in ((wr, written), (rd, read), (acc, written | read)):
+            for e in touched:
+                table[e] = table.get(e, 0) | bit
     max_pair = max(pair_counts.values(), default=0)
-
-    def ratio(shared: set[str], base: set[str]) -> float:
-        if not base:
-            return 0.0
-        return len(shared & base) / len(base)
 
     pairs = []
     for i, e1 in enumerate(entities):
+        a1, w1, r1 = acc[e1], wr[e1], rd[e1]
+        na1, nw1, nr1 = a1.bit_count(), w1.bit_count(), r1.bit_count()
         for e2 in entities[i + 1 :]:
-            follows = pair_counts.get((min(e1, e2), max(e1, e2)), 0)
+            a2, w2, r2 = acc[e2], wr[e2], rd[e2]
+            na2, nw2, nr2 = a2.bit_count(), w2.bit_count(), r2.bit_count()
+            shared_a = (a1 & a2).bit_count()
+            shared_w = (w1 & w2).bit_count()
+            shared_r = (r1 & r2).bit_count()
+            follows = pair_counts.get((e1, e2) if e1 < e2 else (e2, e1), 0)
             pairs.append(
                 (
                     e1,
                     e2,
-                    ratio(acc[e2], acc[e1]),
-                    ratio(wr[e2], wr[e1]),
-                    ratio(rd[e2], rd[e1]),
-                    ratio(acc[e1], acc[e2]),
-                    ratio(wr[e1], wr[e2]),
-                    ratio(rd[e1], rd[e2]),
+                    shared_a / na1 if na1 else 0.0,
+                    shared_w / nw1 if nw1 else 0.0,
+                    shared_r / nr1 if nr1 else 0.0,
+                    shared_a / na2 if na2 else 0.0,
+                    shared_w / nw2 if nw2 else 0.0,
+                    shared_r / nr2 if nr2 else 0.0,
                     follows / max_pair if max_pair else 0.0,
                 )
             )

@@ -35,6 +35,7 @@ from .model import (
     Functionality,
     MonolithModel,
     Reference,
+    _access,
 )
 
 _INHERITANCE_FIELD = "super"
@@ -73,25 +74,39 @@ def parse_accesses(text: str) -> list[Functionality]:
         if not raw_trace:
             raise ContractError("empty trace", f"{loc}.trace")
         trace: list[Access] = []
+        append = trace.append
         for j, entry in enumerate(raw_trace):
-            eloc = f"{loc}.trace[{j}]"
-            _require(entry, list, eloc)
-            if len(entry) != 2:
-                raise ContractError("trace entry must be [entity, mode]", eloc)
-            entity, mode = entry
-            _require(entity, str, eloc)
-            _require(mode, str, eloc)
-            if not entity:
-                raise ContractError("empty entity name", eloc)
-            if mode == "RW":
-                trace.append(Access(entity, "R"))
-                trace.append(Access(entity, "W"))
-            elif mode in ("R", "W"):
-                trace.append(Access(entity, mode))
-            else:
-                raise ContractError(f"unknown access mode {mode!r}", eloc)
+            # The shape json.loads gives a valid entry; anything else is checked in full.
+            if type(entry) is list and len(entry) == 2:
+                entity, mode = entry
+                if type(entity) is str and entity:
+                    if mode == "R" or mode == "W":
+                        append(_access(entity, mode))
+                        continue
+                    if mode == "RW":
+                        append(_access(entity, "R"))
+                        append(_access(entity, "W"))
+                        continue
+            trace.extend(_checked_entry(entry, f"{loc}.trace[{j}]"))
         result.append(Functionality(name, tuple(trace)))
     return result
+
+
+def _checked_entry(entry, eloc: str) -> list[Access]:
+    """The accesses of one trace entry off the fast path, or its ContractError."""
+    _require(entry, list, eloc)
+    if len(entry) != 2:
+        raise ContractError("trace entry must be [entity, mode]", eloc)
+    entity, mode = entry
+    _require(entity, str, eloc)
+    _require(mode, str, eloc)
+    if not entity:
+        raise ContractError("empty entity name", eloc)
+    if mode == "RW":
+        return [Access(entity, "R"), Access(entity, "W")]
+    if mode in ("R", "W"):
+        return [Access(entity, mode)]
+    raise ContractError(f"unknown access mode {mode!r}", eloc)
 
 
 def _check_entity_fields(name, attributes, references, location=None, line=None):

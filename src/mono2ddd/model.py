@@ -19,7 +19,7 @@ INHERITANCE = "inheritance"
 REFERENCE_KINDS = (ASSOCIATION, INHERITANCE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Access:
     """One read or write of a domain entity at a trace position."""
 
@@ -31,6 +31,24 @@ class Access:
             raise ValueError("access entity name must be non-empty")
         if self.mode not in MODES:
             raise ValueError(f"unknown access mode {self.mode!r} (expected R or W)")
+
+
+_new_access = object.__new__
+_set_entity = Access.entity.__set__
+_set_mode = Access.mode.__set__
+
+
+def _access(entity: str, mode: str) -> Access:
+    """A new ``Access`` from a non-empty entity and a mode the caller checked.
+
+    Writes the two slots directly, past the frozen ``__setattr__`` and the
+    checks of ``__post_init__``. Every call returns a new object: a trace
+    position is an object, and saga checks follow accesses by identity.
+    """
+    access = _new_access(Access)
+    _set_entity(access, entity)
+    _set_mode(access, mode)
+    return access
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 
 from .decompose import Decomposition
 from .errors import ContractError, SagaError
-from .model import WRITE, Access, Functionality, MonolithModel
+from .model import WRITE, Access, Functionality, MonolithModel, _access
 
 ORCHESTRATOR_POLICIES = ("first", "max-accesses")
 
@@ -256,24 +256,36 @@ def parse_sagas(text: str) -> list[Saga]:
             sloc = f"{loc}.steps[{j}]"
             if not isinstance(rs, dict) or not isinstance(rs.get("cluster"), str):
                 raise ContractError("step must name a cluster", sloc)
-            accesses = []
             raw_accesses = rs.get("accesses")
             if not isinstance(raw_accesses, list) or not raw_accesses:
                 raise ContractError("step must list accesses", sloc)
+            accesses = []
+            append = accesses.append
             for entry in raw_accesses:
-                if (
-                    not isinstance(entry, list)
-                    or len(entry) != 2
-                    or not all(isinstance(x, str) for x in entry)
-                ):
-                    raise ContractError("access must be [entity, mode]", sloc)
-                try:
-                    accesses.append(Access(entry[0], entry[1]))
-                except ValueError as exc:
-                    raise ContractError(str(exc), sloc) from exc
+                # The shape json.loads gives a valid entry; anything else is checked in full.
+                if type(entry) is list and len(entry) == 2:
+                    entity, mode = entry
+                    if type(entity) is str and entity and (mode == "R" or mode == "W"):
+                        append(_access(entity, mode))
+                        continue
+                append(_checked_access(entry, sloc))
             steps.append(Step(rs["cluster"], tuple(accesses), j))
         result.append(Saga(name, orchestrator, tuple(steps)))
     return result
+
+
+def _checked_access(entry, sloc: str) -> Access:
+    """The access of one step entry off the fast path, or its ContractError."""
+    if (
+        not isinstance(entry, list)
+        or len(entry) != 2
+        or not all(isinstance(x, str) for x in entry)
+    ):
+        raise ContractError("access must be [entity, mode]", sloc)
+    try:
+        return Access(entry[0], entry[1])
+    except ValueError as exc:
+        raise ContractError(str(exc), sloc) from exc
 
 
 def stats_tsv(stats: list[ReductionStats]) -> str:

@@ -109,6 +109,33 @@ def test_to_cml_computes_sagas_when_omitted(workdir, capsys):
     assert out == (GOLDEN / "fixture_a.cml").read_text()
 
 
+@pytest.mark.parametrize("multi_step", [True, False], ids=["multi-step", "single-step"])
+def test_to_cml_rejects_an_unknown_orchestrator(workdir, capsys, multi_step):
+    accesses = str(workdir / "accesses.json")
+    dec = workdir / "dec.json"
+    sagas = workdir / "sagas.json"
+    run(capsys, "decompose", "--accesses", accesses, "-n", "2", "-o", str(dec))
+    run(capsys, "sagas", "--accesses", accesses, "--decomposition", str(dec), "-o", str(sagas))
+    doc = json.loads(sagas.read_text())
+    saga = next(s for s in doc["sagas"] if (len(s["steps"]) > 1) == multi_step)
+    saga["orchestrator"] = "Nope"
+    sagas.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "to-cml",
+        "--accesses",
+        accesses,
+        "--decomposition",
+        str(dec),
+        "--sagas",
+        str(sagas),
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: saga {saga['functionality']!r} names unknown orchestrator 'Nope'\n"
+    )
+
+
 def test_to_cml_with_structure_matches_golden(workdir, capsys):
     dec = workdir / "dec.json"
     run(
