@@ -692,6 +692,12 @@ def validate_document(doc: CmlDocument) -> list[str]:
                         f"coordination {coordination.name!r}: step targets unknown "
                         f"operation {step.context}::{step.service}::{step.operation}"
                     )
+    # A coordination is found by name alone, in any context: each name
+    # repeated in the document is reported once, in first-seen order.
+    coordination_names = Counter(c.name for ctx in doc.contexts for c in ctx.coordinations)
+    for name, count in coordination_names.items():
+        if count > 1:
+            problems.append(f"duplicate coordination {name!r}")
     return problems
 
 

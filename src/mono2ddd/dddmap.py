@@ -189,7 +189,16 @@ def map_decomposition(
     """
     if naming not in NAMING_HEURISTICS:
         raise MappingError(f"unknown naming heuristic {naming!r}")
-    saga_names = {s.functionality for s in sagas}
+    known = {f.name for f in model.functionalities}
+    saga_names: set[str] = set()
+    for saga in sagas:
+        if saga.functionality not in known:
+            raise MappingError(
+                f"saga {saga.functionality!r} is for a functionality the model does not have"
+            )
+        if saga.functionality in saga_names:
+            raise MappingError(f"functionality {saga.functionality!r} has more than one saga")
+        saga_names.add(saga.functionality)
     missing = [f.name for f in model.functionalities if f.name not in saga_names]
     if missing:
         raise MappingError(f"sagas missing for functionalities: {', '.join(missing)}")

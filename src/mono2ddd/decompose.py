@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .errors import ContractError, DecompositionError
 from .model import WRITE, MonolithModel
@@ -186,39 +188,53 @@ def build_similarity(model: MonolithModel, weights: SimilarityWeights) -> Simila
     return _combine(_criteria(model), weights)
 
 
+def _distance_rows(matrix: SimilarityMatrix) -> tuple[list[str], list[list[float]]]:
+    """Entity names in sorted order and their distances as rows of a list.
+
+    Entity ``i`` is ``names[i]``, so comparing numbers compares names.
+    ``rows[i][j]`` is ``matrix.distance(names[i], names[j])``: a pair is
+    looked up under its sorted names, and a pair stored any other way
+    counts as similarity 0.
+    """
+    names = sorted(set(matrix.entities))
+    ids = {name: i for i, name in enumerate(names)}
+    rows = [[1.0] * len(names) for _ in names]
+    for i, row in enumerate(rows):
+        row[i] = 0.0
+    for (e1, e2), value in matrix.values.items():
+        if e1 < e2 and e1 in ids and e2 in ids:
+            i, j = ids[e1], ids[e2]
+            rows[i][j] = rows[j][i] = 1.0 - value
+    return names, rows
+
+
 def _agglomerate(
     matrix: SimilarityMatrix, weights: SimilarityWeights, n_values: list[int]
 ) -> list[Decomposition]:
     """Merge down to ``min(n_values)`` clusters, cutting at every requested count.
 
     The merge sequence does not depend on where it stops, so each cut equals
-    a separate run down to that count. A cluster is keyed by its smallest
-    member (its head). The linkage of two clusters is the exact in-order sum
-    of their entity distances, outer loop over the cluster with the smaller
-    head; it is computed when either cluster is formed and kept until one of
-    them merges, so no running totals change the float results.
+    a separate run down to that count. Entities are numbered in name order
+    and a cluster is keyed by its smallest member (its head). The linkage of
+    two clusters is the exact in-order sum of their entity distances, outer
+    loop over the cluster with the smaller head; it is computed when either
+    cluster is formed and kept until one of them merges, so no running
+    totals change the float results.
     """
-    entities = matrix.entities
-    distance = {x: {y: matrix.distance(x, y) for y in entities} for x in entities}
-    members: dict[str, list[str]] = {e: [e] for e in entities}
-
-    def linkage(lo: str, hi: str) -> tuple[float, str, str]:
-        left, right = members[lo], members[hi]
-        total = sum(distance[x][y] for x in left for y in right)
-        return (total / (len(left) * len(right)), lo, hi)
-
-    heads = sorted(members)
+    names, rows = _distance_rows(matrix)
+    members: dict[int, list[int]] = {e: [e] for e in range(len(names))}
+    # The mean distance of two single entities is their distance.
     linkages = {
-        (lo, hi): linkage(lo, hi)
-        for i, lo in enumerate(heads)
-        for hi in heads[i + 1 :]
+        (lo, hi): (row[hi], lo, hi)
+        for lo, row in enumerate(rows)
+        for hi in range(lo + 1, len(rows))
     }
     cuts: dict[int, Decomposition] = {}
     wanted = set(n_values)
     while True:
         if len(members) in wanted:
             named = tuple(
-                (f"Cluster{idx}", tuple(members[head]))
+                (f"Cluster{idx}", tuple(names[e] for e in members[head]))
                 for idx, head in enumerate(sorted(members))
             )
             cuts[len(members)] = Decomposition(weights, len(members), named)
@@ -226,15 +242,19 @@ def _agglomerate(
             break
         _, lo, hi = min(linkages.values())
         merged = sorted(members.pop(lo) + members.pop(hi))
-        for head in members:
-            for gone in (lo, hi):
-                del linkages[(head, gone) if head < gone else (gone, head)]
+        merged_rows = [rows[x] for x in merged]
         del linkages[(lo, hi)]
+        for head, group in members.items():
+            del linkages[(head, hi) if head < hi else (hi, head)]
+            # Overwrites the linkage of ``head`` and ``lo``, summed with the
+            # outer loop over the cluster with the smaller head.
+            if head < lo:
+                total = sum([row[y] for row in map(rows.__getitem__, group) for y in merged])
+                linkages[(head, lo)] = (total / (len(group) * len(merged)), head, lo)
+            else:
+                total = sum([row[y] for row in merged_rows for y in group])
+                linkages[(lo, head)] = (total / (len(merged) * len(group)), lo, head)
         members[lo] = merged
-        for head in members:
-            if head != lo:
-                pair = (head, lo) if head < lo else (lo, head)
-                linkages[pair] = linkage(*pair)
     return [cuts[n] for n in sorted(wanted)]
 
 
@@ -318,15 +338,51 @@ def search_decompositions(
     return results
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of already indented items, closed at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{indent}]"
+
+
 def decomposition_to_json(decomposition: Decomposition) -> str:
-    doc = {
-        "params": {
-            "weights": list(decomposition.weights.as_tuple()),
-            "n": decomposition.n,
-        },
-        "clusters": {name: list(members) for name, members in decomposition.clusters},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write what ``json.dumps(..., indent=2, sort_keys=True)`` writes.
+
+    With ``indent`` the json module runs its pure-Python encoder, so the
+    layout is written here; strings go through its C quoting and numbers
+    through its C encoder.
+    """
+    quote = encode_basestring_ascii
+    clusters = [
+        f"    {quote(name)}: "
+        + _json_array([f"      {quote(m)}" for m in members], "    ")
+        for name, members in sorted(dict(decomposition.clusters).items())
+    ]
+    # json.dumps separates the items of a flat list of numbers by ", ".
+    weights = json.dumps(list(decomposition.weights.as_tuple()))[1:-1].split(", ")
+    clusters_json = "{\n" + ",\n".join(clusters) + "\n  }" if clusters else "{}"
+    return (
+        f'{{\n  "clusters": {clusters_json},\n'
+        f'  "params": {{\n    "n": {json.dumps(decomposition.n)},\n'
+        f'    "weights": {_json_array([f"      {w}" for w in weights], "    ")}\n  }}\n}}\n'
+    )
+
+
+def _check_fit(
+    decomposition: Decomposition, known: Container[str], traced: Iterable[str]
+) -> None:
+    """``check_decomposition``'s two rules, given the model's entity names
+    and its traced entity names in trace order."""
+    for _, members in decomposition.clusters:
+        for entity in members:
+            if entity not in known:
+                raise DecompositionError(
+                    f"decomposition names entity {entity!r}, which the model does not have"
+                )
+    assigned = {e for _, members in decomposition.clusters for e in members}
+    for entity in traced:
+        if entity not in assigned:
+            raise DecompositionError(f"entity {entity!r} is not mapped to a cluster")
 
 
 def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> None:
@@ -335,18 +391,8 @@ def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> N
     Every entity it names must exist in the model, and every traced entity
     must be in one of its clusters.
     """
-    known = set(model.entity_names())
-    for _, members in decomposition.clusters:
-        for entity in members:
-            if entity not in known:
-                raise DecompositionError(
-                    f"decomposition names entity {entity!r}, which the model does not have"
-                )
-    assigned = {e for _, members in decomposition.clusters for e in members}
-    for f in model.functionalities:
-        for a in f.trace:
-            if a.entity not in assigned:
-                raise DecompositionError(f"entity {a.entity!r} is not mapped to a cluster")
+    traced = (a.entity for f in model.functionalities for a in f.trace)
+    _check_fit(decomposition, set(model.entity_names()), traced)
 
 
 def parse_decomposition(text: str) -> Decomposition:

@@ -9,15 +9,16 @@ than one cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decompose import (
     Decomposition,
-    check_decomposition,
     decomposition_to_json,
     search_decompositions,
+    _check_fit,
 )
 from .errors import DecompositionError
-from .model import READ, WRITE, MonolithModel
+from .model import READ, MonolithModel
 
 
 @dataclass(frozen=True)
@@ -52,117 +53,206 @@ def coupling(model: MonolithModel, decomposition: Decomposition, name: str) -> f
     return measure(model, decomposition).cluster(name).coupling
 
 
-def _assignment(model: MonolithModel, decomposition: Decomposition) -> dict[str, str]:
-    """Entity -> cluster name, after `check_decomposition` accepts the pair."""
-    check_decomposition(model, decomposition)
-    return decomposition.assignment()
+class _Index(NamedTuple):
+    """The partition-independent facts of one model that the measures read.
 
+    Entities are numbered: the traced ones in first-seen order, then the
+    model's untraced ones in model order. A set of entities is a bit mask
+    over those numbers, and a set of functionalities is a bit mask over
+    their model positions.
 
-def _cluster_hits(model: MonolithModel, assignment: dict[str, str]) -> list[dict[str, int]]:
-    """Per functionality, in model order: cluster -> its distinct entities there."""
-    result = []
-    for f in model.functionalities:
-        hits: dict[str, int] = {}
-        for e in f.entities():
-            hits[assignment[e]] = hits.get(assignment[e], 0) + 1
-        result.append(hits)
-    return result
-
-
-def _complexities(model: MonolithModel, hits: list[dict[str, int]]) -> dict[str, float]:
-    """Complexity of every functionality, keyed by name in model order.
-
-    A distributed functionality (one touching more than one cluster) scores,
-    per access, the number of other distributed functionalities that access
-    the same entity in the opposite mode. The writer and reader tables are
-    built once; a functionality's own entry is subtracted from them.
+    - ``functionalities``: names in model order.
+    - ``ids``: entity name -> number.
+    - ``known``: the model's entity names; ``traced``: traced entity names
+      in first-seen order (the inputs of ``check_decomposition``'s rules).
+    - ``entities``: per functionality, the mask of its distinct entities.
+    - ``first``: per functionality, the number of its trace's first entity.
+    - ``reads``, ``writes``: per functionality, entity -> its reads (writes)
+      of it.
+    - ``own``: per functionality, ``reads + writes`` summed over the
+      entities it both reads and writes: there it meets itself among the
+      accessors in the other mode.
+    - ``readers``, ``writers``: per entity, the functionalities that read
+      (write) it.
+    - ``successors``: per entity, the entities that directly follow it in
+      some trace.
     """
-    distributed = [f for f, h in zip(model.functionalities, hits) if len(h) > 1]
-    writers: dict[str, set[str]] = {}
-    readers: dict[str, set[str]] = {}
-    for g in distributed:
-        for a in g.trace:
-            table = writers if a.mode == WRITE else readers
-            table.setdefault(a.entity, set()).add(g.name)
 
-    result = dict.fromkeys((f.name for f in model.functionalities), 0.0)
-    for f in distributed:
-        total = 0
+    functionalities: tuple[str, ...]
+    ids: dict[str, int]
+    known: frozenset[str]
+    traced: tuple[str, ...]
+    entities: tuple[int, ...]
+    first: tuple[int, ...]
+    reads: tuple[dict[int, int], ...]
+    writes: tuple[dict[int, int], ...]
+    own: tuple[int, ...]
+    readers: tuple[int, ...]
+    writers: tuple[int, ...]
+    successors: tuple[int, ...]
+
+
+def _index(model: MonolithModel) -> _Index:
+    """Walk every trace once and keep what any partition's measures need."""
+    ids: dict[str, int] = {}
+    bits: list[int] = []
+    readers: list[int] = []
+    writers: list[int] = []
+    successors: list[int] = []
+    masks, first, all_reads, all_writes, all_own = [], [], [], [], []
+    for position, f in enumerate(model.functionalities):
+        reads: dict[int, int] = {}
+        writes: dict[int, int] = {}
+        prev = -1
         for a in f.trace:
-            others = (writers if a.mode == READ else readers).get(a.entity, ())
-            total += len(others) - (f.name in others)
-        result[f.name] = float(total)
-    return result
+            e = ids.get(a.entity)
+            if e is None:
+                e = ids[a.entity] = len(bits)
+                bits.append(1 << e)
+                readers.append(0)
+                writers.append(0)
+                successors.append(0)
+            if a.mode == READ:
+                reads[e] = reads.get(e, 0) + 1
+            else:
+                writes[e] = writes.get(e, 0) + 1
+            if e != prev:
+                if prev >= 0:
+                    successors[prev] |= bits[e]
+                prev = e
+        bit = 1 << position
+        mask = 0
+        for e in reads:
+            readers[e] |= bit
+            mask |= bits[e]
+        for e in writes:
+            writers[e] |= bit
+            mask |= bits[e]
+        masks.append(mask)
+        first.append(ids[f.trace[0].entity])
+        all_reads.append(reads)
+        all_writes.append(writes)
+        all_own.append(sum([reads[e] + writes[e] for e in reads.keys() & writes.keys()]))
+    traced = tuple(ids)
+    for name in model.entity_names():
+        ids.setdefault(name, len(ids))
+    return _Index(
+        functionalities=tuple(f.name for f in model.functionalities),
+        ids=ids,
+        known=frozenset(model.entity_names()),
+        traced=traced,
+        entities=tuple(masks),
+        first=tuple(first),
+        reads=tuple(all_reads),
+        writes=tuple(all_writes),
+        own=tuple(all_own),
+        readers=tuple(readers),
+        writers=tuple(writers),
+        successors=tuple(successors),
+    )
 
 
-def complexity(model: MonolithModel, decomposition: Decomposition, name: str) -> float:
-    """Complexity of one functionality under the given decomposition."""
-    hits = _cluster_hits(model, _assignment(model, decomposition))
-    complexities = _complexities(model, hits)
-    if name not in complexities:
-        raise DecompositionError(f"unknown functionality {name!r}")
-    return complexities[name]
+def _measure(index: _Index, decomposition: Decomposition) -> tuple[MeasureReport, list[float]]:
+    """The report of one partition, plus each functionality's complexity.
 
+    Clusters are told apart by name, and an entity listed twice belongs to
+    the later cluster, as in ``Decomposition.assignment``. A functionality
+    is distributed when its entities span more than one cluster. Its
+    complexity counts, per access, the other distributed functionalities
+    that access the same entity in the other mode:
+    ``sum(reads(e) * (|W(e) & D| - [f writes e]) + writes(e) * (|R(e) & D|
+    - [f reads e]))`` over its entities ``e``, where ``D`` is the set of
+    distributed functionalities. The sums are integers, and every float is
+    summed in the order the cluster rows and the model list them.
+    """
+    _check_fit(decomposition, index.known, index.traced)
+    ids = index.ids
+    positions: dict[str, int] = {}
+    owner = [-1] * len(ids)
+    for name, members in decomposition.clusters:
+        c = positions.setdefault(name, len(positions))
+        for entity in members:
+            owner[ids[entity]] = c
+    masks = [0] * len(positions)
+    for e, c in enumerate(owner):
+        if c >= 0:
+            masks[c] |= 1 << e
+    # Only traced entities have successors, and each of them has a cluster.
+    reach = [0] * len(positions)
+    for e, successors in enumerate(index.successors):
+        reach[owner[e]] |= successors
 
-def measure(model: MonolithModel, decomposition: Decomposition) -> MeasureReport:
-    """Per-cluster and decomposition-level measures in one pass over the traces."""
-    assignment = _assignment(model, decomposition)
-    hits = _cluster_hits(model, assignment)
-    by_functionality = _complexities(model, hits)
-
-    # Cluster -> (functionality, its distinct entities in the cluster) in
-    # model order; cluster -> next cluster in a trace -> entities entered.
-    touching: dict[str, list[tuple[str, int]]] = {
-        name: [] for name, _ in decomposition.clusters
-    }
-    followed: dict[str, dict[str, set[str]]] = {name: {} for name in touching}
-    for f, f_hits in zip(model.functionalities, hits):
-        for name, count in f_hits.items():
-            touching[name].append((f.name, count))
-        for prev, cur in zip(f.trace, f.trace[1:]):
-            source, target = assignment[prev.entity], assignment[cur.entity]
-            if source != target:
-                followed[source].setdefault(target, set()).add(cur.entity)
+    distributed = 0
+    for position, (entities, first) in enumerate(zip(index.entities, index.first)):
+        if entities & masks[owner[first]] != entities:
+            distributed |= 1 << position
+    write_shared = [(m & distributed).bit_count() for m in index.writers]
+    read_shared = [(m & distributed).bit_count() for m in index.readers]
+    by_functionality = [0.0] * len(index.functionalities)
+    for position, (reads, writes, own) in enumerate(zip(index.reads, index.writes, index.own)):
+        if distributed >> position & 1:
+            total = sum([n * write_shared[e] for e, n in reads.items()])
+            total += sum([n * read_shared[e] for e, n in writes.items()])
+            by_functionality[position] = float(total - own)
 
     k = len(decomposition.clusters)
     rows = []
     for name, members in decomposition.clusters:
-        users = touching[name]
+        c = positions[name]
+        mask = masks[c]
+        size = len(members)
+        hits = [(entities & mask).bit_count() for entities in index.entities]
+        users = [position for position, count in enumerate(hits) if count]
         coupling_total = 0.0
         if k > 1:
             for other, other_members in decomposition.clusters:
                 if other != name:
-                    coupling_total += len(followed[name].get(other, ())) / len(other_members)
+                    entered = (reach[c] & masks[positions[other]]).bit_count()
+                    coupling_total += entered / len(other_members)
         rows.append(
             ClusterMeasures(
                 name=name,
-                size=len(members),
+                size=size,
                 functionalities=len(users),
                 cohesion=(
-                    sum(count / len(members) for _, count in users) / len(users)
+                    sum([count / size for count in hits if count]) / len(users)
                     if users
                     else 0.0
                 ),
                 coupling=coupling_total / (k - 1) if k > 1 else 0.0,
                 complexity=(
-                    sum(by_functionality[f] for f, _ in users) / len(users)
+                    sum([by_functionality[f] for f in users]) / len(users)
                     if users
                     else 0.0
                 ),
             )
         )
 
-    total_functionalities = len(model.functionalities)
-    return MeasureReport(
+    total_functionalities = len(by_functionality)
+    report = MeasureReport(
         clusters=tuple(rows),
         cohesion=sum(r.cohesion for r in rows) / k,
         coupling=sum(r.coupling for r in rows) / k,
         complexity=(
-            sum(by_functionality.values()) / total_functionalities
-            if total_functionalities
-            else 0.0
+            sum(by_functionality) / total_functionalities if total_functionalities else 0.0
         ),
     )
+    return report, by_functionality
+
+
+def complexity(model: MonolithModel, decomposition: Decomposition, name: str) -> float:
+    """Complexity of one functionality under the given decomposition."""
+    index = _index(model)
+    _, by_functionality = _measure(index, decomposition)
+    complexities = dict(zip(index.functionalities, by_functionality))
+    if name not in complexities:
+        raise DecompositionError(f"unknown functionality {name!r}")
+    return complexities[name]
+
+
+def measure(model: MonolithModel, decomposition: Decomposition) -> MeasureReport:
+    """Per-cluster and decomposition-level measures of one partition."""
+    return _measure(_index(model), decomposition)[0]
 
 
 def search_candidates(
@@ -171,13 +261,16 @@ def search_candidates(
     """Grid-search decompositions and attach measures to each candidate.
 
     Cluster names follow from the partition, so equal partitions get equal
-    reports and each distinct one is measured once.
+    reports and each distinct one is measured once, from one index of the
+    model's traces.
     """
+    decompositions = search_decompositions(model, step, n_values)
+    index = _index(model)
     reports: dict[tuple, MeasureReport] = {}
     candidates = []
-    for d in search_decompositions(model, step, n_values):
+    for d in decompositions:
         if d.clusters not in reports:
-            reports[d.clusters] = measure(model, d)
+            reports[d.clusters] = _measure(index, d)[0]
         candidates.append((d, reports[d.clusters]))
     return candidates
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .decompose import Decomposition
+from .decompose import Decomposition, _json_array
 from .errors import ContractError, SagaError
 from .model import WRITE, Access, Functionality, MonolithModel, _access
 
@@ -193,13 +193,6 @@ def refactor_model(
 ) -> list[tuple[Saga, ReductionStats]]:
     mapping = decomposition.assignment()
     return [_refactor(f, mapping, orchestrator_policy) for f in model.functionalities]
-
-
-def _json_array(items: list[str], indent: str) -> str:
-    """A JSON array of already indented items, closed at ``indent``."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + f"\n{indent}]"
 
 
 def sagas_to_json(sagas: list[Saga]) -> str:

@@ -136,6 +136,48 @@ def test_to_cml_rejects_an_unknown_orchestrator(workdir, capsys, multi_step):
     )
 
 
+def _sagas_file(workdir, capsys):
+    """The sagas of fixture A's two-cluster decomposition, as a JSON document."""
+    accesses = str(workdir / "accesses.json")
+    dec = workdir / "dec.json"
+    sagas = workdir / "sagas.json"
+    run(capsys, "decompose", "--accesses", accesses, "-n", "2", "-o", str(dec))
+    run(capsys, "sagas", "--accesses", accesses, "--decomposition", str(dec), "-o", str(sagas))
+    return json.loads(sagas.read_text())
+
+
+def _to_cml_with_sagas(workdir, capsys, doc):
+    (workdir / "sagas.json").write_text(json.dumps(doc))
+    return run(
+        capsys,
+        "to-cml",
+        "--accesses",
+        str(workdir / "accesses.json"),
+        "--decomposition",
+        str(workdir / "dec.json"),
+        "--sagas",
+        str(workdir / "sagas.json"),
+    )
+
+
+def test_to_cml_rejects_a_functionality_with_two_sagas(workdir, capsys):
+    doc = _sagas_file(workdir, capsys)
+    repeated = next(s for s in doc["sagas"] if len(s["steps"]) > 1)
+    doc["sagas"].append(repeated)
+    code, out, err = _to_cml_with_sagas(workdir, capsys, doc)
+    assert (code, out) == (1, "")
+    assert err == f"error: functionality {repeated['functionality']!r} has more than one saga\n"
+
+
+def test_to_cml_rejects_a_saga_for_an_unknown_functionality(workdir, capsys):
+    doc = _sagas_file(workdir, capsys)
+    ghost = dict(next(s for s in doc["sagas"] if len(s["steps"]) > 1), functionality="ghost")
+    doc["sagas"].append(ghost)
+    code, out, err = _to_cml_with_sagas(workdir, capsys, doc)
+    assert (code, out) == (1, "")
+    assert err == "error: saga 'ghost' is for a functionality the model does not have\n"
+
+
 def test_to_cml_with_structure_matches_golden(workdir, capsys):
     dec = workdir / "dec.json"
     run(

@@ -13,6 +13,7 @@ from mono2ddd.cml import (
     CmlAggregate,
     CmlBoundedContext,
     CmlContextMap,
+    CmlCoordination,
     CmlDocument,
     CmlEntity,
     CmlOperation,
@@ -201,6 +202,14 @@ def test_validate_reports_the_first_repeated_operation_once():
     service = CmlService("S", tuple(CmlOperation(name) for name in "abba"))
     doc = CmlDocument(None, (CmlBoundedContext("A", services=(service,)),))
     assert validate_document(doc) == ["duplicate operation 'a' in service 'S'"]
+
+
+def test_validate_reports_each_repeated_coordination_once():
+    # Repeated within one context and across two, with a third name in between.
+    a = CmlBoundedContext("A", coordinations=tuple(map(CmlCoordination, ("g", "f", "g"))))
+    b = CmlBoundedContext("B", coordinations=tuple(map(CmlCoordination, ("f", "h", "g"))))
+    doc = CmlDocument(None, (a, b))
+    assert validate_document(doc) == ["duplicate coordination 'g'", "duplicate coordination 'f'"]
 
 
 def test_external_share_reads_stats_comment():

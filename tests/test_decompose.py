@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -166,6 +167,37 @@ def test_decomposition_json_round_trip(fixture_a_decomposition):
     again = parse_decomposition(text)
     assert again == fixture_a_decomposition
     assert decomposition_to_json(again) == text
+
+
+def json_dumps_decomposition(decomposition: Decomposition) -> str:
+    """The builder `decomposition_to_json` replaced, kept as its reference."""
+    doc = {
+        "params": {
+            "weights": list(decomposition.weights.as_tuple()),
+            "n": decomposition.n,
+        },
+        "clusters": {name: list(members) for name, members in decomposition.clusters},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_decomposition_json_equals_the_json_module_layout():
+    awkward = ['q"uote', "back\\slash", "new\nline", "tab\t", "caf\u00e9", "\u2603", "\x00", ""]
+    rng = random.Random(17)
+    for _ in range(200):
+        k = rng.randint(1, 12)
+        pool = [f"E{i}" for i in range(20)] + awkward
+        entities = rng.sample(pool, rng.randint(k, len(pool)))
+        groups = [entities[i::k] for i in range(k)]
+        names = [rng.choice([f"Cluster{i}", rng.choice(awkward) + str(i)]) for i in range(k)]
+        weights = rng.choice(weight_grid(rng.choice((1.0, 0.5, 0.25, 0.2, 0.1))))
+        decomposition = Decomposition(weights, k, tuple(zip(names, map(tuple, groups))))
+        assert decomposition_to_json(decomposition) == json_dumps_decomposition(decomposition)
+    for weights in (SimilarityWeights(1, 0, 0, 0), SimilarityWeights(0.1, 0.2, 0.3, 0.4)):
+        # Integer weights, one empty cluster, and two clusters sharing a name.
+        for clusters in ((), (("c", ()),), (("b", ("X",)), ("a", ("Y",)), ("b", ("Z",)))):
+            decomposition = Decomposition(weights, len(clusters), clusters)
+            assert decomposition_to_json(decomposition) == json_dumps_decomposition(decomposition)
 
 
 @pytest.mark.parametrize(

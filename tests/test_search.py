@@ -96,6 +96,29 @@ def test_decompose_matches_the_re_summing_reference():
                 assert got.clusters == reference_cluster(model, weights, n)
 
 
+def test_decompose_numbers_entities_in_name_order():
+    # Model order is not name order here: "b" first, "a10" before "a9".
+    names = ["b", "A", "a10", "a9", "B"]
+    rng = random.Random(3)
+    for _ in range(8):
+        functionalities = tuple(
+            Functionality(
+                f"f{i}",
+                tuple(
+                    Access(rng.choice(names), rng.choice("RW"))
+                    for _ in range(rng.randint(1, 6))
+                ),
+            )
+            for i in range(rng.randint(2, 5))
+        )
+        model = MonolithModel(tuple(EntityStructure(e) for e in names), functionalities)
+        for weights in weight_grid(0.5):
+            for n in range(1, len(names) + 1):
+                assert decompose(model, weights, n).clusters == reference_cluster(
+                    model, weights, n
+                )
+
+
 def test_search_equals_one_decomposition_per_combination():
     for rng, model in seeded_models(40):
         size = len(model.entities)
