@@ -35,7 +35,8 @@ import re
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import islice, repeat
+from operator import is_, is_not
 
 from .dddmap import DddModel, REFERENCE_SUFFIX
 from .errors import CmlEmitError, CmlParseError, RefactorError
@@ -237,153 +238,160 @@ def document_from_ddd(ddd: DddModel) -> CmlDocument:
     return CmlDocument(context_map, tuple(contexts))
 
 
-def _check_id(name: str, what: str) -> str:
-    if not IDENTIFIER.match(name):
-        raise CmlEmitError(f"{what} {name!r} is not a valid identifier")
-    return name
-
-
-def _comment_lines(comments: tuple[str, ...], indent: str) -> list[str]:
-    lines = []
-    for c in comments:
-        if "\n" in c:
-            raise CmlEmitError(f"comment contains a newline: {c!r}")
-        lines.append(f"{indent}// {c}")
-    return lines
-
-
-def _block(header: str, body: list[str], indent: str, comments: tuple[str, ...]) -> list[str]:
-    lines = _comment_lines(comments, indent)
-    if body:
-        lines.append(f"{indent}{header} {{")
-        lines.extend(body)
-        lines.append(f"{indent}}}")
-    else:
-        lines.append(f"{indent}{header} {{ }}")
-    return lines
-
-
-def emit_document(doc: CmlDocument) -> str:
-    """Render the document deterministically: 4-space indent, LF endings."""
-    blocks: list[list[str]] = []
-
-    if doc.context_map is not None:
-        cm = doc.context_map
-        body = []
-        if cm.contains:
-            names = ", ".join(_check_id(n, "context name") for n in cm.contains)
-            body.append(f"    contains {names}")
-        for rel in cm.relationships:
-            body.extend(_comment_lines(rel.comments, "    "))
-            up = _check_id(rel.upstream, "context name")
-            down = _check_id(rel.downstream, "context name")
-            body.append(f"    {up} [U]-[D] {down}")
-        blocks.append(
-            _block(f"ContextMap {_check_id(cm.name, 'map name')}", body, "", cm.comments)
-        )
-
-    for ctx in doc.contexts:
-        body: list[str] = []
-        app_body: list[str] = []
-        for service in ctx.services:
-            ops = []
-            for op in service.operations:
-                ops.extend(_comment_lines(op.comments, "            "))
-                ops.append(f"            void {_check_id(op.name, 'operation name')}();")
-            app_body.extend(
-                _block(
-                    f"Service {_check_id(service.name, 'service name')}",
-                    ops,
-                    "        ",
-                    service.comments,
-                )
-            )
-        for coordination in ctx.coordinations:
-            steps = []
-            for step in coordination.steps:
-                steps.extend(_comment_lines(step.comments, "            "))
-                steps.append(
-                    "            "
-                    f"{_check_id(step.context, 'context name')}::"
-                    f"{_check_id(step.service, 'service name')}::"
-                    f"{_check_id(step.operation, 'operation name')};"
-                )
-            app_body.extend(
-                _block(
-                    f"Coordination {_check_id(coordination.name, 'coordination name')}",
-                    steps,
-                    "        ",
-                    coordination.comments,
-                )
-            )
-        if app_body:
-            body.extend(_block("Application", app_body, "    ", ()))
-
-        for aggregate in ctx.aggregates:
-            agg_body: list[str] = []
-            for entity in aggregate.entities:
-                ent_body = []
-                if entity.aggregate_root:
-                    ent_body.append("            aggregateRoot")
-                for attr in entity.attributes:
-                    ent_body.extend(_comment_lines(attr.comments, "            "))
-                    ent_body.append(
-                        "            "
-                        f"{_check_id(attr.type, 'attribute type')} "
-                        f"{_check_id(attr.name, 'attribute name')}"
-                    )
-                for ref in entity.references:
-                    ent_body.extend(_comment_lines(ref.comments, "            "))
-                    ent_body.append(
-                        "            "
-                        f"- {_check_id(ref.target, 'reference target')} "
-                        f"{_check_id(ref.name, 'reference field')}"
-                    )
-                agg_body.extend(
-                    _block(
-                        f"Entity {_check_id(entity.name, 'entity name')}",
-                        ent_body,
-                        "        ",
-                        entity.comments,
-                    )
-                )
-            body.extend(
-                _block(
-                    f"Aggregate {_check_id(aggregate.name, 'aggregate name')}",
-                    agg_body,
-                    "    ",
-                    aggregate.comments,
-                )
-            )
-
-        blocks.append(
-            _block(
-                f"BoundedContext {_check_id(ctx.name, 'context name')}",
-                body,
-                "",
-                ctx.comments,
-            )
-        )
-
-    if doc.trailing_comments:
-        blocks.append(_comment_lines(doc.trailing_comments, ""))
-
-    return "\n\n".join("\n".join(b) for b in blocks) + "\n"
-
-
 # Everything str.splitlines splits at; a ``//`` comment ends at any of them.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
+
+def emit_document(doc: CmlDocument) -> str:
+    """Render the document deterministically: 4-space indent, LF endings.
+
+    Raises ``CmlEmitError`` for what ``parse_document`` could not read back:
+    a name that is not an identifier, a keyword where it would open an
+    attribute or a relationship, and a comment with a line break in it.
+    Each distinct name is checked once per call. A block's body is written
+    before its header, so names and comments are checked in the order
+    their nodes are completed.
+    """
+    valid: set[str] = set()  # names checked in this call, keywords left out
+    out: list[str] = []
+    emit = out.append
+
+    def check(name: str, what: str, opens_line: bool = False) -> None:
+        if not IDENTIFIER.match(name):
+            raise CmlEmitError(f"{what} {name!r} is not a valid identifier")
+        if name not in KEYWORDS:
+            valid.add(name)
+        elif opens_line:
+            raise CmlEmitError(f"{what} {name!r} is a keyword and cannot start a line")
+
+    def comments(node_comments: tuple[str, ...], indent: str) -> list[str]:
+        for c in node_comments:
+            # Splitting drops exactly the characters at which a comment ends.
+            if "".join(c.splitlines()) != c:
+                raise CmlEmitError(f"comment contains a line break: {c!r}")
+        return [f"{indent}// {c}" for c in node_comments]
+
+    def block(start: int, indent: str, header: str, node_comments: tuple[str, ...]) -> None:
+        """Make ``out[start:]`` the body of a block, its comments and header before it."""
+        lines = comments(node_comments, indent) if node_comments else []
+        if len(out) > start:
+            lines.append(f"{indent}{header} {{")
+            emit(f"{indent}}}")
+        else:
+            lines.append(f"{indent}{header} {{ }}")
+        out[start:start] = lines
+
+    cm = doc.context_map
+    if cm is not None:
+        start = len(out)
+        if cm.contains:
+            for name in cm.contains:
+                if name not in valid:
+                    check(name, "context name")
+            emit(f"    contains {', '.join(cm.contains)}")
+        for rel in cm.relationships:
+            if rel.comments:
+                out += comments(rel.comments, "    ")
+            up, down = rel.upstream, rel.downstream
+            if up not in valid:
+                check(up, "context name", opens_line=True)
+            if down not in valid:
+                check(down, "context name")
+            emit(f"    {up} [U]-[D] {down}")
+        if cm.name not in valid:
+            check(cm.name, "map name")
+        block(start, "", f"ContextMap {cm.name}", cm.comments)
+
+    for ctx in doc.contexts:
+        if out:
+            emit("")
+        start = len(out)
+        if ctx.services or ctx.coordinations:
+            for service in ctx.services:
+                at = len(out)
+                for op in service.operations:
+                    if op.comments:
+                        out += comments(op.comments, "            ")
+                    if op.name not in valid:
+                        check(op.name, "operation name")
+                    emit(f"            void {op.name}();")
+                if service.name not in valid:
+                    check(service.name, "service name")
+                block(at, "        ", f"Service {service.name}", service.comments)
+            for coordination in ctx.coordinations:
+                at = len(out)
+                for step in coordination.steps:
+                    if step.comments:
+                        out += comments(step.comments, "            ")
+                    if step.context not in valid:
+                        check(step.context, "context name")
+                    if step.service not in valid:
+                        check(step.service, "service name")
+                    if step.operation not in valid:
+                        check(step.operation, "operation name")
+                    emit(f"            {step.context}::{step.service}::{step.operation};")
+                if coordination.name not in valid:
+                    check(coordination.name, "coordination name")
+                block(at, "        ", f"Coordination {coordination.name}", coordination.comments)
+            block(start, "    ", "Application", ())
+
+        for aggregate in ctx.aggregates:
+            at = len(out)
+            for entity in aggregate.entities:
+                entity_at = len(out)
+                if entity.aggregate_root:
+                    emit("            aggregateRoot")
+                for attr in entity.attributes:
+                    if attr.comments:
+                        out += comments(attr.comments, "            ")
+                    if attr.type not in valid:
+                        check(attr.type, "attribute type", opens_line=True)
+                    if attr.name not in valid:
+                        check(attr.name, "attribute name")
+                    emit(f"            {attr.type} {attr.name}")
+                for ref in entity.references:
+                    if ref.comments:
+                        out += comments(ref.comments, "            ")
+                    if ref.target not in valid:
+                        check(ref.target, "reference target")
+                    if ref.name not in valid:
+                        check(ref.name, "reference field")
+                    emit(f"            - {ref.target} {ref.name}")
+                if entity.name not in valid:
+                    check(entity.name, "entity name")
+                block(entity_at, "        ", f"Entity {entity.name}", entity.comments)
+            if aggregate.name not in valid:
+                check(aggregate.name, "aggregate name")
+            block(at, "    ", f"Aggregate {aggregate.name}", aggregate.comments)
+
+        if ctx.name not in valid:
+            check(ctx.name, "context name")
+        block(start, "", f"BoundedContext {ctx.name}", ctx.comments)
+
+    if doc.trailing_comments:
+        if out:
+            emit("")
+        out += comments(doc.trailing_comments, "")
+
+    return "\n".join(out) + "\n"
+
+
+# One token and the whitespace before it. ``\s`` is what ``str.isspace``
+# counts as whitespace, so text that ``str.rstrip`` left ends in a token.
 _TOKEN = re.compile(
-    r"[A-Za-z_][A-Za-z0-9_]*"
+    r"\s*([A-Za-z_][A-Za-z0-9_]*"
     r"|[{}();,\-]|::|\[U\]-\[D\]"
     rf"|//[^{_LINE_BREAKS}]*"
-    r"|\S"
+    r"|\S)"
 )
+# A comment's text; splitting at it leaves the code between comments.
+_COMMENT = re.compile(rf"//([^{_LINE_BREAKS}]*)")
 _PUNCT = frozenset(("{", "}", "(", ")", ";", ",", "-", "::", "[U]-[D]"))
 _ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # Tokens that cannot open an attribute or a relationship.
 _NOT_NAMES = _PUNCT | KEYWORDS
+# Tokens that cannot stand where a name must: punctuation and the end marker.
+_NOT_IDS = _PUNCT | {None}
 
 
 def _position(text: str, index: int) -> tuple[int, int]:
@@ -392,7 +400,7 @@ def _position(text: str, index: int) -> tuple[int, int]:
     Positions are only needed for errors, so the tokenizer keeps none and
     this rescans. Lines are numbered as ``str.splitlines`` splits them.
     """
-    start = next(islice(_TOKEN.finditer(text), index, None)).start()
+    start = next(islice(_TOKEN.finditer(text), index, None)).start(1)
     head = text[:start].splitlines(keepends=True)
     if head and head[-1][-1] not in _LINE_BREAKS:
         return len(head), len(head[-1]) + 1
@@ -400,36 +408,45 @@ def _position(text: str, index: int) -> tuple[int, int]:
 
 
 def _tokenize(text: str) -> tuple[list[str | None], list[int], tuple[str, ...]]:
-    """Split text in one pass into tokens and, out of their stream, comments.
+    """Split text into tokens and, out of their stream, comments.
 
     Returns the tokens followed by a None end marker; for each token and
     the marker, how many comments come before it; and the comment texts.
+    The comments cut the text into pieces of code, and each piece is one
+    ``findall`` whose matches swallow the whitespace before their token.
+    A piece loses its trailing whitespace first: a run that no token
+    follows would be rescanned from each of its characters.
     """
+    parts = _COMMENT.split(text)
+    findall = _TOKEN.findall
     tokens: list[str | None] = []
     before: list[int] = []
-    comments: list[str] = []
-    for tok in _TOKEN.findall(text):
-        if tok in _PUNCT or tok[0] in _ID_START:
-            tokens.append(tok)
-            before.append(len(comments))
-        elif tok[:2] == "//":
-            comments.append(tok[2:].strip())
-        else:
-            raise CmlParseError(
-                f"unexpected character {tok!r}",
-                *_position(text, len(tokens) + len(comments)),
-            )
+    for k, code in enumerate(parts[::2]):
+        found = findall(code.rstrip())
+        tokens += found
+        before += repeat(k, len(found))
+    # What is neither punctuation nor an identifier is a stray character.
+    stray = [tok for tok in set(tokens) - _PUNCT if tok[0] not in _ID_START]
+    if stray:
+        index = min(map(tokens.index, stray))
+        raise CmlParseError(
+            f"unexpected character {tokens[index]!r}",
+            *_position(text, index + before[index]),
+        )
     tokens.append(None)
-    before.append(len(comments))
-    return tokens, before, tuple(comments)
+    before.append(len(parts) // 2)
+    return tokens, before, tuple(c.strip() for c in parts[1::2])
 
 
 class _Parser:
     """Recursive-descent parser for the subset grammar.
 
     A token is its text; every token that is not punctuation is an
-    identifier. Comments are attached by ``grab_comments``: those between
-    the previous grab and the current token.
+    identifier. The member loops that repeat per line (context-map lines,
+    operations, coordination steps, entity members) read the tokens in
+    local variables; the outer blocks go through ``members``. Comments are
+    attached to a member: those between the previous member and its first
+    token.
     """
 
     def __init__(self, text: str):
@@ -441,28 +458,25 @@ class _Parser:
     def error(self, message: str, pos: int) -> CmlParseError:
         return CmlParseError(message, *_position(self.text, pos + self.before[pos]))
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos]
-
-    def take(self, expected: str | None = None, what: str = "") -> str:
-        tok = self.tokens[self.pos]
+    def unexpected(self, pos: int, expected: str | None = None, what: str = "") -> CmlParseError:
+        """Token ``pos`` is not ``expected`` or, without one, not a ``what`` name."""
+        tok = self.tokens[pos]
         if tok is None:
             # Point at the last token, comments included, or at 1:1.
-            last = self.pos + self.before[self.pos] - 1
-            raise CmlParseError(
-                f"unexpected end of input (expected {expected or what or 'more input'})",
+            last = pos + self.before[pos] - 1
+            return CmlParseError(
+                f"unexpected end of input (expected {expected or what})",
                 *(_position(self.text, last) if last >= 0 else (1, 1)),
             )
-        if expected is not None and tok != expected:
-            raise self.error(f"expected {expected!r}, got {tok!r}", self.pos)
-        self.pos += 1
-        return tok
+        if expected is not None:
+            return self.error(f"expected {expected!r}, got {tok!r}", pos)
+        return self.error(f"expected {what}, got {tok!r}", pos)
 
-    def take_id(self, what: str) -> str:
-        tok = self.take(None, what)
-        if tok in _PUNCT:
-            raise self.error(f"expected {what}, got {tok!r}", self.pos - 1)
-        return tok
+    def outside(self, pos: int, expected: str) -> CmlParseError:
+        """Token ``pos`` does not start any member allowed here."""
+        return self.error(
+            f"{self.tokens[pos]!r} is outside supported subset (expected {expected})", pos
+        )
 
     def grab_comments(self) -> tuple[str, ...]:
         start, self.grabbed = self.grabbed, self.before[self.pos]
@@ -473,24 +487,27 @@ class _Parser:
 
         The caller consumes each member before asking for the next one.
         """
-        while True:
-            tok = self.tokens[self.pos]
-            if tok is None or tok == "}":
-                self.take("}")
-                return
+        while (tok := self.tokens[self.pos]) != "}":
+            if tok is None:
+                raise self.unexpected(self.pos, "}")
             yield self.grab_comments(), tok
+        self.pos += 1
 
-    def _outside(self, expected: str) -> CmlParseError:
-        """The current token does not start any member allowed here."""
-        return self.error(
-            f"{self.peek()!r} is outside supported subset (expected {expected})",
-            self.pos,
-        )
+    def open_block(self, what: str) -> str:
+        """Read ``<keyword> <name> {`` and return the name; the keyword is checked."""
+        tokens, pos = self.tokens, self.pos
+        name = tokens[pos + 1]
+        if name in _NOT_IDS:
+            raise self.unexpected(pos + 1, what=what)
+        if tokens[pos + 2] != "{":
+            raise self.unexpected(pos + 2, "{")
+        self.pos = pos + 3
+        return name
 
     def parse(self) -> CmlDocument:
         context_map = None
         contexts: list[CmlBoundedContext] = []
-        while (tok := self.peek()) is not None:
+        while (tok := self.tokens[self.pos]) is not None:
             comments = self.grab_comments()
             if tok == "ContextMap":
                 if context_map is not None:
@@ -499,122 +516,168 @@ class _Parser:
             elif tok == "BoundedContext":
                 contexts.append(self._bounded_context(comments))
             else:
-                raise self._outside("'ContextMap' or 'BoundedContext'")
+                raise self.outside(self.pos, "'ContextMap' or 'BoundedContext'")
         trailing = self.comments[self.grabbed :]
         return CmlDocument(context_map, tuple(contexts), trailing)
 
     def _context_map(self, comments: tuple[str, ...]) -> CmlContextMap:
-        self.take("ContextMap")
-        name = self.take_id("map name")
-        self.take("{")
+        name = self.open_block("map name")
+        tokens, before, all_comments = self.tokens, self.before, self.comments
+        pos, grabbed = self.pos, self.grabbed
         contains: list[str] = []
         relationships: list[CmlRelationship] = []
-        for node_comments, tok in self.members():
+        while (tok := tokens[pos]) != "}":
+            if tok is None:
+                raise self.unexpected(pos, "}")
+            node_comments = all_comments[grabbed : before[pos]]
+            grabbed = before[pos]
             if tok == "contains":
-                self.take("contains")
-                contains.append(self.take_id("context name"))
-                while self.peek() == ",":
-                    self.take(",")
-                    contains.append(self.take_id("context name"))
+                while True:
+                    pos += 1
+                    if tokens[pos] in _NOT_IDS:
+                        raise self.unexpected(pos, what="context name")
+                    contains.append(tokens[pos])
+                    pos += 1
+                    if tokens[pos] != ",":
+                        break
             elif tok not in _NOT_NAMES:
-                upstream = self.take_id("context name")
-                self.take("[U]-[D]", what="'[U]-[D]'")
-                downstream = self.take_id("context name")
-                relationships.append(
-                    CmlRelationship(upstream, downstream, node_comments)
-                )
+                if tokens[pos + 1] != "[U]-[D]":
+                    raise self.unexpected(pos + 1, "[U]-[D]")
+                downstream = tokens[pos + 2]
+                if downstream in _NOT_IDS:
+                    raise self.unexpected(pos + 2, what="context name")
+                relationships.append(CmlRelationship(tok, downstream, node_comments))
+                pos += 3
             else:
-                raise self._outside("'contains', a relationship, or '}'")
+                raise self.outside(pos, "'contains', a relationship, or '}'")
+        self.pos, self.grabbed = pos + 1, grabbed
         return CmlContextMap(name, tuple(contains), tuple(relationships), comments)
 
     def _bounded_context(self, comments: tuple[str, ...]) -> CmlBoundedContext:
-        self.take("BoundedContext")
-        name = self.take_id("context name")
-        self.take("{")
+        name = self.open_block("context name")
         services: list[CmlService] = []
         coordinations: list[CmlCoordination] = []
         aggregates: list[CmlAggregate] = []
         for node_comments, tok in self.members():
             if tok == "Application":
-                self.take("Application")
-                self.take("{")
+                if self.tokens[self.pos + 1] != "{":
+                    raise self.unexpected(self.pos + 1, "{")
+                self.pos += 2
                 for inner_comments, inner in self.members():
                     if inner == "Service":
                         services.append(self._service(inner_comments))
                     elif inner == "Coordination":
                         coordinations.append(self._coordination(inner_comments))
                     else:
-                        raise self._outside("'Service' or 'Coordination'")
+                        raise self.outside(self.pos, "'Service' or 'Coordination'")
             elif tok == "Aggregate":
                 aggregates.append(self._aggregate(node_comments))
             else:
-                raise self._outside("'Application' or 'Aggregate'")
+                raise self.outside(self.pos, "'Application' or 'Aggregate'")
         return CmlBoundedContext(
             name, tuple(services), tuple(coordinations), tuple(aggregates), comments
         )
 
     def _service(self, comments: tuple[str, ...]) -> CmlService:
-        self.take("Service")
-        name = self.take_id("service name")
-        self.take("{")
+        name = self.open_block("service name")
+        tokens, before, all_comments = self.tokens, self.before, self.comments
+        pos, grabbed = self.pos, self.grabbed
         operations: list[CmlOperation] = []
-        for op_comments, _ in self.members():
-            self.take("void", what="'void'")
-            op_name = self.take_id("operation name")
-            self.take("(")
-            self.take(")")
-            self.take(";")
-            operations.append(CmlOperation(op_name, op_comments))
+        while (tok := tokens[pos]) != "}":
+            if tok is None:
+                raise self.unexpected(pos, "}")
+            if tok != "void":
+                raise self.unexpected(pos, "void")
+            op_name = tokens[pos + 1]
+            if op_name in _NOT_IDS:
+                raise self.unexpected(pos + 1, what="operation name")
+            if tokens[pos + 2] != "(":
+                raise self.unexpected(pos + 2, "(")
+            if tokens[pos + 3] != ")":
+                raise self.unexpected(pos + 3, ")")
+            if tokens[pos + 4] != ";":
+                raise self.unexpected(pos + 4, ";")
+            operations.append(CmlOperation(op_name, all_comments[grabbed : before[pos]]))
+            grabbed = before[pos]
+            pos += 5
+        self.pos, self.grabbed = pos + 1, grabbed
         return CmlService(name, tuple(operations), comments)
 
     def _coordination(self, comments: tuple[str, ...]) -> CmlCoordination:
-        self.take("Coordination")
-        name = self.take_id("coordination name")
-        self.take("{")
+        name = self.open_block("coordination name")
+        tokens, before, all_comments = self.tokens, self.before, self.comments
+        pos, grabbed = self.pos, self.grabbed
         steps: list[CmlStep] = []
-        for step_comments, _ in self.members():
-            context = self.take_id("context name")
-            self.take("::")
-            service = self.take_id("service name")
-            self.take("::")
-            operation = self.take_id("operation name")
-            self.take(";")
-            steps.append(CmlStep(context, service, operation, step_comments))
+        while (context := tokens[pos]) != "}":
+            if context is None:
+                raise self.unexpected(pos, "}")
+            if context in _PUNCT:
+                raise self.unexpected(pos, what="context name")
+            if tokens[pos + 1] != "::":
+                raise self.unexpected(pos + 1, "::")
+            service = tokens[pos + 2]
+            if service in _NOT_IDS:
+                raise self.unexpected(pos + 2, what="service name")
+            if tokens[pos + 3] != "::":
+                raise self.unexpected(pos + 3, "::")
+            operation = tokens[pos + 4]
+            if operation in _NOT_IDS:
+                raise self.unexpected(pos + 4, what="operation name")
+            if tokens[pos + 5] != ";":
+                raise self.unexpected(pos + 5, ";")
+            steps.append(
+                CmlStep(context, service, operation, all_comments[grabbed : before[pos]])
+            )
+            grabbed = before[pos]
+            pos += 6
+        self.pos, self.grabbed = pos + 1, grabbed
         return CmlCoordination(name, tuple(steps), comments)
 
     def _aggregate(self, comments: tuple[str, ...]) -> CmlAggregate:
-        self.take("Aggregate")
-        name = self.take_id("aggregate name")
-        self.take("{")
+        name = self.open_block("aggregate name")
         entities: list[CmlEntity] = []
         for entity_comments, tok in self.members():
             if tok != "Entity":
-                raise self._outside("'Entity'")
+                raise self.outside(self.pos, "'Entity'")
             entities.append(self._entity(entity_comments))
         return CmlAggregate(name, tuple(entities), comments)
 
     def _entity(self, comments: tuple[str, ...]) -> CmlEntity:
-        self.take("Entity")
-        name = self.take_id("entity name")
-        self.take("{")
-        aggregate_root = False
-        if self.peek() == "aggregateRoot":
-            self.take("aggregateRoot")
-            aggregate_root = True
+        name = self.open_block("entity name")
+        tokens, before, all_comments = self.tokens, self.before, self.comments
+        pos, grabbed = self.pos, self.grabbed
+        aggregate_root = tokens[pos] == "aggregateRoot"
+        if aggregate_root:
+            pos += 1
         attributes: list[CmlAttribute] = []
         references: list[CmlReference] = []
-        for member_comments, tok in self.members():
+        while (tok := tokens[pos]) != "}":
+            if tok is None:
+                raise self.unexpected(pos, "}")
             if tok == "-":
-                self.take("-")
-                target = self.take_id("reference target")
-                field_name = self.take_id("reference field")
-                references.append(CmlReference(target, field_name, member_comments))
+                target = tokens[pos + 1]
+                if target in _NOT_IDS:
+                    raise self.unexpected(pos + 1, what="reference target")
+                field_name = tokens[pos + 2]
+                if field_name in _NOT_IDS:
+                    raise self.unexpected(pos + 2, what="reference field")
+                references.append(
+                    CmlReference(target, field_name, all_comments[grabbed : before[pos]])
+                )
+                grabbed = before[pos]
+                pos += 3
             elif tok not in _NOT_NAMES:
-                attr_type = self.take_id("attribute type")
-                attr_name = self.take_id("attribute name")
-                attributes.append(CmlAttribute(attr_type, attr_name, member_comments))
+                attr_name = tokens[pos + 1]
+                if attr_name in _NOT_IDS:
+                    raise self.unexpected(pos + 1, what="attribute name")
+                attributes.append(
+                    CmlAttribute(tok, attr_name, all_comments[grabbed : before[pos]])
+                )
+                grabbed = before[pos]
+                pos += 2
             else:
-                raise self._outside("an attribute, a reference, or '}'")
+                raise self.outside(pos, "an attribute, a reference, or '}'")
+        self.pos, self.grabbed = pos + 1, grabbed
         return CmlEntity(
             name, aggregate_root, tuple(attributes), tuple(references), comments
         )
@@ -737,6 +800,7 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
     are re-addressed, and runs of now-same-context steps become one step
     whose operation is the concatenation of the run's operation names.
     Coordinations reduced to a single step are demoted to plain operations.
+    The result shares every node the merge leaves unchanged with ``doc``.
     """
     if a == b:
         raise RefactorError("cannot merge a context with itself")
@@ -755,7 +819,7 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
     }
 
     # Collapse placeholders whose target is now local; dedupe survivors.
-    aggregates: list[CmlAggregate] = []
+    survivors: list[tuple[str, list[CmlEntity], dict[str, str], tuple[str, ...]]] = []
     agg_names: set[str] = set()
     seen_placeholders: set[str] = set()
     for ctx in (ctx_a, ctx_b):
@@ -773,74 +837,64 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
                         continue
                     seen_placeholders.add(e.name)
                 entities.append(e)
-            entities = [
-                replace(
-                    e,
-                    references=tuple(
-                        replace(r, target=renames.get(r.target, r.target))
-                        for r in e.references
-                    ),
-                )
-                for e in entities
-            ]
             name = agg.name
             suffix = 2
             while name in agg_names:
                 name = f"{agg.name}_{suffix}"
                 suffix += 1
             agg_names.add(name)
-            aggregates.append(replace(agg, name=name, entities=tuple(entities)))
+            survivors.append((name, entities, renames, agg.comments))
 
-    # Placeholder collapses can leave renames dangling across aggregates of
-    # the merged context, so rewrite every aggregate against the final map.
-    final_names = {e.name for agg in aggregates for e in agg.entities}
-    aggregates = [
-        replace(
-            agg,
-            entities=tuple(
-                replace(
-                    e,
-                    references=tuple(
-                        replace(
-                            r,
-                            target=r.target
-                            if r.target in final_names
-                            else _collapse_target(r.target, final_names),
-                        )
-                        for r in e.references
-                    ),
-                )
-                for e in agg.entities
-            ),
-        )
-        for agg in aggregates
-    ]
+    # A reference follows its own aggregate's collapses; then, since those
+    # can leave it dangling across aggregates of the merged context, a
+    # placeholder name that did not survive points at its direct target.
+    final_names = {e.name for _, entities, _, _ in survivors for e in entities}
+    aggregates = []
+    for name, entities, renames, comments in survivors:
+        for i, e in enumerate(entities):
+            references = list(e.references)
+            for j, r in enumerate(references):
+                target = renames.get(r.target, r.target)
+                if target not in final_names:
+                    target = _collapse_target(target, final_names)
+                if target != r.target:
+                    references[j] = replace(r, target=target)
+            if any(map(is_not, references, e.references)):
+                entities[i] = replace(e, references=tuple(references))
+        aggregates.append(CmlAggregate(name, tuple(entities), comments))
 
     old_names = {a, b}
 
-    def readdress(step: CmlStep) -> CmlStep:
-        if step.context in old_names:
-            return replace(step, context=merged_name)
-        return step
-
     # First pass over every coordination: re-address, collapse runs, demote
     # one-step survivors. Operations created by collapses or demotions are
-    # only requested here; services are patched in the assembly pass.
-    wanted_ops: list[tuple[str, str, str]] = []
-    new_coordinations: dict[str, list[CmlCoordination]] = {}
+    # only requested here, per target context; services are patched in the
+    # assembly pass. A coordination that none of this touches is kept.
+    wanted_ops: dict[str, list[tuple[str, str]]] = {}
+    new_coordinations: dict[str, tuple[CmlCoordination, ...]] = {}
     for ctx in doc.contexts:
         if ctx.name == b:
             continue
         if ctx.name == a:
-            coordinations = list(ctx_a.coordinations) + list(ctx_b.coordinations)
+            coordinations = tuple(ctx_a.coordinations) + tuple(ctx_b.coordinations)
         else:
-            coordinations = list(ctx.coordinations)
+            coordinations = ctx.coordinations
 
         kept = []
         for coordination in coordinations:
+            previous = None
+            for step in coordination.steps:
+                if step.context in old_names or step.context == previous:
+                    break
+                previous = step.context
+            else:
+                if len(coordination.steps) != 1:
+                    kept.append(coordination)
+                    continue
             collapsed: list[CmlStep] = []
             joined: set[int] = set()
-            for step in map(readdress, coordination.steps):
+            for step in coordination.steps:
+                if step.context in old_names:
+                    step = replace(step, context=merged_name)
                 if collapsed and collapsed[-1].context == step.context:
                     prev = collapsed[-1]
                     collapsed[-1] = replace(
@@ -851,29 +905,14 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
                     collapsed.append(step)
             for idx in sorted(joined):
                 s = collapsed[idx]
-                wanted_ops.append((s.context, s.service, s.operation))
+                wanted_ops.setdefault(s.context, []).append((s.service, s.operation))
             if len(collapsed) == 1:
                 only = collapsed[0]
-                wanted_ops.append((only.context, only.service, only.operation))
+                wanted_ops.setdefault(only.context, []).append((only.service, only.operation))
                 continue
             kept.append(replace(coordination, steps=tuple(collapsed)))
-        new_coordinations[ctx.name] = kept
-
-    def patch_services(
-        ctx_name: str, services: tuple[CmlService, ...]
-    ) -> tuple[CmlService, ...]:
-        patched = list(services)
-        for target_ctx, service_name, op_name in wanted_ops:
-            if target_ctx != ctx_name:
-                continue
-            for idx, s in enumerate(patched):
-                if s.name == service_name and all(
-                    op.name != op_name for op in s.operations
-                ):
-                    patched[idx] = replace(
-                        s, operations=s.operations + (CmlOperation(op_name),)
-                    )
-        return tuple(patched)
+        unchanged = len(kept) == len(coordinations) and all(map(is_, kept, coordinations))
+        new_coordinations[ctx.name] = coordinations if unchanged else tuple(kept)
 
     all_contexts = []
     for ctx in doc.contexts:
@@ -883,49 +922,64 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
             all_contexts.append(
                 CmlBoundedContext(
                     merged_name,
-                    patch_services(
-                        merged_name, tuple(ctx_a.services) + tuple(ctx_b.services)
+                    _add_operations(
+                        tuple(ctx_a.services) + tuple(ctx_b.services),
+                        wanted_ops.get(merged_name, ()),
                     ),
-                    tuple(new_coordinations[a]),
+                    new_coordinations[a],
                     tuple(aggregates),
                     ctx_a.comments + ctx_b.comments,
                 )
             )
+            continue
+        services = _add_operations(ctx.services, wanted_ops.get(ctx.name, ()))
+        coordinations = new_coordinations[ctx.name]
+        if services is ctx.services and coordinations is ctx.coordinations:
+            all_contexts.append(ctx)
         else:
-            all_contexts.append(
-                replace(
-                    ctx,
-                    services=patch_services(ctx.name, ctx.services),
-                    coordinations=tuple(new_coordinations[ctx.name]),
-                )
-            )
+            all_contexts.append(replace(ctx, services=services, coordinations=coordinations))
 
     context_map = doc.context_map
     if context_map is not None:
-        contains = []
-        for name in context_map.contains:
-            target = merged_name if name in old_names else name
-            if target not in contains:
-                contains.append(target)
+        contains = dict.fromkeys(
+            merged_name if name in old_names else name for name in context_map.contains
+        )
         rels: list[CmlRelationship] = []
+        at: dict[tuple[str, str], int] = {}
         for rel in context_map.relationships:
             if rel.upstream in old_names and rel.downstream in old_names:
                 continue
             up = merged_name if rel.upstream in old_names else rel.upstream
             down = merged_name if rel.downstream in old_names else rel.downstream
-            for existing_idx, existing in enumerate(rels):
-                if existing.upstream == up and existing.downstream == down:
+            existing_idx = at.get((up, down))
+            if existing_idx is not None:
+                if rel.comments:
+                    existing = rels[existing_idx]
                     rels[existing_idx] = replace(
                         existing, comments=existing.comments + rel.comments
                     )
-                    break
             else:
-                rels.append(replace(rel, upstream=up, downstream=down))
+                at[up, down] = len(rels)
+                if up != rel.upstream or down != rel.downstream:
+                    rel = replace(rel, upstream=up, downstream=down)
+                rels.append(rel)
         context_map = replace(
             context_map, contains=tuple(contains), relationships=tuple(rels)
         )
 
     return CmlDocument(context_map, tuple(all_contexts), doc.trailing_comments)
+
+
+def _add_operations(
+    services: tuple[CmlService, ...], wanted: list[tuple[str, str]] | tuple[()]
+) -> tuple[CmlService, ...]:
+    """Add each wanted (service, operation) to every service of that name lacking it."""
+    patched = list(services)
+    for service_name, op_name in wanted:
+        for idx, s in enumerate(patched):
+            if s.name == service_name and all(op.name != op_name for op in s.operations):
+                patched[idx] = replace(s, operations=s.operations + (CmlOperation(op_name),))
+    return services if all(map(is_, patched, services)) else tuple(patched)
 
 
 def _collapse_target(target: str, final_names: set[str]) -> str:
@@ -980,7 +1034,8 @@ def split_aggregate(
             )
         root = min(candidates, key=lambda e: (-external_share(e), e.name)).name
         entities = [
-            replace(e, aggregate_root=e.name == root) for e in entities
+            e if e.aggregate_root == (e.name == root) else replace(e, aggregate_root=e.name == root)
+            for e in entities
         ]
         new_aggregates.append(
             CmlAggregate(f"{aggregate.name}_{i}", tuple(entities), aggregate.comments)

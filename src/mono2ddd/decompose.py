@@ -92,9 +92,10 @@ class Decomposition:
 class _Criteria:
     """The weight-independent part of the similarity of one model.
 
-    ``pairs`` holds, for every entity pair ``(e1, e2)`` in model order, the
-    directed access, write and read ratios both ways plus the symmetric
-    sequence ratio: ``(e1, e2, a12, w12, r12, a21, w21, r21, s)``.
+    ``pairs`` holds, for every entity pair ``(e1, e2)`` with ``e1 < e2``
+    (the key ``SimilarityMatrix`` looks a pair up under, whatever the model's
+    entity order), the directed access, write and read ratios both ways plus
+    the symmetric sequence ratio: ``(e1, e2, a12, w12, r12, a21, w21, r21, s)``.
     """
 
     entities: tuple[str, ...]
@@ -138,16 +139,17 @@ def _criteria(model: MonolithModel) -> _Criteria:
     max_pair = max(pair_counts.values(), default=0)
 
     pairs = []
-    for i, e1 in enumerate(entities):
+    ordered = sorted(entities)
+    for i, e1 in enumerate(ordered):
         a1, w1, r1 = acc[e1], wr[e1], rd[e1]
         na1, nw1, nr1 = a1.bit_count(), w1.bit_count(), r1.bit_count()
-        for e2 in entities[i + 1 :]:
+        for e2 in ordered[i + 1 :]:
             a2, w2, r2 = acc[e2], wr[e2], rd[e2]
             na2, nw2, nr2 = a2.bit_count(), w2.bit_count(), r2.bit_count()
             shared_a = (a1 & a2).bit_count()
             shared_w = (w1 & w2).bit_count()
             shared_r = (r1 & r2).bit_count()
-            follows = pair_counts.get((e1, e2) if e1 < e2 else (e2, e1), 0)
+            follows = pair_counts.get((e1, e2), 0)
             pairs.append(
                 (
                     e1,
@@ -193,8 +195,9 @@ def _distance_rows(matrix: SimilarityMatrix) -> tuple[list[str], list[list[float
 
     Entity ``i`` is ``names[i]``, so comparing numbers compares names.
     ``rows[i][j]`` is ``matrix.distance(names[i], names[j])``: a pair is
-    looked up under its sorted names, and a pair stored any other way
-    counts as similarity 0.
+    looked up under its sorted names, as ``build_similarity`` stores every
+    pair, and a pair a hand-built matrix stores any other way counts as
+    similarity 0.
     """
     names = sorted(set(matrix.entities))
     ids = {name: i for i, name in enumerate(names)}

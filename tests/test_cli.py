@@ -206,6 +206,53 @@ def test_to_cml_with_structure_matches_golden(workdir, capsys):
     assert out == (GOLDEN / "topic_question.cml").read_text()
 
 
+def _to_cml_then_dot(workdir, capsys, structure, clusters):
+    """`to-cml` on the topic/question traces; if it writes a file, `diagram` reads it."""
+    (workdir / "kw_structure.dsl").write_text(structure)
+    (workdir / "kw_dec.json").write_text(json.dumps({"clusters": clusters}))
+    out = workdir / "kw.cml"
+    code, _, err = run(
+        capsys,
+        "to-cml",
+        "--accesses",
+        str(workdir / "tq_accesses.json"),
+        "--structure",
+        str(workdir / "kw_structure.dsl"),
+        "--decomposition",
+        str(workdir / "kw_dec.json"),
+        "-o",
+        str(out),
+    )
+    if out.exists():
+        dot_code, _, dot_err = run(capsys, "diagram", "--format", "dot", "--cml", str(out))
+        assert dot_code == 0, dot_err
+    return code, err
+
+
+def test_to_cml_refuses_a_keyword_attribute_type(workdir, capsys):
+    # The reader takes a keyword at the start of an entity member for a block.
+    structure = "entity Topic {\n    attr x: Entity;\n}\nentity Question {\n}\n"
+    clusters = {"Cluster0": ["Question"], "Cluster1": ["Topic"]}
+    code, err = _to_cml_then_dot(workdir, capsys, structure, clusters)
+    assert code == 1
+    assert "attribute type 'Entity' is a keyword" in err
+    assert not (workdir / "kw.cml").exists()
+
+
+def test_to_cml_refuses_a_keyword_relationship_upstream(workdir, capsys):
+    # Topic refers to Question, so Question's cluster is the upstream side.
+    structure = "entity Topic {\n    ref question -> Question;\n}\nentity Question {\n}\n"
+    clusters = {"contains": ["Question"], "Other": ["Topic"]}
+    code, err = _to_cml_then_dot(workdir, capsys, structure, clusters)
+    assert code == 1
+    assert "context name 'contains' is a keyword" in err
+    assert not (workdir / "kw.cml").exists()
+    # A keyword elsewhere reads back, so it is written.
+    clusters = {"Other": ["Question"], "contains": ["Topic"]}
+    code, err = _to_cml_then_dot(workdir, capsys, structure, clusters)
+    assert code == 0, err
+
+
 def test_assess_reports_measures(workdir, capsys):
     dec = workdir / "dec.json"
     run(

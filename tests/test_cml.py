@@ -6,18 +6,26 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_ddd_model
 
 from mono2ddd.cml import (
+    KEYWORDS,
     CmlAggregate,
+    CmlAttribute,
     CmlBoundedContext,
     CmlContextMap,
     CmlCoordination,
     CmlDocument,
     CmlEntity,
     CmlOperation,
+    CmlReference,
+    CmlRelationship,
     CmlService,
+    CmlStep,
+    _LINE_BREAKS,
     document_from_ddd,
     emit_document,
     external_share,
@@ -153,10 +161,122 @@ def test_malformed_documents_rejected(text):
         parse_document(text)
 
 
+def test_whitespace_that_no_token_follows_is_read_once():
+    # A scan that retried such a run from each of its characters would take
+    # hours here; before a comment and at the end the reader reads it once.
+    blanks = " \t\n" * 300_000
+    doc = parse_document(f"{blanks}BoundedContext A {{ }}{blanks}// c{blanks}")
+    assert doc == CmlDocument(None, (CmlBoundedContext("A"),), ("c",))
+
+
 def test_emit_rejects_bad_identifiers():
     doc = CmlDocument(CmlContextMap("has space"), ())
     with pytest.raises(CmlEmitError):
         emit_document(doc)
+
+
+@pytest.mark.parametrize("line_break", _LINE_BREAKS)
+def test_emit_rejects_a_comment_with_any_line_break(line_break):
+    # The reader ends a comment at every `str.splitlines` boundary, not only "\n".
+    entity = CmlEntity("E", comments=(f"x{line_break}y",))
+    doc = CmlDocument(None, (CmlBoundedContext("C", aggregates=(CmlAggregate("A", (entity,)),)),))
+    with pytest.raises(CmlEmitError, match="line break"):
+        emit_document(doc)
+
+
+def test_emit_rejects_keywords_only_where_they_would_open_a_line():
+    # Each keyword is first written where it is a name, which must not let it
+    # pass where it would start a line.
+    attribute = CmlEntity("E", attributes=(CmlAttribute("Entity", "x"),))
+    context = CmlBoundedContext("C", aggregates=(CmlAggregate("A", (attribute,)),))
+    with pytest.raises(CmlEmitError, match="attribute type 'Entity' is a keyword"):
+        emit_document(CmlDocument(CmlContextMap("M", ("Entity",)), (context,)))
+    upstream = CmlContextMap("M", ("contains",), (CmlRelationship("contains", "B"),))
+    with pytest.raises(CmlEmitError, match="context name 'contains' is a keyword"):
+        emit_document(CmlDocument(upstream, ()))
+    # Everywhere else a keyword is read back as a name.
+    names = CmlEntity("Entity", attributes=(CmlAttribute("String", "void"),))
+    elsewhere = CmlDocument(
+        CmlContextMap("contains", ("Entity",), (CmlRelationship("B", "contains"),)),
+        (CmlBoundedContext("Aggregate", aggregates=(CmlAggregate("Entity", (names,)),)),),
+    )
+    assert parse_document(emit_document(elsewhere)) == elsewhere
+
+
+_ROUND_TRIP = settings(max_examples=300, derandomize=True, deadline=None)
+# Mostly identifiers, often keywords, seldom no identifier at all.
+_NAME = st.sampled_from(
+    ["A", "B", "Order", "x_1", "_y", "Cluster0"] * 8 + sorted(KEYWORDS) + ["", "9a", "a b"]
+)
+# Stripped, as the reader strips them; some hold line breaks.
+_COMMENT = st.sampled_from(["", "note", "a b", "//x"]) | st.text(
+    "ab /" + "".join(_LINE_BREAKS), max_size=5
+).map(str.strip)
+
+
+def _tuples(strategy, size=2):
+    return st.lists(strategy, max_size=size).map(tuple)
+
+
+_DOCUMENT = st.builds(
+    CmlDocument,
+    st.none()
+    | st.builds(
+        CmlContextMap,
+        _NAME,
+        _tuples(_NAME),
+        _tuples(st.builds(CmlRelationship, _NAME, _NAME, _tuples(_COMMENT))),
+        _tuples(_COMMENT),
+    ),
+    _tuples(
+        st.builds(
+            CmlBoundedContext,
+            _NAME,
+            _tuples(
+                st.builds(
+                    CmlService, _NAME, _tuples(st.builds(CmlOperation, _NAME, _tuples(_COMMENT))), _tuples(_COMMENT)
+                )
+            ),
+            _tuples(
+                st.builds(
+                    CmlCoordination,
+                    _NAME,
+                    _tuples(st.builds(CmlStep, _NAME, _NAME, _NAME, _tuples(_COMMENT))),
+                    _tuples(_COMMENT),
+                )
+            ),
+            _tuples(
+                st.builds(
+                    CmlAggregate,
+                    _NAME,
+                    _tuples(
+                        st.builds(
+                            CmlEntity,
+                            _NAME,
+                            st.booleans(),
+                            _tuples(st.builds(CmlAttribute, _NAME, _NAME, _tuples(_COMMENT))),
+                            _tuples(st.builds(CmlReference, _NAME, _NAME, _tuples(_COMMENT))),
+                            _tuples(_COMMENT),
+                        )
+                    ),
+                    _tuples(_COMMENT),
+                )
+            ),
+            _tuples(_COMMENT),
+        )
+    ),
+    _tuples(_COMMENT),
+)
+
+
+@_ROUND_TRIP
+@given(_DOCUMENT)
+def test_emit_writes_only_what_parse_reads_back(doc):
+    try:
+        text = emit_document(doc)
+    except CmlEmitError:
+        return
+    assert parse_document(text) == doc
 
 
 def test_validate_flags_problems():

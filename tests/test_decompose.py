@@ -23,6 +23,7 @@ from mono2ddd.decompose import (
 )
 from mono2ddd.errors import ContractError, DecompositionError
 from mono2ddd.ingest import parse_model
+from mono2ddd.model import Access, EntityStructure, Functionality, MonolithModel
 
 TOL = 1e-9
 
@@ -85,6 +86,32 @@ def test_similarity_matches_oracle_on_random_models():
         for (lo, hi), value in matrix.values.items():
             assert abs(value - oracle[frozenset((lo, hi))]) < TOL
             assert 0.0 <= value <= 1.0 + TOL
+
+
+def test_similarity_does_not_depend_on_entity_order():
+    # `parse_model` sorts entities; a model built through the library need not.
+    traces = (
+        Functionality("f", (Access("A", "R"), Access("B", "R"))),
+        Functionality("g", (Access("C", "R"),)),
+    )
+
+    def matrix(order):
+        entities = tuple(EntityStructure(name) for name in order)
+        return build_similarity(MonolithModel(entities, traces), UNIT_WEIGHTS)
+
+    assert matrix("BAC").similarity("A", "B") == 1.0
+    rng = random.Random(20261023)
+    for _ in range(30):
+        model = random_model(rng, with_structure=True)
+        weights = rng.choice(weight_grid(0.25))
+        shuffled = list(model.entities)
+        rng.shuffle(shuffled)
+        other = MonolithModel(tuple(shuffled), model.functionalities)
+        first, second = build_similarity(model, weights), build_similarity(other, weights)
+        names = model.entity_names()
+        for e1 in names:
+            for e2 in names:
+                assert first.similarity(e1, e2) == second.similarity(e1, e2)
 
 
 def test_fixture_a_two_clusters(fixture_a):
