@@ -13,7 +13,6 @@ from mono2ddd import (
     SimilarityWeights,
     build_ddd_model,
     decompose,
-    document_from_ddd,
     emit_document,
     merge_bounded_contexts,
     parse_document,
@@ -48,8 +47,8 @@ sagas = [s for s, _ in refactor_model(model, decomposition)]
 
 # Operation names come from a heuristic; full-trace encodes the entities
 # and access modes of each step, e.g. rwTopic for a read-then-write.
-ddd = build_ddd_model(model, decomposition, sagas, naming="full-trace")
-text = emit_document(document_from_ddd(ddd))
+generated = build_ddd_model(model, decomposition, sagas, naming="full-trace")
+text = emit_document(generated)
 print(text)
 
 # Topic references Question, which lives in the other context, so the

@@ -15,7 +15,6 @@ from mono2ddd import (
     decompose,
     decomposition_dot,
     document_dot,
-    document_from_ddd,
     emit_document,
     parse_document,
     parse_model,
@@ -43,9 +42,7 @@ print(decomposition_dot(model, decomposition))
 # Document view: edges follow the upstream -> downstream relationships
 # recorded in the emitted document.
 sagas = [s for s, _ in refactor_model(model, decomposition)]
-doc = parse_document(
-    emit_document(document_from_ddd(build_ddd_model(model, decomposition, sagas)))
-)
+doc = parse_document(emit_document(build_ddd_model(model, decomposition, sagas)))
 print(document_dot(doc))
 
 # BPMN lanes: one line per saga step, "<Context>: <operation>".

@@ -167,8 +167,7 @@ def _cmd_to_cml(args) -> int:
     model = _load_model(args)
     decomposition = _load_decomposition(args, model)
     sagas = _load_sagas(args, model, decomposition)
-    ddd = build_ddd_model(model, decomposition, sagas, args.naming, args.map_name)
-    doc = cml_mod.document_from_ddd(ddd)
+    doc = build_ddd_model(model, decomposition, sagas, args.naming, args.map_name)
     _write(args.output, cml_mod.emit_document(doc), _stamp(args, "// generated {}"))
     return 0
 

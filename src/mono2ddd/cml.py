@@ -34,11 +34,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from operator import is_, is_not
 
-from .dddmap import DddModel, REFERENCE_SUFFIX
 from .errors import CmlEmitError, CmlParseError, RefactorError
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -58,11 +57,25 @@ KEYWORDS = frozenset(
     }
 )
 
+# Generated placeholders are named ``<Target>_Reference`` and carry a
+# reference comment; generated entities carry an access-statistics comment.
+REFERENCE_SUFFIX = "_Reference"
 REFERENCE_COMMENT = "generated reference to"
 _STATS_COMMENT = re.compile(
     r"accesses: external (?P<pct>[0-9.]+)% \((?P<count>\d+)/(?P<total>\d+)\), "
     r"local (?P<lpct>[0-9.]+)% \((?P<lcount>\d+)/(?P<ltotal>\d+)\)"
 )
+
+
+def stats_comment(external: int, external_total: int, local: int, local_total: int) -> str:
+    """An entity's access statistics: its share of its context's external
+    (multi-step saga) and local (single-step saga) accesses, with the counts."""
+    external_share = external / external_total if external_total else 0.0
+    local_share = local / local_total if local_total else 0.0
+    return (
+        f"accesses: external {external_share * 100:.2f}% ({external}/{external_total}), "
+        f"local {local_share * 100:.2f}% ({local}/{local_total})"
+    )
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,20 @@ class CmlEntity:
     attributes: tuple[CmlAttribute, ...] = ()
     references: tuple[CmlReference, ...] = ()
     comments: tuple[str, ...] = ()
+
+    @property
+    def is_reference(self) -> bool:
+        """Whether this is a generated reference placeholder.
+
+        A stats comment marks a real entity and a reference comment a
+        placeholder; with neither, a ``_Reference`` name and an empty body
+        mark a placeholder.
+        """
+        if any(_STATS_COMMENT.match(c) for c in self.comments):
+            return False
+        if any(c.startswith(REFERENCE_COMMENT) for c in self.comments):
+            return True
+        return self.name.endswith(REFERENCE_SUFFIX) and not self.attributes and not self.references
 
 
 @dataclass(frozen=True)
@@ -131,6 +158,11 @@ class CmlBoundedContext:
     aggregates: tuple[CmlAggregate, ...] = ()
     comments: tuple[str, ...] = ()
 
+    @property
+    def entities(self) -> tuple[CmlEntity, ...]:
+        """The entities of every aggregate, in order."""
+        return tuple(e for agg in self.aggregates for e in agg.entities)
+
     def aggregate(self, name: str) -> CmlAggregate:
         for a in self.aggregates:
             if a.name == name:
@@ -159,83 +191,16 @@ class CmlDocument:
     contexts: tuple[CmlBoundedContext, ...] = ()
     trailing_comments: tuple[str, ...] = ()
 
+    @property
+    def relationships(self) -> tuple[CmlRelationship, ...]:
+        """The context map's relationships, or none without a map."""
+        return self.context_map.relationships if self.context_map is not None else ()
+
     def context(self, name: str) -> CmlBoundedContext:
         for c in self.contexts:
             if c.name == name:
                 return c
         raise RefactorError(f"no bounded context {name!r}")
-
-
-def document_from_ddd(ddd: DddModel) -> CmlDocument:
-    """Mirror a DDD model as a concrete-syntax document."""
-    relationships = tuple(
-        CmlRelationship(
-            r.upstream,
-            r.downstream,
-            tuple(f"reference: {src} -> {dst}" for src, dst in r.causes),
-        )
-        for r in ddd.relationships
-    )
-    context_map = CmlContextMap(
-        name=ddd.map_name,
-        contains=tuple(c.name for c in ddd.contexts),
-        relationships=relationships,
-    )
-
-    contexts = []
-    for ctx in ddd.contexts:
-        # Context totals are recoverable from any member's stats pair.
-        external_total = sum(e.stats.external_total for e in ctx.entities)
-        local_total = sum(e.stats.local_total for e in ctx.entities)
-
-        entities = []
-        for e in ctx.entities:
-            if e.is_reference:
-                if e.reference_of is not None:
-                    target_ctx, target = e.reference_of
-                    comments = (f"{REFERENCE_COMMENT} {target_ctx}.{target}",)
-                else:
-                    comments = (f"{REFERENCE_COMMENT} {e.name}",)
-            else:
-                comments = (
-                    "accesses: external "
-                    f"{e.stats.external_pct * 100:.2f}% ({e.stats.external_total}/{external_total}), "
-                    f"local {e.stats.local_pct * 100:.2f}% ({e.stats.local_total}/{local_total})",
-                )
-            entities.append(
-                CmlEntity(
-                    name=e.name,
-                    aggregate_root=e.is_aggregate_root,
-                    attributes=tuple(
-                        CmlAttribute(a.type, a.name) for a in e.attributes
-                    ),
-                    references=tuple(
-                        CmlReference(r.target, r.field) for r in e.local_refs
-                    ),
-                    comments=comments,
-                )
-            )
-
-        contexts.append(
-            CmlBoundedContext(
-                name=ctx.name,
-                services=(
-                    CmlService(
-                        ctx.service_name,
-                        tuple(CmlOperation(op.name) for op in ctx.operations),
-                    ),
-                ),
-                coordinations=tuple(
-                    CmlCoordination(
-                        c.name,
-                        tuple(CmlStep(s[0], s[1], s[2]) for s in c.steps),
-                    )
-                    for c in ctx.coordinations
-                ),
-                aggregates=(CmlAggregate(ctx.aggregate_name, tuple(entities)),),
-            )
-        )
-    return CmlDocument(context_map, tuple(contexts))
 
 
 # Everything str.splitlines splits at; a ``//`` comment ends at any of them.
@@ -702,12 +667,12 @@ def validate_document(doc: CmlDocument) -> list[str]:
         for name in doc.context_map.contains:
             if name not in seen:
                 problems.append(f"context map contains unknown context {name!r}")
-        for rel in doc.context_map.relationships:
-            if rel.upstream == rel.downstream:
-                problems.append(f"relationship {rel.upstream!r} points at itself")
-            for endpoint in (rel.upstream, rel.downstream):
-                if endpoint not in seen:
-                    problems.append(f"relationship endpoint {endpoint!r} is not declared")
+    for rel in doc.relationships:
+        if rel.upstream == rel.downstream:
+            problems.append(f"relationship {rel.upstream!r} points at itself")
+        for endpoint in (rel.upstream, rel.downstream):
+            if endpoint not in seen:
+                problems.append(f"relationship endpoint {endpoint!r} is not declared")
 
     services = {
         (ctx.name, s.name): {op.name for op in s.operations}
@@ -726,14 +691,13 @@ def validate_document(doc: CmlDocument) -> list[str]:
                 if e.name in entity_names:
                     problems.append(f"duplicate entity {e.name!r} in context {ctx.name!r}")
                 entity_names.add(e.name)
-        for agg in ctx.aggregates:
-            for e in agg.entities:
-                for r in e.references:
-                    if r.target not in entity_names:
-                        problems.append(
-                            f"{ctx.name}.{e.name}.{r.name}: reference target "
-                            f"{r.target!r} is not an entity of this context"
-                        )
+        for e in ctx.entities:
+            for r in e.references:
+                if r.target not in entity_names:
+                    problems.append(
+                        f"{ctx.name}.{e.name}.{r.name}: reference target "
+                        f"{r.target!r} is not an entity of this context"
+                    )
         for s in ctx.services:
             # Counter keeps first-seen order: report the first name repeated.
             for name, count in Counter(op.name for op in s.operations).items():
@@ -762,16 +726,6 @@ def validate_document(doc: CmlDocument) -> list[str]:
         if count > 1:
             problems.append(f"duplicate coordination {name!r}")
     return problems
-
-
-def _is_reference_entity(entity: CmlEntity) -> bool:
-    if any(c.startswith(REFERENCE_COMMENT) for c in entity.comments):
-        return True
-    return (
-        entity.name.endswith(REFERENCE_SUFFIX)
-        and not entity.attributes
-        and not entity.references
-    )
 
 
 def _reference_target(entity: CmlEntity) -> str:
@@ -811,11 +765,7 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
         raise RefactorError(f"context {merged_name!r} already exists")
 
     local_entities = {
-        e.name
-        for ctx in (ctx_a, ctx_b)
-        for agg in ctx.aggregates
-        for e in agg.entities
-        if not _is_reference_entity(e)
+        e.name for ctx in (ctx_a, ctx_b) for e in ctx.entities if not e.is_reference
     }
 
     # Collapse placeholders whose target is now local; dedupe survivors.
@@ -827,7 +777,7 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
             entities = []
             renames: dict[str, str] = {}
             for e in agg.entities:
-                if _is_reference_entity(e):
+                if e.is_reference:
                     target = _reference_target(e)
                     if target in local_entities:
                         renames[e.name] = target
@@ -1027,7 +977,7 @@ def split_aggregate(
     new_aggregates = []
     for i, part in enumerate(partition, start=1):
         entities = [by_name[name] for name in part]
-        candidates = [e for e in entities if not _is_reference_entity(e)]
+        candidates = [e for e in entities if not e.is_reference]
         if not candidates:
             raise RefactorError(
                 f"part {i} has only reference placeholders; no root candidate"

@@ -1,4 +1,4 @@
-"""Map a decomposition plus sagas onto a domain-driven design model.
+"""Map a decomposition plus sagas onto a domain-driven design document.
 
 Every cluster becomes a bounded context holding a single aggregate with the
 cluster's entities. Saga steps become service operations named by one of
@@ -6,100 +6,39 @@ four heuristics; multi-step sagas become coordinations owned by their
 orchestrator's context. Entity references that would cross context borders
 are replaced by generated ``<Target>_Reference`` placeholder entities, and
 each replacement is recorded as an upstream/downstream relationship (the
-owner of the referenced entity is upstream).
+owner of the referenced entity is upstream). The result is the same
+``Cml*`` tree that the emitter, parser, refactorings and diagrams share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
+from .cml import (
+    REFERENCE_COMMENT,
+    REFERENCE_SUFFIX,
+    CmlAggregate,
+    CmlAttribute,
+    CmlBoundedContext,
+    CmlContextMap,
+    CmlCoordination,
+    CmlDocument,
+    CmlEntity,
+    CmlOperation,
+    CmlReference,
+    CmlRelationship,
+    CmlService,
+    CmlStep,
+    stats_comment,
+)
 from .decompose import Decomposition
 from .errors import MappingError
-from .model import (
-    ASSOCIATION,
-    READ,
-    WRITE,
-    Access,
-    Attribute,
-    MonolithModel,
-    Reference,
-)
+from .model import READ, WRITE, Access, MonolithModel
 from .saga import Saga
 
 NAMING_HEURISTICS = ("generic", "full-trace", "ignore-types", "ignore-order")
 
 DEFAULT_MAP_NAME = "Decomposition"
-REFERENCE_SUFFIX = "_Reference"
-
-
-@dataclass(frozen=True)
-class AccessStats:
-    """An entity's share of its context's external and local accesses."""
-
-    external_pct: float = 0.0
-    local_pct: float = 0.0
-    external_total: int = 0
-    local_total: int = 0
-
-
-@dataclass(frozen=True)
-class DddEntity:
-    name: str
-    is_aggregate_root: bool = False
-    attributes: tuple[Attribute, ...] = ()
-    local_refs: tuple[Reference, ...] = ()
-    is_reference: bool = False
-    stats: AccessStats = field(default_factory=AccessStats)
-    # Owning (context, entity) pair for generated reference placeholders.
-    reference_of: tuple[str, str] | None = None
-
-
-@dataclass(frozen=True)
-class OperationDef:
-    name: str
-    access_signature: tuple[Access, ...]
-
-
-@dataclass(frozen=True)
-class Coordination:
-    name: str
-    steps: tuple[tuple[str, str, str], ...]
-
-
-@dataclass(frozen=True)
-class BoundedContextModel:
-    name: str
-    aggregate_name: str
-    entities: tuple[DddEntity, ...]
-    service_name: str
-    operations: tuple[OperationDef, ...]
-    coordinations: tuple[Coordination, ...]
-
-    def entity(self, name: str) -> DddEntity:
-        for e in self.entities:
-            if e.name == name:
-                return e
-        raise MappingError(f"no entity {name!r} in context {self.name!r}")
-
-
-@dataclass(frozen=True)
-class ContextRelationship:
-    upstream: str
-    downstream: str
-    causes: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
-class DddModel:
-    map_name: str
-    contexts: tuple[BoundedContextModel, ...]
-    relationships: tuple[ContextRelationship, ...]
-
-    def context(self, name: str) -> BoundedContextModel:
-        for c in self.contexts:
-            if c.name == name:
-                return c
-        raise MappingError(f"no bounded context {name!r}")
 
 
 def name_operation(
@@ -136,43 +75,29 @@ def name_operation(
     raise MappingError(f"unknown naming heuristic {heuristic!r}")
 
 
-def access_stats(
-    members: tuple[str, ...], sagas: list[Saga]
-) -> dict[str, AccessStats]:
-    """Per-entity external/local access shares for one cluster's members.
+def access_stats(members: tuple[str, ...], sagas: list[Saga]) -> dict[str, tuple[int, int]]:
+    """Per-member (external, local) access counts for one cluster's members.
 
     External accesses are those made by multi-step (distributed) sagas,
-    local accesses those made by single-step sagas; shares are relative to
-    the cluster's total in each category.
+    local accesses those made by single-step sagas.
     """
     member_set = set(members)
-    external: dict[str, int] = {m: 0 for m in members}
-    local: dict[str, int] = {m: 0 for m in members}
+    external = dict.fromkeys(members, 0)
+    local = dict.fromkeys(members, 0)
     for saga in sagas:
         table = external if len(saga.steps) > 1 else local
         for step in saga.steps:
             for a in step.accesses:
                 if a.entity in member_set:
                     table[a.entity] += 1
-    external_sum = sum(external.values())
-    local_sum = sum(local.values())
-    return {
-        m: AccessStats(
-            external_pct=external[m] / external_sum if external_sum else 0.0,
-            local_pct=local[m] / local_sum if local_sum else 0.0,
-            external_total=external[m],
-            local_total=local[m],
-        )
-        for m in members
-    }
+    return {m: (external[m], local[m]) for m in members}
 
 
-def elect_root(entities: list[DddEntity]) -> str:
+def elect_root(external_shares: dict[str, float]) -> str:
     """The aggregate root: highest external-access share, ties by name."""
-    candidates = [e for e in entities if not e.is_reference]
-    if not candidates:
+    if not external_shares:
         raise MappingError("aggregate has no entities to elect a root from")
-    return min(candidates, key=lambda e: (-e.stats.external_pct, e.name)).name
+    return min(external_shares, key=lambda name: (-external_shares[name], name))
 
 
 def map_decomposition(
@@ -181,8 +106,11 @@ def map_decomposition(
     sagas: list[Saga],
     naming: str = "full-trace",
     map_name: str = DEFAULT_MAP_NAME,
-) -> DddModel:
-    """Build the raw DDD model; references may still cross contexts.
+) -> CmlDocument:
+    """Build the raw document; references may still cross contexts.
+
+    A reference keeps its target and field; the document has no reference
+    kinds, so an inheritance reference becomes a plain one.
 
     Run resolve_references (or use build_ddd_model) to replace cross-context
     references with placeholders and derive the context map relationships.
@@ -203,116 +131,132 @@ def map_decomposition(
     if missing:
         raise MappingError(f"sagas missing for functionalities: {', '.join(missing)}")
 
-    operations: dict[str, list[OperationDef]] = {
+    # Operation names per context, in first-seen order.
+    operations: dict[str, dict[str, None]] = {name: {} for name, _ in decomposition.clusters}
+    coordinations: dict[str, list[CmlCoordination]] = {
         name: [] for name, _ in decomposition.clusters
     }
-    coordinations: dict[str, list[Coordination]] = {
-        name: [] for name, _ in decomposition.clusters
-    }
-
-    def add_operation(context: str, op: OperationDef) -> None:
-        if all(existing.name != op.name for existing in operations[context]):
-            operations[context].append(op)
-
     for saga in sagas:
-        addressed = []
+        steps = []
         for step in saga.steps:
             if step.cluster not in operations:
                 raise MappingError(
                     f"saga {saga.functionality!r} references unknown cluster {step.cluster!r}"
                 )
             op_name = name_operation(saga.functionality, step.index, step.accesses, naming)
-            add_operation(step.cluster, OperationDef(op_name, step.accesses))
-            addressed.append((step.cluster, f"{step.cluster}Service", op_name))
+            operations[step.cluster][op_name] = None
+            steps.append(CmlStep(step.cluster, f"{step.cluster}Service", op_name))
         if saga.orchestrator not in coordinations:
             raise MappingError(
                 f"saga {saga.functionality!r} names unknown orchestrator {saga.orchestrator!r}"
             )
         if len(saga.steps) > 1:
             coordinations[saga.orchestrator].append(
-                Coordination(saga.functionality, tuple(addressed))
+                CmlCoordination(saga.functionality, tuple(steps))
             )
 
     structures = {e.name: e for e in model.entities}
     contexts = []
     for name, members in decomposition.clusters:
-        stats = access_stats(members, sagas)
-        entities = [
-            DddEntity(
-                name=member,
-                attributes=structures[member].attributes,
-                local_refs=structures[member].references,
-                stats=stats[member],
+        counts = access_stats(members, sagas)
+        external_total = sum(external for external, _ in counts.values())
+        local_total = sum(local for _, local in counts.values())
+        root = elect_root(
+            {
+                m: external / external_total if external_total else 0.0
+                for m, (external, _) in counts.items()
+            }
+        )
+        entities = []
+        for member, (external, local) in counts.items():
+            structure = structures[member]
+            entities.append(
+                CmlEntity(
+                    member,
+                    member == root,
+                    tuple(CmlAttribute(a.type, a.name) for a in structure.attributes),
+                    tuple(CmlReference(r.target, r.field) for r in structure.references),
+                    (stats_comment(external, external_total, local, local_total),),
+                )
             )
-            for member in members
-        ]
-        root = elect_root(entities)
-        entities = [
-            replace(e, is_aggregate_root=e.name == root) for e in entities
-        ]
         contexts.append(
-            BoundedContextModel(
-                name=name,
-                aggregate_name=f"{name}Aggregate",
-                entities=tuple(entities),
-                service_name=f"{name}Service",
-                operations=tuple(operations[name]),
-                coordinations=tuple(coordinations[name]),
+            CmlBoundedContext(
+                name,
+                (CmlService(f"{name}Service", tuple(map(CmlOperation, operations[name]))),),
+                tuple(coordinations[name]),
+                (CmlAggregate(f"{name}Aggregate", tuple(entities)),),
             )
         )
-    return DddModel(map_name, tuple(contexts), ())
+    context_map = CmlContextMap(map_name, tuple(name for name, _ in decomposition.clusters))
+    return CmlDocument(context_map, tuple(contexts))
 
 
-def resolve_references(ddd: DddModel) -> DddModel:
+def resolve_references(doc: CmlDocument) -> CmlDocument:
     """Replace cross-context entity references with local placeholders.
 
     Each distinct outer target gets one ``<Target>_Reference`` entity per
-    referencing context, and the owner context becomes upstream of the
-    referencer. Inheritance references crossing contexts are flattened to
-    plain association references on the placeholder.
+    referencing context, appended to the context's last aggregate, and the
+    owner context becomes upstream of the referencer. The relationships of
+    the context map, which a document from map_decomposition always has,
+    are rebuilt from these references. A placeholder name that an entity
+    of the context already has raises ``MappingError``.
     """
-    owner: dict[str, str] = {}
-    for ctx in ddd.contexts:
-        for e in ctx.entities:
-            if not e.is_reference:
-                owner[e.name] = ctx.name
+    owner = {
+        e.name: ctx.name for ctx in doc.contexts for e in ctx.entities if not e.is_reference
+    }
 
     relationships: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    new_contexts = []
-    for ctx in ddd.contexts:
-        placeholders: dict[str, DddEntity] = {}
-        rewritten = []
-        for e in ctx.entities:
-            refs = []
-            for r in e.local_refs:
-                target_ctx = owner.get(r.target)
-                if target_ctx is None:
-                    raise MappingError(
-                        f"reference target {r.target!r} not found in any context"
-                    )
-                if target_ctx == ctx.name:
-                    refs.append(r)
-                    continue
-                placeholder_name = f"{r.target}{REFERENCE_SUFFIX}"
-                if placeholder_name not in placeholders:
-                    placeholders[placeholder_name] = DddEntity(
-                        name=placeholder_name,
-                        is_reference=True,
-                        reference_of=(target_ctx, r.target),
-                    )
-                refs.append(Reference(r.field, placeholder_name, ASSOCIATION))
-                causes = relationships.setdefault((target_ctx, ctx.name), [])
-                if (e.name, r.target) not in causes:
-                    causes.append((e.name, r.target))
-            rewritten.append(replace(e, local_refs=tuple(refs)))
-        rewritten.extend(placeholders[k] for k in sorted(placeholders))
-        new_contexts.append(replace(ctx, entities=tuple(rewritten)))
+    contexts = []
+    for ctx in doc.contexts:
+        names = {e.name for e in ctx.entities}
+        placeholders: dict[str, CmlEntity] = {}
+        aggregates = []
+        for agg in ctx.aggregates:
+            entities = []
+            for e in agg.entities:
+                refs = []
+                for r in e.references:
+                    target_ctx = owner.get(r.target)
+                    if target_ctx is None:
+                        raise MappingError(
+                            f"reference target {r.target!r} not found in any context"
+                        )
+                    if target_ctx == ctx.name:
+                        refs.append(r)
+                        continue
+                    placeholder = f"{r.target}{REFERENCE_SUFFIX}"
+                    if placeholder not in placeholders:
+                        if placeholder in names:
+                            raise MappingError(
+                                f"context {ctx.name!r} has an entity {placeholder!r}, "
+                                f"the name of the placeholder for {target_ctx}.{r.target}"
+                            )
+                        placeholders[placeholder] = CmlEntity(
+                            placeholder,
+                            comments=(f"{REFERENCE_COMMENT} {target_ctx}.{r.target}",),
+                        )
+                    refs.append(replace(r, target=placeholder))
+                    causes = relationships.setdefault((target_ctx, ctx.name), [])
+                    if (e.name, r.target) not in causes:
+                        causes.append((e.name, r.target))
+                entities.append(replace(e, references=tuple(refs)))
+            aggregates.append(replace(agg, entities=tuple(entities)))
+        if placeholders:
+            last = aggregates[-1]
+            aggregates[-1] = replace(
+                last, entities=last.entities + tuple(placeholders[k] for k in sorted(placeholders))
+            )
+        contexts.append(replace(ctx, aggregates=tuple(aggregates)))
 
-    rel = tuple(
-        ContextRelationship(up, down, tuple(sorted(causes)))
+    rels = tuple(
+        CmlRelationship(
+            up, down, tuple(f"reference: {src} -> {dst}" for src, dst in sorted(causes))
+        )
         for (up, down), causes in sorted(relationships.items())
     )
-    return DddModel(ddd.map_name, tuple(new_contexts), rel)
+    return CmlDocument(
+        replace(doc.context_map, relationships=rels), tuple(contexts), doc.trailing_comments
+    )
 
 
 def build_ddd_model(
@@ -321,30 +265,8 @@ def build_ddd_model(
     sagas: list[Saga],
     naming: str = "full-trace",
     map_name: str = DEFAULT_MAP_NAME,
-) -> DddModel:
+) -> CmlDocument:
     """Full mapping pipeline: map the decomposition, then close references."""
     return resolve_references(
         map_decomposition(model, decomposition, sagas, naming, map_name)
     )
-
-
-def check_closed_references(ddd: DddModel) -> list[str]:
-    """Structural scan for references that escape their context.
-
-    Returns human-readable problem descriptions; empty means the model is
-    closed, which resolve_references guarantees.
-    """
-    problems = []
-    for ctx in ddd.contexts:
-        names = {e.name for e in ctx.entities}
-        for e in ctx.entities:
-            if e.is_reference and (e.attributes or e.local_refs):
-                problems.append(
-                    f"{ctx.name}.{e.name}: reference placeholder carries structure"
-                )
-            for r in e.local_refs:
-                if r.target not in names:
-                    problems.append(
-                        f"{ctx.name}.{e.name}.{r.field}: target {r.target!r} is outside the context"
-                    )
-    return problems

@@ -41,9 +41,8 @@ def document_dot(doc: CmlDocument) -> str:
     lines = [f"digraph {_quote('ContextMap')} {{"]
     for ctx in doc.contexts:
         lines.append(f"    {_quote(ctx.name)};")
-    if doc.context_map is not None:
-        for rel in doc.context_map.relationships:
-            lines.append(f"    {_quote(rel.upstream)} -> {_quote(rel.downstream)};")
+    for rel in doc.relationships:
+        lines.append(f"    {_quote(rel.upstream)} -> {_quote(rel.downstream)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -4,15 +4,22 @@ from __future__ import annotations
 
 import random
 import string
+from dataclasses import replace
 
-from mono2ddd.dddmap import (
-    AccessStats,
-    BoundedContextModel,
-    Coordination,
-    DddEntity,
-    DddModel,
-    ContextRelationship,
-    OperationDef,
+from mono2ddd.cml import (
+    REFERENCE_COMMENT,
+    CmlAggregate,
+    CmlAttribute,
+    CmlBoundedContext,
+    CmlContextMap,
+    CmlCoordination,
+    CmlDocument,
+    CmlEntity,
+    CmlOperation,
+    CmlReference,
+    CmlRelationship,
+    CmlService,
+    CmlStep,
 )
 from mono2ddd.decompose import Decomposition, SimilarityWeights
 from mono2ddd.model import (
@@ -83,8 +90,12 @@ def clusters_dict(decomposition: Decomposition) -> dict[str, tuple[str, ...]]:
     return {name: members for name, members in decomposition.clusters}
 
 
-def random_ddd_model(rng: random.Random, max_contexts: int = 4) -> DddModel:
-    """A structurally valid DddModel with closed references, for round trips."""
+def random_ddd_model(rng: random.Random, max_contexts: int = 4) -> CmlDocument:
+    """A structurally valid generated document with closed references, for round trips.
+
+    Entities carry stats comments whose shares are drawn apart from their
+    counts, and placeholders carry reference comments naming their owner.
+    """
     n_contexts = rng.randint(1, max_contexts)
     context_names = [f"Ctx{i}" for i in range(n_contexts)]
 
@@ -100,11 +111,7 @@ def random_ddd_model(rng: random.Random, max_contexts: int = 4) -> DddModel:
             entity_home[name] = ctx
 
     operations = {
-        ctx: tuple(
-            OperationDef(f"op{ctx}_{k}", (Access(contexts_entities[ctx][0], "R"),))
-            for k in range(rng.randint(0, 3))
-        )
-        for ctx in context_names
+        ctx: tuple(f"op{ctx}_{k}" for k in range(rng.randint(0, 3))) for ctx in context_names
     }
 
     relationships: dict[tuple[str, str], list[tuple[str, str]]] = {}
@@ -112,6 +119,7 @@ def random_ddd_model(rng: random.Random, max_contexts: int = 4) -> DddModel:
     for ctx in context_names:
         own = contexts_entities[ctx]
         entities = []
+        stats = []
         placeholders = {}
         for position, name in enumerate(own):
             refs = []
@@ -119,68 +127,70 @@ def random_ddd_model(rng: random.Random, max_contexts: int = 4) -> DddModel:
             for k in range(rng.randint(0, 2) if others else 0):
                 target = rng.choice(others)
                 if entity_home[target] == ctx:
-                    refs.append(Reference(f"r{k}", target))
+                    refs.append(CmlReference(target, f"r{k}"))
                 else:
                     placeholder = f"{target}_Reference"
                     placeholders[placeholder] = (entity_home[target], target)
-                    refs.append(Reference(f"r{k}", placeholder))
+                    refs.append(CmlReference(placeholder, f"r{k}"))
                     causes = relationships.setdefault((entity_home[target], ctx), [])
                     if (name, target) not in causes:
                         causes.append((name, target))
-            entities.append(
-                DddEntity(
-                    name=name,
-                    is_aggregate_root=position == 0,
-                    attributes=tuple(
-                        Attribute(f"a{k}", "String") for k in range(rng.randint(0, 2))
-                    ),
-                    local_refs=tuple(refs),
-                    stats=AccessStats(
-                        external_pct=rng.choice((0.0, 0.25, 0.5)),
-                        local_pct=rng.choice((0.0, 0.5, 1.0)),
-                        external_total=rng.randint(0, 4),
-                        local_total=rng.randint(0, 4),
-                    ),
+            attributes = tuple(CmlAttribute("String", f"a{k}") for k in range(rng.randint(0, 2)))
+            entities.append(CmlEntity(name, position == 0, attributes, tuple(refs)))
+            # external share, local share, external count, local count
+            stats.append(
+                (
+                    rng.choice((0.0, 0.25, 0.5)),
+                    rng.choice((0.0, 0.5, 1.0)),
+                    rng.randint(0, 4),
+                    rng.randint(0, 4),
                 )
             )
+        external_total = sum(s[2] for s in stats)
+        local_total = sum(s[3] for s in stats)
+        entities = [
+            replace(
+                e,
+                comments=(
+                    f"accesses: external {ext_pct * 100:.2f}% ({ext}/{external_total}), "
+                    f"local {loc_pct * 100:.2f}% ({loc}/{local_total})",
+                ),
+            )
+            for e, (ext_pct, loc_pct, ext, loc) in zip(entities, stats)
+        ]
         for placeholder in sorted(placeholders):
             owner_ctx, target = placeholders[placeholder]
             entities.append(
-                DddEntity(
-                    name=placeholder,
-                    is_reference=True,
-                    reference_of=(owner_ctx, target),
-                )
+                CmlEntity(placeholder, comments=(f"{REFERENCE_COMMENT} {owner_ctx}.{target}",))
             )
 
         coordinations = []
-        partners = [
-            c for c in context_names if c != ctx and operations[c]
-        ]
+        partners = [c for c in context_names if c != ctx and operations[c]]
         if operations[ctx] and partners and rng.random() < 0.5:
             other = rng.choice(partners)
             coordinations.append(
-                Coordination(
+                CmlCoordination(
                     f"flow{ctx}",
                     (
-                        (ctx, f"{ctx}Service", operations[ctx][0].name),
-                        (other, f"{other}Service", operations[other][0].name),
+                        CmlStep(ctx, f"{ctx}Service", operations[ctx][0]),
+                        CmlStep(other, f"{other}Service", operations[other][0]),
                     ),
                 )
             )
         contexts.append(
-            BoundedContextModel(
-                name=ctx,
-                aggregate_name=f"{ctx}Aggregate",
-                entities=tuple(entities),
-                service_name=f"{ctx}Service",
-                operations=operations[ctx],
-                coordinations=tuple(coordinations),
+            CmlBoundedContext(
+                ctx,
+                (CmlService(f"{ctx}Service", tuple(map(CmlOperation, operations[ctx]))),),
+                tuple(coordinations),
+                (CmlAggregate(f"{ctx}Aggregate", tuple(entities)),),
             )
         )
 
-    rel = tuple(
-        ContextRelationship(up, down, tuple(sorted(causes)))
+    rels = tuple(
+        CmlRelationship(
+            up, down, tuple(f"reference: {src} -> {dst}" for src, dst in sorted(causes))
+        )
         for (up, down), causes in sorted(relationships.items())
     )
-    return DddModel("Decomposition", tuple(contexts), rel)
+    context_map = CmlContextMap("Decomposition", tuple(context_names), rels)
+    return CmlDocument(context_map, tuple(contexts))

@@ -27,8 +27,8 @@ from oracles import (
     serialize_candidate,
 )
 
-from mono2ddd.cml import document_from_ddd, emit_document, parse_document
-from mono2ddd.dddmap import build_ddd_model, check_closed_references, name_operation
+from mono2ddd.cml import emit_document, parse_document, validate_document
+from mono2ddd.dddmap import build_ddd_model, name_operation
 from mono2ddd.decompose import decompose, weight_grid
 from mono2ddd.diagrams import coordination_bpmn, decomposition_dot, document_dot
 from mono2ddd.ingest import parse_model
@@ -166,7 +166,7 @@ def test_criterion_4_naming_ladder():
         counts = []
         for heuristic in heuristics:
             ddd = build_ddd_model(model, dec, sagas, naming=heuristic)
-            counts.append(sum(len(c.operations) for c in ddd.contexts))
+            counts.append(sum(len(s.operations) for c in ddd.contexts for s in c.services))
         assert counts[0] >= counts[1] >= counts[2] >= counts[3], counts
     elapsed = time.perf_counter() - started
     print(f"criterion 4 PASS: naming ladder monotone on 200 models ({elapsed:.1f}s)")
@@ -180,20 +180,18 @@ def test_criterion_5_reference_closure(topic_question, topic_question_decomposit
         names = list(model.entity_names())
         dec = random_partition(rng, names, rng.randint(1, len(names)))
         ddd = build_ddd_model(model, dec, _sagas(model, dec))
-        assert check_closed_references(ddd) == []
+        assert validate_document(ddd) == []
         for ctx in ddd.contexts:
             placeholders = [e for e in ctx.entities if e.is_reference]
-            targets = [e.reference_of for e in placeholders]
+            targets = [e.comments for e in placeholders]
             assert len(targets) == len(set(targets))
             assert all(e.name.endswith("_Reference") for e in placeholders)
 
     text = emit_document(
-        document_from_ddd(
-            build_ddd_model(
-                topic_question,
-                topic_question_decomposition,
-                _sagas(topic_question, topic_question_decomposition),
-            )
+        build_ddd_model(
+            topic_question,
+            topic_question_decomposition,
+            _sagas(topic_question, topic_question_decomposition),
         )
     )
     assert text == (GOLDEN / "topic_question.cml").read_text()
@@ -208,8 +206,7 @@ def test_criterion_6_cml_round_trip():
     started = time.perf_counter()
     rng = random.Random(52005)
     for _ in range(100):
-        ddd = random_ddd_model(rng)
-        doc = document_from_ddd(ddd)
+        doc = random_ddd_model(rng)
         first = emit_document(doc)
         second = emit_document(doc)
         assert first == second
@@ -295,7 +292,7 @@ def test_criterion_9_diagram_contracts(
     ):
         check_dot(decomposition_dot(model, dec))
         ddd = build_ddd_model(model, dec, _sagas(model, dec))
-        doc = parse_document(emit_document(document_from_ddd(ddd)))
+        doc = parse_document(emit_document(ddd))
         check_dot(document_dot(doc))
         for ctx in doc.contexts:
             for coordination in ctx.coordinations:

@@ -12,6 +12,7 @@ import pytest
 from conftest import FIXTURE_A_ACCESSES, TOPIC_QUESTION_ACCESSES, TOPIC_QUESTION_STRUCTURE
 
 from mono2ddd import cli
+from mono2ddd import cml as cml_mod
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -251,6 +252,56 @@ def test_to_cml_refuses_a_keyword_relationship_upstream(workdir, capsys):
     clusters = {"Other": ["Question"], "contains": ["Topic"]}
     code, err = _to_cml_then_dot(workdir, capsys, structure, clusters)
     assert code == 0, err
+
+
+_REFERENCE_NAMED_STRUCTURE = (
+    "entity Topic {\n}\nentity Question {\n}\nentity Question_Reference {\n}\n"
+)
+_REFERENCE_NAMED_CLUSTERS = {"C0": ["Question"], "C1": ["Topic", "Question_Reference"]}
+
+
+def test_to_cml_refuses_a_placeholder_named_like_an_entity(workdir, capsys):
+    # Topic's reference needs a Question_Reference placeholder in C1, which
+    # already holds a real entity of that name.
+    structure = _REFERENCE_NAMED_STRUCTURE.replace(
+        "entity Topic {\n", "entity Topic {\n    ref question -> Question;\n"
+    )
+    code, err = _to_cml_then_dot(workdir, capsys, structure, _REFERENCE_NAMED_CLUSTERS)
+    assert code == 1
+    assert "context 'C1'" in err and "'Question_Reference'" in err
+    assert not (workdir / "kw.cml").exists()
+
+
+def _reference_named_cml(workdir, capsys):
+    """A generated document whose real entity Question_Reference is in C1."""
+    code, err = _to_cml_then_dot(
+        workdir, capsys, _REFERENCE_NAMED_STRUCTURE, _REFERENCE_NAMED_CLUSTERS
+    )
+    assert code == 0, err
+    return str(workdir / "kw.cml")
+
+
+def test_cml_merge_keeps_a_real_entity_named_like_a_placeholder(workdir, capsys):
+    cml = _reference_named_cml(workdir, capsys)
+    code, out, err = run(capsys, "cml", "merge", "--in", cml, "-a", "C0", "-b", "C1")
+    assert code == 0, err
+    merged = cml_mod.parse_document(out).context("C0_C1")
+    names = [e.name for agg in merged.aggregates for e in agg.entities]
+    assert names == ["Question", "Question_Reference", "Topic"]
+
+
+def test_cml_split_accepts_a_real_entity_named_like_a_placeholder(workdir, capsys):
+    cml = _reference_named_cml(workdir, capsys)
+    code, out, err = run(
+        capsys, "cml", "split", "--in", cml, "--context", "C1",
+        "--parts", "Question_Reference/Topic",
+    )
+    assert code == 0, err
+    parts = cml_mod.parse_document(out).context("C1").aggregates
+    assert [[(e.name, e.aggregate_root) for e in a.entities] for a in parts] == [
+        [("Question_Reference", True)],
+        [("Topic", True)],
+    ]
 
 
 def test_assess_reports_measures(workdir, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pathlib
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from helpers import random_ddd_model
 
 from mono2ddd.cml import (
     KEYWORDS,
+    REFERENCE_COMMENT,
     CmlAggregate,
     CmlAttribute,
     CmlBoundedContext,
@@ -26,7 +28,6 @@ from mono2ddd.cml import (
     CmlService,
     CmlStep,
     _LINE_BREAKS,
-    document_from_ddd,
     emit_document,
     external_share,
     merge_bounded_contexts,
@@ -34,7 +35,7 @@ from mono2ddd.cml import (
     split_aggregate,
     validate_document,
 )
-from mono2ddd.dddmap import DddModel, build_ddd_model
+from mono2ddd.dddmap import build_ddd_model
 from mono2ddd.errors import CmlEmitError, CmlParseError, RefactorError
 from mono2ddd.saga import refactor_model
 
@@ -43,8 +44,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 def _render(model, decomposition, **kwargs):
     sagas = [s for s, _ in refactor_model(model, decomposition)]
-    ddd = build_ddd_model(model, decomposition, sagas, **kwargs)
-    return emit_document(document_from_ddd(ddd))
+    return emit_document(build_ddd_model(model, decomposition, sagas, **kwargs))
 
 
 def test_fixture_a_golden_bytes(fixture_a, fixture_a_decomposition):
@@ -340,6 +340,36 @@ def test_external_share_reads_stats_comment():
     assert external_share(CmlEntity("B")) == 0.0
 
 
+def test_is_reference_reads_the_marker_comments_before_the_name():
+    stats = "accesses: external 0.00% (0/0), local 0.00% (0/2)"
+    marker = f"{REFERENCE_COMMENT} C0.Question"
+    assert CmlEntity("Question_Reference").is_reference
+    assert CmlEntity("Question_Reference", comments=("a note",)).is_reference
+    assert CmlEntity("Anything", comments=(marker,)).is_reference
+    # A stats comment marks a real entity, whatever its name or other comments.
+    assert not CmlEntity("Question_Reference", comments=(stats,)).is_reference
+    assert not CmlEntity("Question_Reference", comments=(marker, stats)).is_reference
+    # Without a marker, a body marks a real entity too.
+    assert not CmlEntity("Question_Reference", attributes=(CmlAttribute("String", "a"),)).is_reference
+    assert not CmlEntity("Question").is_reference
+
+
+def test_entities_and_relationships_are_derived_not_stored():
+    x, y, z = CmlEntity("X"), CmlEntity("Y"), CmlEntity("Z")
+    ctx = CmlBoundedContext("C", aggregates=(CmlAggregate("A", (x, y)), CmlAggregate("B", (z,))))
+    assert ctx.entities == (x, y, z)
+    assert CmlBoundedContext("Empty").entities == ()
+    rel = CmlRelationship("C", "D")
+    doc = CmlDocument(CmlContextMap("M", ("C",), (rel,)), (ctx,))
+    assert doc.relationships == (rel,)
+    assert CmlDocument(None, (ctx,)).relationships == ()
+    # Properties are not fields: equality and replace see only the fields.
+    assert [f.name for f in fields(CmlBoundedContext)] == [
+        "name", "services", "coordinations", "aggregates", "comments"
+    ]
+    assert replace(doc, context_map=None).relationships == ()
+
+
 def _fixture_doc(model, decomposition, **kwargs):
     return parse_document(_render(model, decomposition, **kwargs))
 
@@ -572,8 +602,7 @@ def test_split_requires_single_aggregate(fixture_a, fixture_a_decomposition):
 def test_random_ddd_documents_round_trip():
     rng = random.Random(20240823)
     for _ in range(40):
-        ddd = random_ddd_model(rng)
-        doc = document_from_ddd(ddd)
+        doc = random_ddd_model(rng)
         text = emit_document(doc)
         reparsed = parse_document(text)
         assert reparsed == doc
@@ -585,11 +614,10 @@ def test_merge_then_revalidate_on_random_documents():
     rng = random.Random(20240824)
     merged_any = False
     for _ in range(40):
-        ddd = random_ddd_model(rng)
-        if len(ddd.contexts) < 2:
+        doc = random_ddd_model(rng)
+        if len(doc.contexts) < 2:
             continue
-        doc = document_from_ddd(ddd)
-        a, b = (c.name for c in ddd.contexts[:2])
+        a, b = (c.name for c in doc.contexts[:2])
         merged = merge_bounded_contexts(doc, a, b)
         assert validate_document(merged) == [], emit_document(merged)
         # Merging must be re-parseable from its own emission.

@@ -20,6 +20,7 @@ from helpers import random_ddd_model
 
 from mono2ddd.cml import (
     REFERENCE_COMMENT,
+    REFERENCE_SUFFIX,
     CmlAggregate,
     CmlAttribute,
     CmlBoundedContext,
@@ -32,15 +33,12 @@ from mono2ddd.cml import (
     CmlRelationship,
     CmlService,
     CmlStep,
-    _is_reference_entity,
     _reference_target,
-    document_from_ddd,
     emit_document,
     external_share,
     merge_bounded_contexts,
     split_aggregate,
 )
-from mono2ddd.dddmap import REFERENCE_SUFFIX
 from mono2ddd.errors import RefactorError
 
 
@@ -66,7 +64,7 @@ def _old_merge(doc: CmlDocument, a: str, b: str) -> CmlDocument:
         for ctx in (ctx_a, ctx_b)
         for agg in ctx.aggregates
         for e in agg.entities
-        if not _is_reference_entity(e)
+        if not e.is_reference
     }
 
     # Collapse placeholders whose target is now local; dedupe survivors.
@@ -78,7 +76,7 @@ def _old_merge(doc: CmlDocument, a: str, b: str) -> CmlDocument:
             entities = []
             renames: dict[str, str] = {}
             for e in agg.entities:
-                if _is_reference_entity(e):
+                if e.is_reference:
                     target = _reference_target(e)
                     if target in local_entities:
                         renames[e.name] = target
@@ -289,7 +287,7 @@ def _old_split(
     new_aggregates = []
     for i, part in enumerate(partition, start=1):
         entities = [by_name[name] for name in part]
-        candidates = [e for e in entities if not _is_reference_entity(e)]
+        candidates = [e for e in entities if not e.is_reference]
         if not candidates:
             raise RefactorError(
                 f"part {i} has only reference placeholders; no root candidate"
@@ -432,7 +430,7 @@ def test_merge_matches_the_rebuild_everything_copy():
 def test_merge_chain_matches_the_copy_on_generated_documents():
     rng = random.Random(20261021)
     for _ in range(30):
-        doc = document_from_ddd(random_ddd_model(rng, max_contexts=6))
+        doc = random_ddd_model(rng, max_contexts=6)
         old = doc
         while len(doc.contexts) > 1:
             a, b = rng.sample([c.name for c in doc.contexts], 2)

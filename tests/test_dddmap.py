@@ -6,25 +6,32 @@ import random
 
 import pytest
 
-from helpers import UNIT_WEIGHTS, random_model, random_partition
+from helpers import random_model, random_partition
 
+from mono2ddd.cml import (
+    REFERENCE_COMMENT,
+    CmlAggregate,
+    CmlBoundedContext,
+    CmlContextMap,
+    CmlDocument,
+    CmlEntity,
+    CmlReference,
+    CmlService,
+    CmlStep,
+    stats_comment,
+    validate_document,
+)
 from mono2ddd.dddmap import (
     NAMING_HEURISTICS,
-    AccessStats,
-    BoundedContextModel,
-    DddEntity,
-    DddModel,
     access_stats,
     build_ddd_model,
-    check_closed_references,
     elect_root,
     map_decomposition,
     name_operation,
     resolve_references,
 )
-from mono2ddd.decompose import decompose
 from mono2ddd.errors import MappingError
-from mono2ddd.model import ASSOCIATION, INHERITANCE, Access, Reference
+from mono2ddd.model import Access
 from mono2ddd.saga import refactor_model
 
 
@@ -73,37 +80,41 @@ def _fixture_sagas(model, decomposition):
     return [s for s, _ in refactor_model(model, decomposition)]
 
 
+def _operations(ctx):
+    return [op.name for service in ctx.services for op in service.operations]
+
+
+def _entity(ctx, name):
+    (entity,) = (e for e in ctx.entities if e.name == name)
+    return entity
+
+
 def test_access_stats_fixture_a(fixture_a, fixture_a_decomposition):
     sagas = _fixture_sagas(fixture_a, fixture_a_decomposition)
     stats = access_stats(("A", "B"), sagas)
     # f3 and f4 are distributed and hit A twice, B once; f1 is local.
-    assert stats["A"] == AccessStats(2 / 3, 2 / 3, 2, 2)
-    assert stats["B"] == AccessStats(1 / 3, 1 / 3, 1, 1)
+    assert stats == {"A": (2, 2), "B": (1, 1)}
+    assert stats_comment(2, 3, 2, 3) == "accesses: external 66.67% (2/3), local 66.67% (2/3)"
     stats = access_stats(("C", "D"), sagas)
-    assert stats["C"].external_pct == pytest.approx(1.0)
-    assert stats["C"].external_total == 2
-    assert stats["D"].external_total == 0
+    assert stats["C"][0] == 2
+    assert stats["D"][0] == 0
+    assert stats_comment(2, 2, 0, 0) == "accesses: external 100.00% (2/2), local 0.00% (0/0)"
 
 
 def test_access_stats_zero_denominators():
     stats = access_stats(("A",), [])
-    assert stats["A"] == AccessStats(0.0, 0.0, 0, 0)
+    assert stats == {"A": (0, 0)}
+    assert stats_comment(0, 0, 0, 0) == "accesses: external 0.00% (0/0), local 0.00% (0/0)"
 
 
 def test_elect_root_prefers_external_share_then_name():
-    entities = [
-        DddEntity("B", stats=AccessStats(external_pct=0.5)),
-        DddEntity("A", stats=AccessStats(external_pct=0.5)),
-        DddEntity("C", stats=AccessStats(external_pct=0.2)),
-    ]
-    assert elect_root(entities) == "A"
-    entities.append(DddEntity("AA_Reference", is_reference=True, stats=AccessStats(1.0)))
-    assert elect_root(entities) == "A"
+    assert elect_root({"B": 0.5, "A": 0.5, "C": 0.2}) == "A"
+    assert elect_root({"B": 0.5, "A": 0.25, "C": 0.2}) == "B"
 
 
 def test_elect_root_needs_a_candidate():
     with pytest.raises(MappingError):
-        elect_root([DddEntity("X_Reference", is_reference=True)])
+        elect_root({})
 
 
 def test_map_decomposition_fixture_a(fixture_a, fixture_a_decomposition):
@@ -112,27 +123,28 @@ def test_map_decomposition_fixture_a(fixture_a, fixture_a_decomposition):
     assert [c.name for c in ddd.contexts] == ["Cluster0", "Cluster1"]
 
     c0 = ddd.context("Cluster0")
-    assert c0.aggregate_name == "Cluster0Aggregate"
-    assert c0.service_name == "Cluster0Service"
-    assert [op.name for op in c0.operations] == ["rwA_wB", "rA", "wA_rB"]
+    assert [a.name for a in c0.aggregates] == ["Cluster0Aggregate"]
+    assert [s.name for s in c0.services] == ["Cluster0Service"]
+    assert _operations(c0) == ["rwA_wB", "rA", "wA_rB"]
     assert [e.name for e in c0.entities] == ["A", "B"]
-    assert c0.entity("A").is_aggregate_root
-    assert not c0.entity("B").is_aggregate_root
+    assert _entity(c0, "A").aggregate_root
+    assert not _entity(c0, "B").aggregate_root
+    assert _entity(c0, "A").comments == ("accesses: external 66.67% (2/3), local 66.67% (2/3)",)
 
     c1 = ddd.context("Cluster1")
-    assert [op.name for op in c1.operations] == ["rwC_rD", "wC", "rC"]
-    assert c1.entity("C").is_aggregate_root
+    assert _operations(c1) == ["rwC_rD", "wC", "rC"]
+    assert _entity(c1, "C").aggregate_root
 
     # f3 starts in Cluster0, so its coordination lives there.
     assert [co.name for co in c0.coordinations] == ["f3"]
     assert c0.coordinations[0].steps == (
-        ("Cluster0", "Cluster0Service", "rA"),
-        ("Cluster1", "Cluster1Service", "wC"),
+        CmlStep("Cluster0", "Cluster0Service", "rA"),
+        CmlStep("Cluster1", "Cluster1Service", "wC"),
     )
     assert [co.name for co in c1.coordinations] == ["f4"]
     assert c1.coordinations[0].steps == (
-        ("Cluster1", "Cluster1Service", "rC"),
-        ("Cluster0", "Cluster0Service", "wA_rB"),
+        CmlStep("Cluster1", "Cluster1Service", "rC"),
+        CmlStep("Cluster0", "Cluster0Service", "wA_rB"),
     )
 
 
@@ -154,16 +166,16 @@ def test_duplicate_operation_names_collapse(fixture_a, fixture_a_decomposition):
         fixture_a, fixture_a_decomposition, sagas, naming="ignore-order"
     )
     # f1 (A,B) and f4's Cluster0 step (A,B) share the name acA_acB.
-    names = [op.name for op in ddd.context("Cluster0").operations]
+    names = _operations(ddd.context("Cluster0"))
     assert names.count("acA_acB") == 1
 
 
 def test_structure_carried_onto_entities(topic_question, topic_question_decomposition):
     sagas = _fixture_sagas(topic_question, topic_question_decomposition)
     ddd = map_decomposition(topic_question, topic_question_decomposition, sagas)
-    topic = ddd.context("Cluster1").entity("Topic")
+    topic = _entity(ddd.context("Cluster1"), "Topic")
     assert [a.name for a in topic.attributes] == ["name"]
-    assert topic.local_refs == (Reference("question", "Question", ASSOCIATION),)
+    assert topic.references == (CmlReference("Question", "question"),)
 
 
 def test_resolve_references_builds_placeholder(topic_question, topic_question_decomposition):
@@ -171,92 +183,80 @@ def test_resolve_references_builds_placeholder(topic_question, topic_question_de
     ddd = build_ddd_model(topic_question, topic_question_decomposition, sagas)
     c1 = ddd.context("Cluster1")
     assert [e.name for e in c1.entities] == ["Topic", "Question_Reference"]
-    placeholder = c1.entity("Question_Reference")
+    placeholder = _entity(c1, "Question_Reference")
     assert placeholder.is_reference
-    assert placeholder.reference_of == ("Cluster0", "Question")
-    assert c1.entity("Topic").local_refs == (
-        Reference("question", "Question_Reference", ASSOCIATION),
+    assert placeholder.comments == (f"{REFERENCE_COMMENT} Cluster0.Question",)
+    assert _entity(c1, "Topic").references == (
+        CmlReference("Question_Reference", "question"),
     )
     assert len(ddd.relationships) == 1
     rel = ddd.relationships[0]
     assert (rel.upstream, rel.downstream) == ("Cluster0", "Cluster1")
-    assert rel.causes == (("Topic", "Question"),)
-    assert check_closed_references(ddd) == []
+    assert rel.comments == ("reference: Topic -> Question",)
+    assert validate_document(ddd) == []
 
 
-def _tiny_context(name, entities, aggregate=None):
-    return BoundedContextModel(
-        name=name,
-        aggregate_name=aggregate or f"{name}Aggregate",
-        entities=tuple(entities),
-        service_name=f"{name}Service",
-        operations=(),
-        coordinations=(),
+def _tiny_document(*contexts):
+    """A context map named Map over contexts given as (name, entities) pairs."""
+    return CmlDocument(
+        CmlContextMap("Map", tuple(name for name, _ in contexts)),
+        tuple(
+            CmlBoundedContext(
+                name,
+                (CmlService(f"{name}Service"),),
+                aggregates=(CmlAggregate(f"{name}Aggregate", tuple(entities)),),
+            )
+            for name, entities in contexts
+        ),
     )
 
 
 def test_two_referencers_share_one_placeholder_and_relationship():
-    ddd = DddModel(
-        "Map",
+    doc = _tiny_document(
+        ("Up", [CmlEntity("Z", True)]),
         (
-            _tiny_context("Up", [DddEntity("Z", is_aggregate_root=True)]),
-            _tiny_context(
-                "Down",
-                [
-                    DddEntity(
-                        "X",
-                        is_aggregate_root=True,
-                        local_refs=(Reference("z", "Z", ASSOCIATION),),
-                    ),
-                    DddEntity(
-                        "Y",
-                        local_refs=(Reference("parent", "Z", INHERITANCE),),
-                    ),
-                ],
-            ),
+            "Down",
+            [
+                CmlEntity("X", True, references=(CmlReference("Z", "z"),)),
+                CmlEntity("Y", references=(CmlReference("Z", "parent"),)),
+            ],
         ),
-        (),
     )
-    closed = resolve_references(ddd)
+    closed = resolve_references(doc)
     down = closed.context("Down")
     placeholders = [e for e in down.entities if e.is_reference]
     assert [e.name for e in placeholders] == ["Z_Reference"]
-    # Inheritance across contexts flattens to a plain association.
-    assert down.entity("Y").local_refs == (
-        Reference("parent", "Z_Reference", ASSOCIATION),
-    )
+    assert _entity(down, "Y").references == (CmlReference("Z_Reference", "parent"),)
     assert len(closed.relationships) == 1
-    assert closed.relationships[0].causes == (("X", "Z"), ("Y", "Z"))
+    assert closed.relationships[0].comments == ("reference: X -> Z", "reference: Y -> Z")
 
 
 def test_resolve_references_rejects_unknown_target():
-    ddd = DddModel(
-        "Map",
-        (
-            _tiny_context(
-                "Only",
-                [DddEntity("X", local_refs=(Reference("z", "Ghost", ASSOCIATION),))],
-            ),
-        ),
-        (),
-    )
+    doc = _tiny_document(("Only", [CmlEntity("X", references=(CmlReference("Ghost", "z"),))]))
     with pytest.raises(MappingError, match="Ghost"):
-        resolve_references(ddd)
+        resolve_references(doc)
 
 
-def test_check_closed_references_flags_escapes():
-    ddd = DddModel(
-        "Map",
+def test_resolve_references_rejects_a_placeholder_named_like_an_entity():
+    doc = _tiny_document(
+        ("Up", [CmlEntity("Z", True)]),
         (
-            _tiny_context(
-                "Ctx",
-                [DddEntity("X", local_refs=(Reference("z", "Z", ASSOCIATION),))],
-            ),
+            "Down",
+            [
+                CmlEntity("X", True, references=(CmlReference("Z", "z"),)),
+                CmlEntity("Z_Reference", comments=(stats_comment(0, 0, 0, 0),)),
+            ],
         ),
-        (),
     )
-    problems = check_closed_references(ddd)
-    assert problems and "outside the context" in problems[0]
+    with pytest.raises(MappingError, match="context 'Down' has an entity 'Z_Reference'"):
+        resolve_references(doc)
+
+
+def test_validate_flags_references_that_escape_their_context():
+    doc = _tiny_document(("Ctx", [CmlEntity("X", references=(CmlReference("Z", "z"),))]))
+    assert validate_document(doc) == [
+        "Ctx.X.z: reference target 'Z' is not an entity of this context"
+    ]
 
 
 def test_naming_ladder_is_monotone():
@@ -269,7 +269,7 @@ def test_naming_ladder_is_monotone():
         counts = []
         for heuristic in NAMING_HEURISTICS:
             ddd = build_ddd_model(model, dec, sagas, naming=heuristic)
-            counts.append(sum(len(c.operations) for c in ddd.contexts))
+            counts.append(sum(len(_operations(c)) for c in ddd.contexts))
         assert counts[0] >= counts[1] >= counts[2] >= counts[3], counts
 
 
@@ -281,22 +281,36 @@ def test_random_models_map_cleanly():
         dec = random_partition(rng, names, rng.randint(1, len(names)))
         sagas = _fixture_sagas(model, dec)
         ddd = build_ddd_model(model, dec, sagas)
-        assert check_closed_references(ddd) == []
+        assert validate_document(ddd) == []
         # Every coordination step must resolve to a declared operation.
         for ctx in ddd.contexts:
             for co in ctx.coordinations:
                 assert len(co.steps) > 1
-                for step_ctx, service, op in co.steps:
-                    target = ddd.context(step_ctx)
-                    assert service == target.service_name
-                    assert any(o.name == op for o in target.operations)
-        # Placeholders never hold structure and always name their owner.
+                for step in co.steps:
+                    target = ddd.context(step.context)
+                    assert [step.service] == [s.name for s in target.services]
+                    assert step.operation in _operations(target)
+        # Placeholders never hold structure, are never roots, and always
+        # name their owner.
         for ctx in ddd.contexts:
             for e in ctx.entities:
                 if e.is_reference:
-                    assert not e.attributes and not e.local_refs
-                    owner_ctx, owner_entity = e.reference_of
+                    assert not e.attributes and not e.references
+                    assert not e.aggregate_root
+                    (comment,) = e.comments
+                    owner_ctx, owner_entity = comment[len(REFERENCE_COMMENT) + 1 :].split(".")
                     assert any(
-                        other.name == owner_entity
+                        other.name == owner_entity and not other.is_reference
                         for other in ddd.context(owner_ctx).entities
                     )
+
+
+def test_generated_documents_validate():
+    rng = random.Random(20261018)
+    for _ in range(30):
+        model = random_model(rng, max_entities=10, with_structure=True)
+        names = list(model.entity_names())
+        dec = random_partition(rng, names, rng.randint(1, len(names)))
+        sagas = _fixture_sagas(model, dec)
+        naming = rng.choice(NAMING_HEURISTICS)
+        assert validate_document(build_ddd_model(model, dec, sagas, naming=naming)) == []

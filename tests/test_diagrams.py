@@ -9,19 +9,17 @@ import pytest
 from dotcheck import DotSyntaxError, check_dot
 from helpers import UNIT_WEIGHTS, random_model, random_partition
 
-from mono2ddd.cml import parse_document
+from mono2ddd.cml import emit_document, parse_document
 from mono2ddd.dddmap import build_ddd_model
 from mono2ddd.decompose import decompose
 from mono2ddd.diagrams import coordination_bpmn, decomposition_dot, document_dot
 from mono2ddd.errors import MappingError
 from mono2ddd.saga import refactor_model
-from mono2ddd.cml import document_from_ddd, emit_document
 
 
 def _document(model, decomposition):
     sagas = [s for s, _ in refactor_model(model, decomposition)]
-    ddd = build_ddd_model(model, decomposition, sagas)
-    return parse_document(emit_document(document_from_ddd(ddd)))
+    return parse_document(emit_document(build_ddd_model(model, decomposition, sagas)))
 
 
 def test_decomposition_dot_counts_shared_functionalities(fixture_a, fixture_a_decomposition):

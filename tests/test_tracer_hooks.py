@@ -40,13 +40,20 @@ print(json.dumps({
     "broken_hooks": summary["broken_hooks"],
     "calls": {name: row[0] for name, row in summary["functions"].items()},
     "counted": sorted(set(tracer._COUNTED.values())),
+    "metrics": tracer.layer_metrics(tracer.merge_summaries([summary])),
+    "spec": [metric["name"] for metric in tracer.per_layer_spec()],
 }))
 """
 
 
+# C refers to A across the two clusters, so the document holds a placeholder.
+_STRUCTURE = "entity A {\n}\nentity B {\n}\nentity C {\n    ref a -> A;\n}\nentity D {\n}\n"
+
+
 def test_tracer_hooks_read_every_traced_result(tmp_path):
     (tmp_path / "accesses.json").write_text(FIXTURE_A_ACCESSES)
-    model = ["--accesses", "accesses.json"]
+    (tmp_path / "structure.dsl").write_text(_STRUCTURE)
+    model = ["--accesses", "accesses.json", "--structure", "structure.dsl"]
     calls = [
         ["decompose", *model, "-n", "2", "-o", "dec.json"],
         ["assess", *model, "--decomposition", "dec.json", "-o", "assess.tsv"],
@@ -81,3 +88,10 @@ def test_tracer_hooks_read_every_traced_result(tmp_path):
     assert result["counted"]
     for name in result["counted"]:
         assert result["calls"].get(name, 0) > 0, name
+    # Every per-layer metric is reported; trace.* come from the harness.
+    metrics = result["metrics"]
+    assert sorted(metrics) == sorted(n for n in result["spec"] if not n.startswith("trace."))
+    placeholders = (tmp_path / "model.cml").read_text().count("// generated reference to ")
+    assert placeholders == 1
+    assert metrics["dddmap.placeholders"] == placeholders
+    assert metrics["dddmap.relationships"] == 1
