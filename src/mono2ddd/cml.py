@@ -754,7 +754,9 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
     are re-addressed, and runs of now-same-context steps become one step
     whose operation is the concatenation of the run's operation names.
     Coordinations reduced to a single step are demoted to plain operations.
-    The result shares every node the merge leaves unchanged with ``doc``.
+    A placeholder that keeps the name of an entity of the other context
+    raises ``RefactorError``. The result shares every node the merge leaves
+    unchanged with ``doc``.
     """
     if a == b:
         raise RefactorError("cannot merge a context with itself")
@@ -785,6 +787,11 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
                     if e.name in seen_placeholders:
                         renames[e.name] = e.name
                         continue
+                    if e.name in local_entities:
+                        raise RefactorError(
+                            f"context {merged_name!r} would have an entity {e.name!r} "
+                            f"and the placeholder of that name for {target!r}"
+                        )
                     seen_placeholders.add(e.name)
                 entities.append(e)
             name = agg.name

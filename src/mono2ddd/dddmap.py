@@ -75,22 +75,26 @@ def name_operation(
     raise MappingError(f"unknown naming heuristic {heuristic!r}")
 
 
+def _saga_accesses(sagas: list[Saga]) -> tuple[dict[str, int], dict[str, int]]:
+    """Per entity, its accesses by multi-step sagas and by single-step ones."""
+    external: dict[str, int] = {}
+    local: dict[str, int] = {}
+    for saga in sagas:
+        table = external if len(saga.steps) > 1 else local
+        for step in saga.steps:
+            for a in step.accesses:
+                table[a.entity] = table.get(a.entity, 0) + 1
+    return external, local
+
+
 def access_stats(members: tuple[str, ...], sagas: list[Saga]) -> dict[str, tuple[int, int]]:
     """Per-member (external, local) access counts for one cluster's members.
 
     External accesses are those made by multi-step (distributed) sagas,
     local accesses those made by single-step sagas.
     """
-    member_set = set(members)
-    external = dict.fromkeys(members, 0)
-    local = dict.fromkeys(members, 0)
-    for saga in sagas:
-        table = external if len(saga.steps) > 1 else local
-        for step in saga.steps:
-            for a in step.accesses:
-                if a.entity in member_set:
-                    table[a.entity] += 1
-    return {m: (external[m], local[m]) for m in members}
+    external, local = _saga_accesses(sagas)
+    return {m: (external.get(m, 0), local.get(m, 0)) for m in members}
 
 
 def elect_root(external_shares: dict[str, float]) -> str:
@@ -156,9 +160,10 @@ def map_decomposition(
             )
 
     structures = {e.name: e for e in model.entities}
+    external_accesses, local_accesses = _saga_accesses(sagas)
     contexts = []
     for name, members in decomposition.clusters:
-        counts = access_stats(members, sagas)
+        counts = {m: (external_accesses.get(m, 0), local_accesses.get(m, 0)) for m in members}
         external_total = sum(external for external, _ in counts.values())
         local_total = sum(local for _, local in counts.values())
         root = elect_root(

@@ -1,9 +1,14 @@
 """Similarity-driven clustering of entities into candidate decompositions.
 
-The pipeline is: trace statistics -> pairwise similarity -> agglomerative
+The pipeline is: trace index -> pairwise similarity -> agglomerative
 clustering (average linkage on distance ``1 - s``) -> named clusters. A grid
 search enumerates weight combinations and cluster counts to produce candidate
 decompositions for later ranking.
+
+One walk over a model's traces builds its index (``_index``), which the
+similarity criteria here and the measures in ``measures`` both read.
+Similarity is weighed straight into the rows of numbered entity distances
+that the clustering reads.
 
 Everything here is deterministic: ties in the linkage step are broken by the
 lexicographically smallest pair of cluster representatives, and cluster names
@@ -14,12 +19,15 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .errors import ContractError, DecompositionError
-from .model import WRITE, MonolithModel
+from .model import READ, MonolithModel
 
 WEIGHT_TOLERANCE = 1e-9
 # Largest number of (weights, n) candidates a grid may have: C(parts + 3, 3)
@@ -53,18 +61,28 @@ class SimilarityWeights:
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric entity similarity, keyed by sorted entity names."""
+    """Symmetric entity distances, numbered in entity name order.
+
+    ``entities`` are the model's distinct entity names in name order, and
+    ``rows[i][j]`` is the distance ``1 - s`` of ``entities[i]`` and
+    ``entities[j]``.
+    """
 
     entities: tuple[str, ...]
-    values: dict[tuple[str, str], float] = field(compare=False)
-
-    def similarity(self, e1: str, e2: str) -> float:
-        if e1 == e2:
-            return 1.0
-        return self.values.get((min(e1, e2), max(e1, e2)), 0.0)
+    rows: list[list[float]] = field(compare=False)
 
     def distance(self, e1: str, e2: str) -> float:
-        return 1.0 - self.similarity(e1, e2)
+        """The pair's distance; a name the model lacks is at 1 from all others."""
+        if e1 == e2:
+            return 0.0
+        names = self.entities
+        i, j = bisect_left(names, e1), bisect_left(names, e2)
+        if names[i : i + 1] == (e1,) and names[j : j + 1] == (e2,):
+            return self.rows[i][j]
+        return 1.0
+
+    def similarity(self, e1: str, e2: str) -> float:
+        return 1.0 - self.distance(e1, e2)
 
 
 @dataclass(frozen=True)
@@ -88,72 +106,143 @@ class Decomposition:
         return {e: name for name, members in self.clusters for e in members}
 
 
-@dataclass(frozen=True)
-class _Criteria:
-    """The weight-independent part of the similarity of one model.
+class _Index(NamedTuple):
+    """The facts of one model's traces that similarity and the measures read.
 
-    ``pairs`` holds, for every entity pair ``(e1, e2)`` with ``e1 < e2``
-    (the key ``SimilarityMatrix`` looks a pair up under, whatever the model's
-    entity order), the directed access, write and read ratios both ways plus
-    the symmetric sequence ratio: ``(e1, e2, a12, w12, r12, a21, w21, r21, s)``.
+    Entities are numbered: the model's distinct entity names in name order
+    (``names``, so comparing numbers compares names), then any traced entity
+    the model lacks (only a hand-built model has one) in first-seen order.
+    A set of entities is a bit mask over those numbers, and a set of
+    functionalities is a bit mask over their model positions.
+
+    - ``ids``: entity name -> number; ``known``: the model's entity names;
+      ``traced``: traced entity names in first-seen order.
+    - Per functionality, in model order: its name (``functionalities``), the
+      mask of its entities (``entities``), its trace's entities with each
+      repeat dropped (``runs``: consecutive entries follow each other),
+      entity -> its reads (``reads``) and writes (``writes``) of it, and
+      ``own``, ``reads + writes`` summed over the entities it both reads and
+      writes (there it meets itself among the accessors in the other mode).
+    - Per entity: the functionalities that read it (``readers``) and write it
+      (``writers``), and the entities that directly follow it (``successors``).
     """
 
-    entities: tuple[str, ...]
-    pairs: tuple[tuple[str, str, float, float, float, float, float, float, float], ...]
+    names: tuple[str, ...]
+    ids: dict[str, int]
+    known: frozenset[str]
+    traced: tuple[str, ...]
+    functionalities: tuple[str, ...]
+    entities: tuple[int, ...]
+    runs: tuple[list[int], ...]
+    reads: tuple[dict[int, int], ...]
+    writes: tuple[dict[int, int], ...]
+    own: tuple[int, ...]
+    readers: tuple[int, ...]
+    writers: tuple[int, ...]
+    successors: tuple[int, ...]
 
 
-def _criteria(model: MonolithModel) -> _Criteria:
-    """Compute the four similarity criteria of every entity pair once.
-
-    One walk over each trace collects the functionalities that access,
-    write and read each entity, and counts consecutive pairs of distinct
-    entities. A set of functionalities is a bit mask over their names, so
-    an intersection size is ``(m1 & m2).bit_count()``; a pair's two
-    directed ratios share that size and divide it by either side's size.
-    """
-    entities = model.entity_names()
-    acc = dict.fromkeys(entities, 0)
-    wr = dict.fromkeys(entities, 0)
-    rd = dict.fromkeys(entities, 0)
-    bits: dict[str, int] = {}
-    pair_counts: dict[tuple[str, str], int] = {}
-    for f in model.functionalities:
-        bit = 1 << bits.setdefault(f.name, len(bits))
-        written: set[str] = set()
-        read: set[str] = set()
-        prev = None
+def _index(model: MonolithModel) -> _Index:
+    """Walk every trace once and keep what similarity and the measures need."""
+    names = tuple(sorted(set(model.entity_names())))
+    ids = {name: e for e, name in enumerate(names)}
+    seen: dict[str, int] = {}
+    readers = [0] * len(names)
+    writers = [0] * len(names)
+    successors = [0] * len(names)
+    masks, runs, all_reads, all_writes, all_own = [], [], [], [], []
+    for position, f in enumerate(model.functionalities):
+        reads: dict[int, int] = {}
+        writes: dict[int, int] = {}
+        run: list[int] = []
+        prev = -1
         for a in f.trace:
-            e = a.entity
-            if a.mode == WRITE:
-                written.add(e)
+            e = seen.get(a.entity)
+            if e is None:
+                e = ids.get(a.entity)
+                if e is None:
+                    e = ids[a.entity] = len(readers)
+                    readers.append(0)
+                    writers.append(0)
+                    successors.append(0)
+                seen[a.entity] = e
+            if a.mode == READ:
+                reads[e] = reads.get(e, 0) + 1
             else:
-                read.add(e)
+                writes[e] = writes.get(e, 0) + 1
             if e != prev:
-                if prev is not None:
-                    key = (prev, e) if prev < e else (e, prev)
-                    pair_counts[key] = pair_counts.get(key, 0) + 1
+                if prev >= 0:
+                    successors[prev] |= 1 << e
+                run.append(e)
                 prev = e
-        for table, touched in ((wr, written), (rd, read), (acc, written | read)):
-            for e in touched:
-                table[e] = table.get(e, 0) | bit
+        bit = 1 << position
+        mask = 0
+        for e in reads:
+            readers[e] |= bit
+            mask |= 1 << e
+        for e in writes:
+            writers[e] |= bit
+            mask |= 1 << e
+        masks.append(mask)
+        runs.append(run)
+        all_reads.append(reads)
+        all_writes.append(writes)
+        all_own.append(sum([reads[e] + writes[e] for e in reads.keys() & writes.keys()]))
+    return _Index(
+        names=names,
+        ids=ids,
+        known=frozenset(names),
+        traced=tuple(seen),
+        functionalities=tuple(f.name for f in model.functionalities),
+        entities=tuple(masks),
+        runs=tuple(runs),
+        reads=tuple(all_reads),
+        writes=tuple(all_writes),
+        own=tuple(all_own),
+        readers=tuple(readers),
+        writers=tuple(writers),
+        successors=tuple(successors),
+    )
+
+
+def _criteria(index: _Index) -> list[tuple]:
+    """The weight-independent part of the similarity of every entity pair.
+
+    For every pair ``i < j`` of the model's entities: the directed access,
+    write and read ratios both ways plus the symmetric sequence ratio,
+    ``(i, j, a_ij, w_ij, r_ij, a_ji, w_ji, r_ji, s)``. A directed ratio is
+    the share of ``i``'s accessors (writers, readers) that also access
+    (write, read) ``j``; both directions share one intersection size,
+    ``(m1 & m2).bit_count()``. ``s`` counts the pair's consecutive
+    occurrences in either order over the count of the most frequent pair.
+    """
+    follows: Counter[tuple[int, int]] = Counter()
+    for run in index.runs:
+        follows.update(zip(run, run[1:]))
+    pair_counts: dict[tuple[int, int], int] = {}
+    for (prev, e), count in follows.items():
+        key = (prev, e) if prev < e else (e, prev)
+        pair_counts[key] = pair_counts.get(key, 0) + count
     max_pair = max(pair_counts.values(), default=0)
 
+    entities = range(len(index.names))
+    rd, wr = index.readers, index.writers
+    acc = [r | w for r, w in zip(rd, wr)]
     pairs = []
-    ordered = sorted(entities)
-    for i, e1 in enumerate(ordered):
-        a1, w1, r1 = acc[e1], wr[e1], rd[e1]
+    for i in entities:
+        a1, w1, r1 = acc[i], wr[i], rd[i]
         na1, nw1, nr1 = a1.bit_count(), w1.bit_count(), r1.bit_count()
-        for e2 in ordered[i + 1 :]:
-            a2, w2, r2 = acc[e2], wr[e2], rd[e2]
+        for j in entities[i + 1 :]:
+            a2, w2, r2 = acc[j], wr[j], rd[j]
             na2, nw2, nr2 = a2.bit_count(), w2.bit_count(), r2.bit_count()
             shared_a = (a1 & a2).bit_count()
             shared_w = (w1 & w2).bit_count()
             shared_r = (r1 & r2).bit_count()
-            follows = pair_counts.get((e1, e2), 0)
+            follows = pair_counts.get((i, j), 0)
             pairs.append(
                 (
-                    e1,
-                    e2,
+                    i,
+                    j,
                     shared_a / na1 if na1 else 0.0,
                     shared_w / nw1 if nw1 else 0.0,
                     shared_r / nr1 if nr1 else 0.0,
@@ -163,52 +252,32 @@ def _criteria(model: MonolithModel) -> _Criteria:
                     follows / max_pair if max_pair else 0.0,
                 )
             )
-    return _Criteria(entities, tuple(pairs))
+    return pairs
 
 
-def _combine(criteria: _Criteria, weights: SimilarityWeights) -> SimilarityMatrix:
-    """Weigh the criteria into a similarity matrix.
+def _combine(
+    names: tuple[str, ...], criteria: list[tuple], weights: SimilarityWeights
+) -> SimilarityMatrix:
+    """Weigh the criteria into distance rows.
 
-    Each direction is ``wa*a + ww*w + wr*r + ws*s`` and the pair's value is
-    the mean of both directions, evaluated in this order so every weight
-    vector gives the same floats as a from-scratch computation.
+    Each direction is ``wa*a + ww*w + wr*r + ws*s``, the pair's similarity
+    is the mean of both directions, evaluated in this order so every weight
+    vector gives the same floats as a from-scratch computation, and its
+    distance is ``1 - similarity``.
     """
     wa, ww, wr, ws = weights.as_tuple()
-    values = {
-        (e1, e2): (
-            (wa * a12 + ww * w12 + wr * r12 + ws * s)
-            + (wa * a21 + ww * w21 + wr * r21 + ws * s)
-        )
-        / 2.0
-        for e1, e2, a12, w12, r12, a21, w21, r21, s in criteria.pairs
-    }
-    return SimilarityMatrix(criteria.entities, values)
+    rows = [[0.0] * len(names) for _ in names]
+    for i, j, a12, w12, r12, a21, w21, r21, s in criteria:
+        rows[i][j] = rows[j][i] = 1.0 - (
+            (wa * a12 + ww * w12 + wr * r12 + ws * s) + (wa * a21 + ww * w21 + wr * r21 + ws * s)
+        ) / 2.0
+    return SimilarityMatrix(names, rows)
 
 
 def build_similarity(model: MonolithModel, weights: SimilarityWeights) -> SimilarityMatrix:
     """Compute the symmetrized similarity matrix for all model entities."""
-    return _combine(_criteria(model), weights)
-
-
-def _distance_rows(matrix: SimilarityMatrix) -> tuple[list[str], list[list[float]]]:
-    """Entity names in sorted order and their distances as rows of a list.
-
-    Entity ``i`` is ``names[i]``, so comparing numbers compares names.
-    ``rows[i][j]`` is ``matrix.distance(names[i], names[j])``: a pair is
-    looked up under its sorted names, as ``build_similarity`` stores every
-    pair, and a pair a hand-built matrix stores any other way counts as
-    similarity 0.
-    """
-    names = sorted(set(matrix.entities))
-    ids = {name: i for i, name in enumerate(names)}
-    rows = [[1.0] * len(names) for _ in names]
-    for i, row in enumerate(rows):
-        row[i] = 0.0
-    for (e1, e2), value in matrix.values.items():
-        if e1 < e2 and e1 in ids and e2 in ids:
-            i, j = ids[e1], ids[e2]
-            rows[i][j] = rows[j][i] = 1.0 - value
-    return names, rows
+    index = _index(model)
+    return _combine(index.names, _criteria(index), weights)
 
 
 def _agglomerate(
@@ -224,7 +293,7 @@ def _agglomerate(
     cluster is formed and kept until one of them merges, so no running
     totals change the float results.
     """
-    names, rows = _distance_rows(matrix)
+    names, rows = matrix.entities, matrix.rows
     members: dict[int, list[int]] = {e: [e] for e in range(len(names))}
     # The mean distance of two single entities is their distance.
     linkages = {
@@ -326,16 +395,17 @@ def search_decompositions(
     """
     if not n_values:
         raise DecompositionError("no cluster counts requested")
+    index = _index(model)
     for n in n_values:
-        if n < 1 or n > len(model.entity_names()):
+        if n < 1 or n > len(index.names):
             raise DecompositionError(f"cluster count {n} out of range for this model")
     counts = sorted(set(n_values))
     _check_grid_size(_grid_parts(step), len(counts))
-    criteria = _criteria(model)
+    criteria = _criteria(index)
     results = [
         d
         for weights in weight_grid(step)
-        for d in _agglomerate(_combine(criteria, weights), weights, counts)
+        for d in _agglomerate(_combine(index.names, criteria, weights), weights, counts)
     ]
     results.sort(key=lambda d: (d.weights.as_tuple(), d.n))
     return results

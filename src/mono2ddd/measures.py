@@ -3,22 +3,24 @@
 Cohesion rewards clusters whose entities are used together; coupling counts
 cross-cluster hops in the traces; complexity estimates migration cost by
 counting read/write interleavings between functionalities that span more
-than one cluster.
+than one cluster. All of them read the one index of a model's traces that
+``decompose._index`` builds, the index similarity is read from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .decompose import (
     Decomposition,
     decomposition_to_json,
     search_decompositions,
     _check_fit,
+    _Index,
+    _index,
 )
 from .errors import DecompositionError
-from .model import READ, MonolithModel
+from .model import MonolithModel
 
 
 @dataclass(frozen=True)
@@ -53,105 +55,6 @@ def coupling(model: MonolithModel, decomposition: Decomposition, name: str) -> f
     return measure(model, decomposition).cluster(name).coupling
 
 
-class _Index(NamedTuple):
-    """The partition-independent facts of one model that the measures read.
-
-    Entities are numbered: the traced ones in first-seen order, then the
-    model's untraced ones in model order. A set of entities is a bit mask
-    over those numbers, and a set of functionalities is a bit mask over
-    their model positions.
-
-    - ``functionalities``: names in model order.
-    - ``ids``: entity name -> number.
-    - ``known``: the model's entity names; ``traced``: traced entity names
-      in first-seen order (the inputs of ``check_decomposition``'s rules).
-    - ``entities``: per functionality, the mask of its distinct entities.
-    - ``first``: per functionality, the number of its trace's first entity.
-    - ``reads``, ``writes``: per functionality, entity -> its reads (writes)
-      of it.
-    - ``own``: per functionality, ``reads + writes`` summed over the
-      entities it both reads and writes: there it meets itself among the
-      accessors in the other mode.
-    - ``readers``, ``writers``: per entity, the functionalities that read
-      (write) it.
-    - ``successors``: per entity, the entities that directly follow it in
-      some trace.
-    """
-
-    functionalities: tuple[str, ...]
-    ids: dict[str, int]
-    known: frozenset[str]
-    traced: tuple[str, ...]
-    entities: tuple[int, ...]
-    first: tuple[int, ...]
-    reads: tuple[dict[int, int], ...]
-    writes: tuple[dict[int, int], ...]
-    own: tuple[int, ...]
-    readers: tuple[int, ...]
-    writers: tuple[int, ...]
-    successors: tuple[int, ...]
-
-
-def _index(model: MonolithModel) -> _Index:
-    """Walk every trace once and keep what any partition's measures need."""
-    ids: dict[str, int] = {}
-    bits: list[int] = []
-    readers: list[int] = []
-    writers: list[int] = []
-    successors: list[int] = []
-    masks, first, all_reads, all_writes, all_own = [], [], [], [], []
-    for position, f in enumerate(model.functionalities):
-        reads: dict[int, int] = {}
-        writes: dict[int, int] = {}
-        prev = -1
-        for a in f.trace:
-            e = ids.get(a.entity)
-            if e is None:
-                e = ids[a.entity] = len(bits)
-                bits.append(1 << e)
-                readers.append(0)
-                writers.append(0)
-                successors.append(0)
-            if a.mode == READ:
-                reads[e] = reads.get(e, 0) + 1
-            else:
-                writes[e] = writes.get(e, 0) + 1
-            if e != prev:
-                if prev >= 0:
-                    successors[prev] |= bits[e]
-                prev = e
-        bit = 1 << position
-        mask = 0
-        for e in reads:
-            readers[e] |= bit
-            mask |= bits[e]
-        for e in writes:
-            writers[e] |= bit
-            mask |= bits[e]
-        masks.append(mask)
-        first.append(ids[f.trace[0].entity])
-        all_reads.append(reads)
-        all_writes.append(writes)
-        all_own.append(sum([reads[e] + writes[e] for e in reads.keys() & writes.keys()]))
-    traced = tuple(ids)
-    for name in model.entity_names():
-        ids.setdefault(name, len(ids))
-    return _Index(
-        functionalities=tuple(f.name for f in model.functionalities),
-        ids=ids,
-        known=frozenset(model.entity_names()),
-        traced=traced,
-        entities=tuple(masks),
-        first=tuple(first),
-        reads=tuple(all_reads),
-        writes=tuple(all_writes),
-        own=tuple(all_own),
-        readers=tuple(readers),
-        writers=tuple(writers),
-        successors=tuple(successors),
-    )
-
-
 def _measure(index: _Index, decomposition: Decomposition) -> tuple[MeasureReport, list[float]]:
     """The report of one partition, plus each functionality's complexity.
 
@@ -183,8 +86,8 @@ def _measure(index: _Index, decomposition: Decomposition) -> tuple[MeasureReport
         reach[owner[e]] |= successors
 
     distributed = 0
-    for position, (entities, first) in enumerate(zip(index.entities, index.first)):
-        if entities & masks[owner[first]] != entities:
+    for position, (entities, run) in enumerate(zip(index.entities, index.runs)):
+        if entities & masks[owner[run[0]]] != entities:
             distributed |= 1 << position
     write_shared = [(m & distributed).bit_count() for m in index.writers]
     read_shared = [(m & distributed).bit_count() for m in index.readers]

@@ -104,6 +104,8 @@ class EntityStructure:
 class MonolithModel:
     """Validated model: every traced entity has a structure entry.
 
+    Functionality names are unique; a repeated one raises ``ValueError``.
+
     ``warnings`` records repairs made during validation (synthesized
     entities, dropped duplicates). They are diagnostics, not state: two
     models that agree on entities and functionalities compare equal even if
@@ -113,6 +115,13 @@ class MonolithModel:
     entities: tuple[EntityStructure, ...]
     functionalities: tuple[Functionality, ...]
     warnings: tuple[str, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        names: set[str] = set()
+        for f in self.functionalities:
+            if f.name in names:
+                raise ValueError(f"duplicate functionality name {f.name!r}")
+            names.add(f.name)
 
     def entity_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entities)

@@ -290,6 +290,21 @@ def test_cml_merge_keeps_a_real_entity_named_like_a_placeholder(workdir, capsys)
     assert names == ["Question", "Question_Reference", "Topic"]
 
 
+@pytest.mark.parametrize("a, b", [("C1", "C2"), ("C2", "C1")])
+def test_cml_merge_refuses_a_placeholder_named_like_an_entity(workdir, capsys, a, b):
+    # Quiz's reference gives C2 a Question_Reference placeholder, and C1
+    # holds a real entity of that name: the merged context would have both.
+    structure = _REFERENCE_NAMED_STRUCTURE + "entity Quiz {\n    ref question -> Question;\n}\n"
+    clusters = dict(_REFERENCE_NAMED_CLUSTERS, C2=["Quiz"])
+    code, err = _to_cml_then_dot(workdir, capsys, structure, clusters)
+    assert code == 0, err
+    cml = str(workdir / "kw.cml")
+    code, out, err = run(capsys, "cml", "merge", "--in", cml, "-a", a, "-b", b)
+    assert code == 1
+    assert f"context '{a}_{b}'" in err and "'Question_Reference'" in err
+    assert out == ""
+
+
 def test_cml_split_accepts_a_real_entity_named_like_a_placeholder(workdir, capsys):
     cml = _reference_named_cml(workdir, capsys)
     code, out, err = run(

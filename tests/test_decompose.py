@@ -72,8 +72,9 @@ def test_fixture_a_similarity_values(fixture_a):
     assert matrix.similarity("B", "C") == pytest.approx(5 / 12, abs=TOL)
     assert matrix.similarity("A", "D") == 0.0
     oracle = oracle_similarity(fixture_a, UNIT_WEIGHTS)
-    for (lo, hi), value in matrix.values.items():
-        assert value == pytest.approx(oracle[frozenset((lo, hi))], abs=TOL)
+    for pair, expected in oracle.items():
+        lo, hi = sorted(pair)
+        assert matrix.similarity(lo, hi) == pytest.approx(expected, abs=TOL)
 
 
 def test_similarity_matches_oracle_on_random_models():
@@ -83,8 +84,10 @@ def test_similarity_matches_oracle_on_random_models():
         weights = rng.choice(weight_grid(0.25))
         matrix = build_similarity(model, weights)
         oracle = oracle_similarity(model, weights)
-        for (lo, hi), value in matrix.values.items():
-            assert abs(value - oracle[frozenset((lo, hi))]) < TOL
+        for pair, expected in oracle.items():
+            lo, hi = sorted(pair)
+            value = matrix.similarity(lo, hi)
+            assert abs(value - expected) < TOL
             assert 0.0 <= value <= 1.0 + TOL
 
 
@@ -112,6 +115,23 @@ def test_similarity_does_not_depend_on_entity_order():
         for e1 in names:
             for e2 in names:
                 assert first.similarity(e1, e2) == second.similarity(e1, e2)
+
+
+def test_an_entity_declared_twice_counts_once():
+    # Only a hand-built model can declare an entity twice.
+    model = MonolithModel(
+        (EntityStructure("A"), EntityStructure("A"), EntityStructure("B")),
+        (Functionality("f", (Access("A", "R"), Access("B", "W"))),),
+    )
+    assert build_similarity(model, UNIT_WEIGHTS).entities == ("A", "B")
+    assert dict(decompose(model, UNIT_WEIGHTS, 2).clusters) == {
+        "Cluster0": ("A",),
+        "Cluster1": ("B",),
+    }
+    with pytest.raises(DecompositionError, match="cannot make 3 clusters from 2 entities"):
+        decompose(model, UNIT_WEIGHTS, 3)
+    with pytest.raises(DecompositionError, match="cluster count 3 out of range"):
+        search_decompositions(model, 0.5, [3])
 
 
 def test_fixture_a_two_clusters(fixture_a):

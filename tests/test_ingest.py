@@ -14,7 +14,7 @@ from mono2ddd.ingest import (
     structure_to_json,
     validate_model,
 )
-from mono2ddd.model import Access, EntityStructure, Functionality, Reference
+from mono2ddd.model import Access, EntityStructure, Functionality, MonolithModel, Reference
 
 
 def test_parse_accesses_preserves_order():
@@ -161,6 +161,18 @@ def test_validate_model_keeps_first_duplicate():
     model = validate_model([Functionality("f", (Access("A", "R"),))], structures)
     assert model.structure("A").references == ()
     assert any("duplicate entity" in w for w in model.warnings)
+
+
+def test_a_model_rejects_two_functionalities_with_one_name():
+    f = Functionality("f", (Access("A", "R"),))
+    again = Functionality("f", (Access("B", "W"),))
+    entities = (EntityStructure("A"), EntityStructure("B"))
+    with pytest.raises(ValueError, match="duplicate functionality name 'f'"):
+        MonolithModel(entities, (f, Functionality("g", f.trace), again))
+    # validate_model keeps the first and says so.
+    model = validate_model([f, again], list(entities))
+    assert model.functionalities == (f,)
+    assert "duplicate functionality 'f' dropped" in model.warnings
 
 
 def test_validate_model_drops_second_inheritance():

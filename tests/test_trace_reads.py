@@ -2,11 +2,12 @@
 
 `parse_accesses` and `parse_sagas` build each well-shaped entry straight from
 its checked fields and send every other entry through the full checks;
-`_criteria` walks each trace once. These tests hold copies of the readers
-and of `_criteria` as they were before, entry-by-entry checks and one
-`_accessors` walk per mode, and require the same results, or the same error
-with the same message and location, on seeded valid documents, on the
-fuzzer's near-valid documents and on hand-picked bad entries.
+`_criteria` reads the pairs' ratios from one index of the traces. These
+tests hold copies of the readers and of `_criteria` as they were before,
+entry-by-entry checks and one `_accessors` walk per mode, and require the
+same results, or the same error with the same message and location, on
+seeded valid documents, on the fuzzer's near-valid documents and on
+hand-picked bad entries.
 """
 
 from __future__ import annotations
@@ -162,7 +163,10 @@ def _accessors(model: MonolithModel, mode: str | None = None) -> dict[str, set[s
 
 
 def old_criteria(model: MonolithModel):
-    """Compute the four similarity criteria of every entity pair once."""
+    """Compute the four similarity criteria of every entity pair once.
+
+    Each pair is ``(e1, e2, a12, w12, r12, a21, w21, r21, s)``.
+    """
     entities = model.entity_names()
     acc = _accessors(model)
     wr = _accessors(model, WRITE)
@@ -198,7 +202,7 @@ def old_criteria(model: MonolithModel):
                     follows / max_pair if max_pair else 0.0,
                 )
             )
-    return decompose_module._Criteria(entities, tuple(pairs))
+    return pairs
 
 
 # --- documents ----------------------------------------------------------------
@@ -380,4 +384,7 @@ def _criteria_models():
 
 def test_criteria_match_the_accessor_tables_exactly():
     for model in _criteria_models():
-        assert repr(decompose_module._criteria(model)) == repr(old_criteria(model))
+        index = decompose_module._index(model)
+        names = index.names
+        pairs = [(names[i], names[j], *ratios) for i, j, *ratios in decompose_module._criteria(index)]
+        assert repr(pairs) == repr(old_criteria(model))
