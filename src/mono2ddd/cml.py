@@ -754,9 +754,10 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
     are re-addressed, and runs of now-same-context steps become one step
     whose operation is the concatenation of the run's operation names.
     Coordinations reduced to a single step are demoted to plain operations.
-    A placeholder that keeps the name of an entity of the other context
-    raises ``RefactorError``. The result shares every node the merge leaves
-    unchanged with ``doc``.
+    Two contexts that each hold a real entity of one name, or a placeholder
+    that keeps the name of an entity of the other context, raise
+    ``RefactorError``: the merged context would hold that name twice. The
+    result shares every node the merge leaves unchanged with ``doc``.
     """
     if a == b:
         raise RefactorError("cannot merge a context with itself")
@@ -766,9 +767,15 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
     if any(c.name == merged_name for c in doc.contexts):
         raise RefactorError(f"context {merged_name!r} already exists")
 
-    local_entities = {
-        e.name for ctx in (ctx_a, ctx_b) for e in ctx.entities if not e.is_reference
-    }
+    local_a = {e.name for e in ctx_a.entities if not e.is_reference}
+    local_b = {e.name for e in ctx_b.entities if not e.is_reference}
+    shared = sorted(local_a & local_b)
+    if shared:
+        raise RefactorError(
+            f"context {merged_name!r} would have two entities named {shared[0]!r}, "
+            f"one from {a!r} and one from {b!r}"
+        )
+    local_entities = local_a | local_b
 
     # Collapse placeholders whose target is now local; dedupe survivors.
     survivors: list[tuple[str, list[CmlEntity], dict[str, str], tuple[str, ...]]] = []

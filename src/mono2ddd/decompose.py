@@ -10,6 +10,12 @@ similarity criteria here and the measures in ``measures`` both read.
 Similarity is weighed straight into the rows of numbered entity distances
 that the clustering reads.
 
+Clustering does not re-sum linkages: a float screen kept by Lance and
+Williams' update rule, with a nearest-neighbour cache per row, finds the
+closest pair, and only pairs the screen cannot tell apart are re-summed
+exactly as the merge rule defines them, so a whole merge sequence costs
+about the square of the entity count rather than its cube.
+
 Everything here is deterministic: ties in the linkage step are broken by the
 lexicographically smallest pair of cluster representatives, and cluster names
 are assigned by each cluster's smallest member.
@@ -23,6 +29,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -280,6 +287,16 @@ def build_similarity(model: MonolithModel, weights: SimilarityWeights) -> Simila
     return _combine(index.names, _criteria(index), weights)
 
 
+def _linkage(rows: list[list[float]], a: list[int], b: list[int]) -> float:
+    """The average linkage of clusters ``a`` and ``b`` as the merge rule reads it.
+
+    ``a`` is the cluster with the smaller head. Its sorted members are the
+    outer loop and ``b``'s sorted members the inner one; the terms are
+    summed in that order with one ``sum`` and divided by ``len(a) * len(b)``.
+    """
+    return sum([row[y] for row in map(rows.__getitem__, a) for y in b]) / (len(a) * len(b))
+
+
 def _agglomerate(
     matrix: SimilarityMatrix, weights: SimilarityWeights, n_values: list[int]
 ) -> list[Decomposition]:
@@ -287,20 +304,53 @@ def _agglomerate(
 
     The merge sequence does not depend on where it stops, so each cut equals
     a separate run down to that count. Entities are numbered in name order
-    and a cluster is keyed by its smallest member (its head). The linkage of
-    two clusters is the exact in-order sum of their entity distances, outer
-    loop over the cluster with the smaller head; it is computed when either
-    cluster is formed and kept until one of them merges, so no running
-    totals change the float results.
+    and a cluster is keyed by its smallest member (its head). Each merge
+    joins the pair with the smallest ``(_linkage, lo, hi)``, where ``lo <
+    hi`` are the two heads.
+
+    Finding that pair does not re-sum every linkage. A screen keeps float
+    average linkages, updated at each merge by Lance and Williams' rule
+    ``d(k, a|b) = (na*d(k, a) + nb*d(k, b)) / (na + nb)``, and each head
+    caches its nearest larger head (value and partner); a merge rescans
+    only the merged row and the rows whose partner was one of the pair
+    (Müllner's generic algorithm, not the NN-chain, whose order of tied
+    merges differs). The pairs whose screened value is within ``tol`` of
+    the screened minimum are the candidates. A single candidate is merged;
+    several are each recomputed with ``_linkage`` and the smallest
+    ``(value, lo, hi)`` is merged.
+
+    The screen chooses what ``_linkage`` would choose if ``tol`` is at least
+    twice the largest gap between a screened value and its ``_linkage``:
+    then the pair ``_linkage`` ranks first, and every pair tied with it,
+    lies within ``tol`` of the screened minimum. With ``E`` entities, unit
+    roundoff ``u = 2**-53`` and distances of magnitude at most 1 (plus the
+    weights' 1e-9 slack), ``_linkage`` sums at most ``E*E/4`` terms in order,
+    so it is off the real mean by at most about ``(E*E/4 + 1) * u``; each
+    Lance-Williams update averages its inputs' errors and adds at most
+    ``3u``, and a linkage is updated at most ``E`` times, so a screened value
+    is off by at most about ``3*E*u``. Twice their sum is below
+    ``tol = (E + 4)**2 * u``, whatever rounding ``sum`` does (Python 3.12
+    compensates it), so every merge is the one that re-summing all linkages
+    would make.
     """
     names, rows = matrix.entities, matrix.rows
-    members: dict[int, list[int]] = {e: [e] for e in range(len(names))}
-    # The mean distance of two single entities is their distance.
-    linkages = {
-        (lo, hi): (row[hi], lo, hi)
-        for lo, row in enumerate(rows)
-        for hi in range(lo + 1, len(rows))
-    }
+    size = len(names)
+    tol = (size + 4) ** 2 * 2.0**-53
+    inf = math.inf
+    screened = [row[:] for row in rows]
+    for e, row in enumerate(screened):
+        row[e] = inf
+    nearest = [inf] * size
+    partner = [-1] * size
+
+    def rescan(i: int) -> None:
+        row = screened[i]
+        value = nearest[i] = min(row[i + 1 :], default=inf)
+        partner[i] = row.index(value, i + 1) if value < inf else -1
+
+    for e in range(size):
+        rescan(e)
+    members: dict[int, list[int]] = {e: [e] for e in range(size)}
     cuts: dict[int, Decomposition] = {}
     wanted = set(n_values)
     while True:
@@ -312,30 +362,52 @@ def _agglomerate(
             cuts[len(members)] = Decomposition(weights, len(members), named)
         if len(members) <= min(wanted):
             break
-        _, lo, hi = min(linkages.values())
-        merged = sorted(members.pop(lo) + members.pop(hi))
-        merged_rows = [rows[x] for x in merged]
-        del linkages[(lo, hi)]
-        for head, group in members.items():
-            del linkages[(head, hi) if head < hi else (hi, head)]
-            # Overwrites the linkage of ``head`` and ``lo``, summed with the
-            # outer loop over the cluster with the smaller head.
-            if head < lo:
-                total = sum([row[y] for row in map(rows.__getitem__, group) for y in merged])
-                linkages[(head, lo)] = (total / (len(group) * len(merged)), head, lo)
-            else:
-                total = sum([row[y] for row in merged_rows for y in group])
-                linkages[(lo, head)] = (total / (len(merged) * len(group)), lo, head)
-        members[lo] = merged
+        limit = min(nearest) + tol
+        pairs = [
+            (lo, hi)
+            for lo in compress(range(size), map(limit.__ge__, nearest))
+            for hi in compress(range(lo + 1, size), map(limit.__ge__, screened[lo][lo + 1 :]))
+        ]
+        if len(pairs) == 1:
+            [(lo, hi)] = pairs
+        else:
+            _, lo, hi = min((_linkage(rows, members[a], members[b]), a, b) for a, b in pairs)
+
+        a, b = members[lo], members.pop(hi)
+        na, nb = len(a), len(b)
+        row_lo, row_hi = screened[lo], screened[hi]
+        row_lo[hi] = nearest[hi] = inf
+        for k in members:
+            if k == lo:
+                continue
+            value = row_lo[k] = (na * row_lo[k] + nb * row_hi[k]) / (na + nb)
+            row_k = screened[k]
+            row_k[lo] = value
+            row_k[hi] = inf
+            if k < lo:
+                if partner[k] == lo or partner[k] == hi:
+                    rescan(k)
+                # An average is never below both its inputs; only rounding
+                # can take it under the cached value.
+                elif value < nearest[k]:
+                    nearest[k], partner[k] = value, lo
+            elif k < hi and partner[k] == hi:
+                rescan(k)
+        rescan(lo)
+        members[lo] = sorted(a + b)
     return [cuts[n] for n in sorted(wanted)]
 
 
 def cluster(matrix: SimilarityMatrix, weights: SimilarityWeights, n: int) -> Decomposition:
     """Agglomerate entities into ``n`` clusters with average linkage.
 
-    Cluster distance is the mean pairwise entity distance; ties are broken
-    by the lexicographically smallest (first, second) member pair so equal
-    inputs always produce equal outputs.
+    Cluster distance is the mean pairwise entity distance. Each merge joins
+    the closest pair, and a tie goes to the pair whose smallest members come
+    first by name (the smaller of the two, then the other), so equal inputs
+    always produce equal outputs. Each merge costs time linear in the
+    number of clusters, plus a rescan of the few rows whose nearest
+    neighbour merged; ``_agglomerate`` says how, and why the float screen
+    it uses picks the same pair as re-summing every linkage would.
     """
     entities = matrix.entities
     if n < 1:
@@ -393,9 +465,15 @@ def search_decompositions(
     clustered once and cut at every requested size. Results come back sorted
     by (weights, n).
     """
+    return _search(_index(model), step, n_values)
+
+
+def _search(
+    index: _Index, step: float, n_values: list[int] | tuple[int, ...]
+) -> list[Decomposition]:
+    """``search_decompositions`` on an index built already."""
     if not n_values:
         raise DecompositionError("no cluster counts requested")
-    index = _index(model)
     for n in n_values:
         if n < 1 or n > len(index.names):
             raise DecompositionError(f"cluster count {n} out of range for this model")

@@ -4,20 +4,23 @@ Cohesion rewards clusters whose entities are used together; coupling counts
 cross-cluster hops in the traces; complexity estimates migration cost by
 counting read/write interleavings between functionalities that span more
 than one cluster. All of them read the one index of a model's traces that
-``decompose._index`` builds, the index similarity is read from.
+``decompose._index`` builds, the index similarity is read from, and a grid
+search shares one memo of per-cluster and per-distributed-set facts across
+all its partitions (``_measure``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decompose import (
     Decomposition,
     decomposition_to_json,
-    search_decompositions,
     _check_fit,
     _Index,
     _index,
+    _search,
 )
 from .errors import DecompositionError
 from .model import MonolithModel
@@ -55,18 +58,77 @@ def coupling(model: MonolithModel, decomposition: Decomposition, name: str) -> f
     return measure(model, decomposition).cluster(name).coupling
 
 
-def _measure(index: _Index, decomposition: Decomposition) -> tuple[MeasureReport, list[float]]:
+class _ClusterFacts(NamedTuple):
+    """What one cluster's measures take from its own members alone.
+
+    ``users``: the positions of the functionalities that touch it, which
+    ``cohesion`` averages over; ``reach``: the mask of the entities that
+    directly follow one of its entities in a trace; ``contained``: the mask
+    of the functionalities all of whose entities it holds; ``complexity``:
+    its complexity under each set of distributed functionalities (a mask)
+    met so far.
+    """
+
+    users: list[int]
+    cohesion: float
+    reach: int
+    contained: int
+    complexity: dict[int, float]
+
+
+def _cluster_facts(index: _Index, mask: int, size: int) -> _ClusterFacts:
+    hits = [(entities & mask).bit_count() for entities in index.entities]
+    users = [position for position, count in enumerate(hits) if count]
+    reach = 0
+    for e, successors in enumerate(index.successors):
+        if mask >> e & 1:
+            reach |= successors
+    contained = 0
+    for position, entities in enumerate(index.entities):
+        if entities & mask == entities:
+            contained |= 1 << position
+    return _ClusterFacts(
+        users=users,
+        cohesion=sum([count / size for count in hits if count]) / len(users) if users else 0.0,
+        reach=reach,
+        contained=contained,
+        complexity={},
+    )
+
+
+def _complexities(index: _Index, distributed: int) -> list[float]:
+    """Each functionality's complexity, given the mask of distributed ones."""
+    write_shared = [(m & distributed).bit_count() for m in index.writers]
+    read_shared = [(m & distributed).bit_count() for m in index.readers]
+    by_functionality = [0.0] * len(index.functionalities)
+    for position, (reads, writes, own) in enumerate(zip(index.reads, index.writes, index.own)):
+        if distributed >> position & 1:
+            total = sum([n * write_shared[e] for e, n in reads.items()])
+            total += sum([n * read_shared[e] for e, n in writes.items()])
+            by_functionality[position] = float(total - own)
+    return by_functionality
+
+
+def _measure(
+    index: _Index, decomposition: Decomposition, memo: dict
+) -> tuple[MeasureReport, list[float]]:
     """The report of one partition, plus each functionality's complexity.
 
     Clusters are told apart by name, and an entity listed twice belongs to
     the later cluster, as in ``Decomposition.assignment``. A functionality
-    is distributed when its entities span more than one cluster. Its
+    is distributed when no one cluster holds all its entities. Its
     complexity counts, per access, the other distributed functionalities
     that access the same entity in the other mode:
     ``sum(reads(e) * (|W(e) & D| - [f writes e]) + writes(e) * (|R(e) & D|
     - [f reads e]))`` over its entities ``e``, where ``D`` is the set of
     distributed functionalities. The sums are integers, and every float is
     summed in the order the cluster rows and the model list them.
+
+    ``memo`` keeps what partitions of one model share, and must only ever
+    see that model's index: a cluster's ``_ClusterFacts`` under its
+    ``(entity mask, listed size)``, and the per-functionality complexities
+    under the distributed mask. Only coupling, which depends on the other
+    clusters, is computed for every partition.
     """
     _check_fit(decomposition, index.known, index.traced)
     ids = index.ids
@@ -80,54 +142,44 @@ def _measure(index: _Index, decomposition: Decomposition) -> tuple[MeasureReport
     for e, c in enumerate(owner):
         if c >= 0:
             masks[c] |= 1 << e
-    # Only traced entities have successors, and each of them has a cluster.
-    reach = [0] * len(positions)
-    for e, successors in enumerate(index.successors):
-        reach[owner[e]] |= successors
 
-    distributed = 0
-    for position, (entities, run) in enumerate(zip(index.entities, index.runs)):
-        if entities & masks[owner[run[0]]] != entities:
-            distributed |= 1 << position
-    write_shared = [(m & distributed).bit_count() for m in index.writers]
-    read_shared = [(m & distributed).bit_count() for m in index.readers]
-    by_functionality = [0.0] * len(index.functionalities)
-    for position, (reads, writes, own) in enumerate(zip(index.reads, index.writes, index.own)):
-        if distributed >> position & 1:
-            total = sum([n * write_shared[e] for e, n in reads.items()])
-            total += sum([n * read_shared[e] for e, n in writes.items()])
-            by_functionality[position] = float(total - own)
+    facts = []
+    contained = 0
+    for name, members in decomposition.clusters:
+        key = (masks[positions[name]], len(members))
+        cluster = memo.get(key)
+        if cluster is None:
+            cluster = memo[key] = _cluster_facts(index, *key)
+        facts.append(cluster)
+        contained |= cluster.contained
+    distributed = ((1 << len(index.functionalities)) - 1) & ~contained
+    by_functionality = memo.get(distributed)
+    if by_functionality is None:
+        by_functionality = memo[distributed] = _complexities(index, distributed)
 
     k = len(decomposition.clusters)
     rows = []
-    for name, members in decomposition.clusters:
-        c = positions[name]
-        mask = masks[c]
-        size = len(members)
-        hits = [(entities & mask).bit_count() for entities in index.entities]
-        users = [position for position, count in enumerate(hits) if count]
+    for (name, members), cluster in zip(decomposition.clusters, facts):
+        users = cluster.users
         coupling_total = 0.0
         if k > 1:
             for other, other_members in decomposition.clusters:
                 if other != name:
-                    entered = (reach[c] & masks[positions[other]]).bit_count()
+                    entered = (cluster.reach & masks[positions[other]]).bit_count()
                     coupling_total += entered / len(other_members)
+        complexity = cluster.complexity.get(distributed)
+        if complexity is None:
+            complexity = cluster.complexity[distributed] = (
+                sum([by_functionality[f] for f in users]) / len(users) if users else 0.0
+            )
         rows.append(
             ClusterMeasures(
                 name=name,
-                size=size,
+                size=len(members),
                 functionalities=len(users),
-                cohesion=(
-                    sum([count / size for count in hits if count]) / len(users)
-                    if users
-                    else 0.0
-                ),
+                cohesion=cluster.cohesion,
                 coupling=coupling_total / (k - 1) if k > 1 else 0.0,
-                complexity=(
-                    sum([by_functionality[f] for f in users]) / len(users)
-                    if users
-                    else 0.0
-                ),
+                complexity=complexity,
             )
         )
 
@@ -146,7 +198,7 @@ def _measure(index: _Index, decomposition: Decomposition) -> tuple[MeasureReport
 def complexity(model: MonolithModel, decomposition: Decomposition, name: str) -> float:
     """Complexity of one functionality under the given decomposition."""
     index = _index(model)
-    _, by_functionality = _measure(index, decomposition)
+    _, by_functionality = _measure(index, decomposition, {})
     complexities = dict(zip(index.functionalities, by_functionality))
     if name not in complexities:
         raise DecompositionError(f"unknown functionality {name!r}")
@@ -155,7 +207,7 @@ def complexity(model: MonolithModel, decomposition: Decomposition, name: str) ->
 
 def measure(model: MonolithModel, decomposition: Decomposition) -> MeasureReport:
     """Per-cluster and decomposition-level measures of one partition."""
-    return _measure(_index(model), decomposition)[0]
+    return _measure(_index(model), decomposition, {})[0]
 
 
 def search_candidates(
@@ -163,17 +215,21 @@ def search_candidates(
 ) -> list[tuple[Decomposition, MeasureReport]]:
     """Grid-search decompositions and attach measures to each candidate.
 
-    Cluster names follow from the partition, so equal partitions get equal
-    reports and each distinct one is measured once, from one index of the
-    model's traces.
+    One index of the model's traces serves the clustering and every
+    measure. Cluster names follow from the partition, so equal partitions
+    get equal reports and each distinct one is measured once. The grid
+    repeats clusters and distributed sets far more than partitions, so one
+    ``_measure`` memo serves the whole call: each distinct cluster's facts,
+    each distinct distributed set's complexities and each cluster's
+    complexity under a distributed set are computed once.
     """
-    decompositions = search_decompositions(model, step, n_values)
     index = _index(model)
+    memo: dict = {}
     reports: dict[tuple, MeasureReport] = {}
     candidates = []
-    for d in decompositions:
+    for d in _search(index, step, n_values):
         if d.clusters not in reports:
-            reports[d.clusters] = _measure(index, d)[0]
+            reports[d.clusters] = _measure(index, d, memo)[0]
         candidates.append((d, reports[d.clusters]))
     return candidates
 

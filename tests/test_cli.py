@@ -305,6 +305,32 @@ def test_cml_merge_refuses_a_placeholder_named_like_an_entity(workdir, capsys, a
     assert out == ""
 
 
+_TWO_E0_CML = """BoundedContext A {
+    Aggregate AAggregate {
+        Entity E0 { }
+    }
+}
+
+BoundedContext B {
+    Aggregate BAggregate {
+        Entity E0 { }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("a, b", [("A", "B"), ("B", "A")])
+def test_cml_merge_refuses_two_real_entities_of_one_name(workdir, capsys, a, b):
+    # Each context may hold its own E0; the merged context cannot hold both.
+    assert cml_mod.validate_document(cml_mod.parse_document(_TWO_E0_CML)) == []
+    cml = workdir / "two.cml"
+    cml.write_text(_TWO_E0_CML)
+    code, out, err = run(capsys, "cml", "merge", "--in", str(cml), "-a", a, "-b", b)
+    assert code == 1
+    assert f"context '{a}_{b}'" in err and "'E0'" in err
+    assert out == ""
+
+
 def test_cml_split_accepts_a_real_entity_named_like_a_placeholder(workdir, capsys):
     cml = _reference_named_cml(workdir, capsys)
     code, out, err = run(

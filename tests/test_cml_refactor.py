@@ -8,7 +8,9 @@ coordination and context. On generated documents and on random documents
 built to reach every branch (placeholders with and without their
 comment, duplicate relationships and services, one-step coordinations,
 runs of same-context steps in unrelated contexts), both must give equal
-trees or the same error.
+trees or the same error. The merge copy also has the merge's later refusal
+of two contexts that both hold a real entity of one name, because the
+random documents often repeat a name across contexts.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ def _old_merge(doc: CmlDocument, a: str, b: str) -> CmlDocument:
     are re-addressed, and runs of now-same-context steps become one step
     whose operation is the concatenation of the run's operation names.
     Coordinations reduced to a single step are demoted to plain operations.
+    Two contexts that each hold a real entity of one name are refused.
     """
     if a == b:
         raise RefactorError("cannot merge a context with itself")
@@ -59,13 +62,15 @@ def _old_merge(doc: CmlDocument, a: str, b: str) -> CmlDocument:
     if any(c.name == merged_name for c in doc.contexts):
         raise RefactorError(f"context {merged_name!r} already exists")
 
-    local_entities = {
-        e.name
-        for ctx in (ctx_a, ctx_b)
-        for agg in ctx.aggregates
-        for e in agg.entities
-        if not e.is_reference
-    }
+    local_a = {e.name for agg in ctx_a.aggregates for e in agg.entities if not e.is_reference}
+    local_b = {e.name for agg in ctx_b.aggregates for e in agg.entities if not e.is_reference}
+    shared = sorted(local_a & local_b)
+    if shared:
+        raise RefactorError(
+            f"context {merged_name!r} would have two entities named {shared[0]!r}, "
+            f"one from {a!r} and one from {b!r}"
+        )
+    local_entities = local_a | local_b
 
     # Collapse placeholders whose target is now local; dedupe survivors.
     aggregates: list[CmlAggregate] = []

@@ -10,11 +10,14 @@ including models whose similarities tie.
 from __future__ import annotations
 
 import importlib
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import clusters_dict, random_model
+from helpers import UNIT_WEIGHTS, clusters_dict, random_model
 from oracles import (
     oracle_cluster_complexity,
     oracle_cohesion,
@@ -25,13 +28,18 @@ from oracles import (
 
 from mono2ddd.decompose import (
     MAX_GRID_CANDIDATES,
+    Decomposition,
+    SimilarityMatrix,
+    SimilarityWeights,
     build_similarity,
     decompose,
     search_decompositions,
     weight_grid,
+    _agglomerate,
+    _index,
 )
 from mono2ddd.errors import DecompositionError
-from mono2ddd.measures import search_candidates
+from mono2ddd.measures import _measure, measure, search_candidates
 from mono2ddd.model import Access, EntityStructure, Functionality, MonolithModel
 
 TOL = 1e-12
@@ -62,11 +70,15 @@ def seeded_models(count: int):
             yield rng, random_model(rng, max_entities=9, max_functionalities=7)
 
 
-def reference_cluster(model, weights, n):
-    """Average linkage re-summing every cluster pair on every merge."""
-    matrix = build_similarity(model, weights)
+def reference_cuts(matrix, n_values):
+    """Average linkage re-summing every cluster pair on every merge, cut at each n."""
     clusters = [[e] for e in matrix.entities]
-    while len(clusters) > n:
+    cuts = {}
+    while True:
+        if len(clusters) in n_values:
+            cuts[len(clusters)] = tuple((f"Cluster{i}", tuple(c)) for i, c in enumerate(clusters))
+        if len(clusters) <= min(n_values):
+            return cuts
         best = None
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
@@ -82,8 +94,10 @@ def reference_cluster(model, weights, n):
         clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
         clusters.append(merged)
         clusters.sort(key=lambda c: c[0])
-    clusters.sort(key=lambda c: c[0])
-    return tuple((f"Cluster{i}", tuple(c)) for i, c in enumerate(clusters))
+
+
+def reference_cluster(model, weights, n):
+    return reference_cuts(build_similarity(model, weights), {n})[n]
 
 
 def test_decompose_matches_the_re_summing_reference():
@@ -117,6 +131,115 @@ def test_decompose_numbers_entities_in_name_order():
                 assert decompose(model, weights, n).clusters == reference_cluster(
                     model, weights, n
                 )
+
+
+def wide_model(rng: random.Random, size: int) -> MonolithModel:
+    """``size`` entities ``e0``, ``e1``, ... listed shuffled, so neither model
+    order nor number order is name order ("e10" < "e9"); about half the
+    traces walk whole look-alike groups, which makes linkages tie."""
+    names = [f"e{i}" for i in range(size)]
+    rng.shuffle(names)
+    groups = [names[i : i + 3] for i in range(0, size, 3)]
+    functionalities = []
+    for i in range(rng.randint(size // 2, size)):
+        if rng.random() < 0.5:
+            chosen = rng.sample(groups, k=rng.randint(1, min(3, len(groups))))
+            trace = [Access(e, rng.choice("RW")) for group in chosen for e in group]
+        else:
+            trace = [Access(rng.choice(names), rng.choice("RW")) for _ in range(rng.randint(1, 8))]
+        functionalities.append(Functionality(f"f{i}", tuple(trace)))
+    return MonolithModel(tuple(EntityStructure(e) for e in names), tuple(functionalities))
+
+
+def assert_cuts_match_the_reference(matrix, weights, n_values):
+    got = _agglomerate(matrix, weights, n_values)
+    want = reference_cuts(matrix, set(n_values))
+    assert [d.clusters for d in got] == [want[n] for n in sorted(set(n_values))]
+
+
+def test_agglomerate_matches_the_reference_up_to_sixty_entities():
+    rng = random.Random(20261019)
+    grid = weight_grid(0.5)
+    for size in (20, 33, 47, 60):
+        model = wide_model(rng, size)
+        for weights in rng.sample(grid, k=3):
+            matrix = build_similarity(model, weights)
+            assert_cuts_match_the_reference(matrix, weights, [1, 2, 5, size // 2, size])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 34))
+def test_agglomerate_matches_the_reference_on_tied_and_shuffled_models(seed, tied, weight_at):
+    rng = random.Random(seed)
+    model = tied_model(rng) if tied else wide_model(rng, rng.randint(2, 24))
+    weights = weight_grid(0.25)[weight_at]
+    size = len(model.entities)
+    assert_cuts_match_the_reference(
+        build_similarity(model, weights), weights, list(range(1, size + 1))
+    )
+
+
+# Distances that tie exactly or lie one ulp apart, so the screen often finds
+# several pairs within its tolerance and has to re-sum them.
+_HALF = 0.5
+_NEAR = (
+    0.0,
+    _HALF,
+    math.nextafter(_HALF, 1.0),
+    math.nextafter(_HALF, 0.0),
+    0.25,
+    math.nextafter(0.25, 1.0),
+    1 / 3,
+    1.0,
+)
+
+
+def matrix_of(size: int, picks: list[int], palette=_NEAR) -> SimilarityMatrix:
+    names = tuple(f"n{i:02d}" for i in range(size))
+    rows = [[0.0] * size for _ in range(size)]
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    for (i, j), pick in zip(pairs, picks * len(pairs)):
+        rows[i][j] = rows[j][i] = palette[pick % len(palette)]
+    return SimilarityMatrix(names, rows)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(2, 12), st.lists(st.integers(0, 7), min_size=1, max_size=66))
+def test_agglomerate_matches_the_reference_on_ulp_apart_distances(size, picks):
+    assert_cuts_match_the_reference(
+        matrix_of(size, picks), UNIT_WEIGHTS, list(range(1, size + 1))
+    )
+
+
+def test_the_screen_alone_and_the_re_summed_candidates_both_decide(monkeypatch):
+    module = importlib.import_module("mono2ddd.decompose")
+    re_summed = []
+    linkage = module._linkage
+
+    def counting(rows, a, b):
+        re_summed.append((a[0], b[0]))
+        return linkage(rows, a, b)
+
+    monkeypatch.setattr(module, "_linkage", counting)
+    rng = random.Random(5)
+    # Distinct distances: one pair is ever within the tolerance, so nothing is re-summed.
+    size = 12
+    distinct = matrix_of(size, list(range(66)), [rng.random() for _ in range(66)])
+    assert_cuts_match_the_reference(distinct, UNIT_WEIGHTS, list(range(1, size + 1)))
+    assert re_summed == []
+    # (n00, n01) is one ulp above 0.5 and (n02, n03) is 0.5: the screen keeps
+    # both, and re-summing them merges (n02, n03) first, one ulp closer
+    # though its heads come later.
+    rows = [[1.0] * 4 for _ in range(4)]
+    for i in range(4):
+        rows[i][i] = 0.0
+    rows[0][1] = rows[1][0] = math.nextafter(_HALF, 1.0)
+    rows[2][3] = rows[3][2] = _HALF
+    tied = SimilarityMatrix(("n00", "n01", "n02", "n03"), rows)
+    (three,) = _agglomerate(tied, UNIT_WEIGHTS, [3])
+    assert three.clusters[2] == ("Cluster2", ("n02", "n03"))
+    assert re_summed == [(0, 1), (2, 3)]
+    assert_cuts_match_the_reference(tied, UNIT_WEIGHTS, [1, 2, 3, 4])
 
 
 def test_search_equals_one_decomposition_per_combination():
@@ -164,6 +287,48 @@ def test_candidate_reports_match_the_oracles():
                 / len(model.functionalities),
                 abs=TOL,
             )
+
+
+def test_candidate_reports_equal_fresh_measures():
+    for rng, model in seeded_models(24):
+        n_values = list(range(1, len(model.entities) + 1))
+        for d, report in search_candidates(model, 0.25, n_values):
+            assert repr(report) == repr(measure(model, d))
+
+
+def test_one_memo_keeps_partitions_that_share_a_cluster_apart():
+    # Each partition keeps cluster `Kept` and cuts the other entities in
+    # another way, so its distributed set, and Kept's complexity, can differ.
+    # One memo across all of them must give what a fresh one gives.
+    moved = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        model = random_model(rng, max_entities=9, max_functionalities=8)
+        names = sorted(model.entity_names())
+        if len(names) < 4:
+            continue
+        kept, rest = tuple(names[:2]), names[2:]
+        rng.shuffle(rest)
+        half = len(rest) // 2
+        partitions = [
+            (("Kept", kept), ("Rest", tuple(rest))),
+            (("Kept", kept), ("Front", tuple(rest[:half])), ("Back", tuple(rest[half:]))),
+            tuple((f"One{i}", (e,)) for i, e in enumerate(rest)) + (("Kept", kept),),
+            # rest[0] is listed twice and stays in Rest: Kept keeps its
+            # entities but its listed size grows.
+            (("Kept", kept + (rest[0],)), ("Rest", tuple(rest))),
+            (("Rest", tuple(rest)), ("Kept", kept)),
+        ]
+        index = _index(model)
+        memo: dict = {}
+        complexities = set()
+        for clusters in partitions:
+            d = Decomposition(UNIT_WEIGHTS, len(clusters), clusters)
+            report = _measure(index, d, memo)[0]
+            assert repr(report) == repr(measure(model, d)), (seed, clusters)
+            complexities.add(report.cluster("Kept").complexity)
+        moved += len(complexities) > 1
+    assert moved > 5
 
 
 def test_equal_partitions_share_one_report():
