@@ -3,16 +3,15 @@
 Every cluster becomes a bounded context holding a single aggregate with the
 cluster's entities. Saga steps become service operations named by one of
 four heuristics; multi-step sagas become coordinations owned by their
-orchestrator's context. Entity references that would cross context borders
-are replaced by generated ``<Target>_Reference`` placeholder entities, and
-each replacement is recorded as an upstream/downstream relationship (the
-owner of the referenced entity is upstream). The result is the same
-``Cml*`` tree that the emitter, parser, refactorings and diagrams share.
+orchestrator's context. While each context is built, an entity reference
+that would cross a context border is pointed at a generated
+``<Target>_Reference`` placeholder entity instead, and recorded as an
+upstream/downstream relationship (the owner of the referenced entity is
+upstream). One pass yields the finished ``Cml*`` tree that the emitter,
+parser, refactorings and diagrams share.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from .cml import (
     REFERENCE_COMMENT,
@@ -87,16 +86,6 @@ def _saga_accesses(sagas: list[Saga]) -> tuple[dict[str, int], dict[str, int]]:
     return external, local
 
 
-def access_stats(members: tuple[str, ...], sagas: list[Saga]) -> dict[str, tuple[int, int]]:
-    """Per-member (external, local) access counts for one cluster's members.
-
-    External accesses are those made by multi-step (distributed) sagas,
-    local accesses those made by single-step sagas.
-    """
-    external, local = _saga_accesses(sagas)
-    return {m: (external.get(m, 0), local.get(m, 0)) for m in members}
-
-
 def elect_root(external_shares: dict[str, float]) -> str:
     """The aggregate root: highest external-access share, ties by name."""
     if not external_shares:
@@ -104,20 +93,28 @@ def elect_root(external_shares: dict[str, float]) -> str:
     return min(external_shares, key=lambda name: (-external_shares[name], name))
 
 
-def map_decomposition(
+def build_ddd_model(
     model: MonolithModel,
     decomposition: Decomposition,
     sagas: list[Saga],
     naming: str = "full-trace",
     map_name: str = DEFAULT_MAP_NAME,
 ) -> CmlDocument:
-    """Build the raw document; references may still cross contexts.
+    """Map a decomposition and its sagas onto a finished CML document.
 
-    A reference keeps its target and field; the document has no reference
-    kinds, so an inheritance reference becomes a plain one.
-
-    Run resolve_references (or use build_ddd_model) to replace cross-context
-    references with placeholders and derive the context map relationships.
+    Each cluster becomes a context with one service and one aggregate; the
+    entities keep their attributes, and a reference keeps its field but no
+    kind, so an inheritance reference becomes a plain one. A reference to
+    an entity of the same cluster stays direct. Any other target is
+    replaced by one ``<Target>_Reference`` placeholder per target and
+    context, appended after the members in name order, and the target's
+    context becomes upstream of the referencing one: each ``[U]-[D]``
+    relationship lists its causing references, and the relationships are
+    sorted by context pair. ``MappingError`` is raised for an unknown
+    naming, sagas that do not cover the model's functionalities once each
+    or that name an unknown cluster, a member the model lacks, a reference
+    target in no cluster, and a placeholder name that a member of the
+    context already has.
     """
     if naming not in NAMING_HEURISTICS:
         raise MappingError(f"unknown naming heuristic {naming!r}")
@@ -160,7 +157,15 @@ def map_decomposition(
             )
 
     structures = {e.name: e for e in model.entities}
+    for _, members in decomposition.clusters:
+        for member in members:
+            if member not in structures:
+                raise MappingError(
+                    f"decomposition names entity {member!r}, which the model does not have"
+                )
+    owner = decomposition.assignment()
     external_accesses, local_accesses = _saga_accesses(sagas)
+    relationships: dict[tuple[str, str], set[tuple[str, str]]] = {}
     contexts = []
     for name, members in decomposition.clusters:
         counts = {m: (external_accesses.get(m, 0), local_accesses.get(m, 0)) for m in members}
@@ -173,17 +178,39 @@ def map_decomposition(
             }
         )
         entities = []
+        placeholders: dict[str, CmlEntity] = {}
         for member, (external, local) in counts.items():
             structure = structures[member]
+            refs = []
+            for r in structure.references:
+                target_ctx = owner.get(r.target)
+                if target_ctx is None:
+                    raise MappingError(f"reference target {r.target!r} not found in any context")
+                if target_ctx == name:
+                    refs.append(CmlReference(r.target, r.field))
+                    continue
+                placeholder = f"{r.target}{REFERENCE_SUFFIX}"
+                if placeholder not in placeholders:
+                    if placeholder in counts:
+                        raise MappingError(
+                            f"context {name!r} has an entity {placeholder!r}, "
+                            f"the name of the placeholder for {target_ctx}.{r.target}"
+                        )
+                    placeholders[placeholder] = CmlEntity(
+                        placeholder, comments=(f"{REFERENCE_COMMENT} {target_ctx}.{r.target}",)
+                    )
+                refs.append(CmlReference(placeholder, r.field))
+                relationships.setdefault((target_ctx, name), set()).add((member, r.target))
             entities.append(
                 CmlEntity(
                     member,
                     member == root,
                     tuple(CmlAttribute(a.type, a.name) for a in structure.attributes),
-                    tuple(CmlReference(r.target, r.field) for r in structure.references),
+                    tuple(refs),
                     (stats_comment(external, external_total, local, local_total),),
                 )
             )
+        entities.extend(placeholders[k] for k in sorted(placeholders))
         contexts.append(
             CmlBoundedContext(
                 name,
@@ -192,86 +219,11 @@ def map_decomposition(
                 (CmlAggregate(f"{name}Aggregate", tuple(entities)),),
             )
         )
-    context_map = CmlContextMap(map_name, tuple(name for name, _ in decomposition.clusters))
-    return CmlDocument(context_map, tuple(contexts))
-
-
-def resolve_references(doc: CmlDocument) -> CmlDocument:
-    """Replace cross-context entity references with local placeholders.
-
-    Each distinct outer target gets one ``<Target>_Reference`` entity per
-    referencing context, appended to the context's last aggregate, and the
-    owner context becomes upstream of the referencer. The relationships of
-    the context map, which a document from map_decomposition always has,
-    are rebuilt from these references. A placeholder name that an entity
-    of the context already has raises ``MappingError``.
-    """
-    owner = {
-        e.name: ctx.name for ctx in doc.contexts for e in ctx.entities if not e.is_reference
-    }
-
-    relationships: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    contexts = []
-    for ctx in doc.contexts:
-        names = {e.name for e in ctx.entities}
-        placeholders: dict[str, CmlEntity] = {}
-        aggregates = []
-        for agg in ctx.aggregates:
-            entities = []
-            for e in agg.entities:
-                refs = []
-                for r in e.references:
-                    target_ctx = owner.get(r.target)
-                    if target_ctx is None:
-                        raise MappingError(
-                            f"reference target {r.target!r} not found in any context"
-                        )
-                    if target_ctx == ctx.name:
-                        refs.append(r)
-                        continue
-                    placeholder = f"{r.target}{REFERENCE_SUFFIX}"
-                    if placeholder not in placeholders:
-                        if placeholder in names:
-                            raise MappingError(
-                                f"context {ctx.name!r} has an entity {placeholder!r}, "
-                                f"the name of the placeholder for {target_ctx}.{r.target}"
-                            )
-                        placeholders[placeholder] = CmlEntity(
-                            placeholder,
-                            comments=(f"{REFERENCE_COMMENT} {target_ctx}.{r.target}",),
-                        )
-                    refs.append(replace(r, target=placeholder))
-                    causes = relationships.setdefault((target_ctx, ctx.name), [])
-                    if (e.name, r.target) not in causes:
-                        causes.append((e.name, r.target))
-                entities.append(replace(e, references=tuple(refs)))
-            aggregates.append(replace(agg, entities=tuple(entities)))
-        if placeholders:
-            last = aggregates[-1]
-            aggregates[-1] = replace(
-                last, entities=last.entities + tuple(placeholders[k] for k in sorted(placeholders))
-            )
-        contexts.append(replace(ctx, aggregates=tuple(aggregates)))
-
     rels = tuple(
         CmlRelationship(
             up, down, tuple(f"reference: {src} -> {dst}" for src, dst in sorted(causes))
         )
         for (up, down), causes in sorted(relationships.items())
     )
-    return CmlDocument(
-        replace(doc.context_map, relationships=rels), tuple(contexts), doc.trailing_comments
-    )
-
-
-def build_ddd_model(
-    model: MonolithModel,
-    decomposition: Decomposition,
-    sagas: list[Saga],
-    naming: str = "full-trace",
-    map_name: str = DEFAULT_MAP_NAME,
-) -> CmlDocument:
-    """Full mapping pipeline: map the decomposition, then close references."""
-    return resolve_references(
-        map_decomposition(model, decomposition, sagas, naming, map_name)
-    )
+    context_map = CmlContextMap(map_name, tuple(name for name, _ in decomposition.clusters), rels)
+    return CmlDocument(context_map, tuple(contexts))

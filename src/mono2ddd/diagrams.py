@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .cml import CmlDocument
 from .decompose import Decomposition
-from .errors import MappingError
+from .errors import DecompositionError, MappingError
 from .model import MonolithModel
 
 
@@ -13,13 +13,19 @@ def _quote(name: str) -> str:
 
 
 def decomposition_dot(model: MonolithModel, decomposition: Decomposition) -> str:
-    """Undirected context map; edges count functionalities shared by two clusters."""
+    """Undirected context map; edges count functionalities shared by two clusters.
+
+    A traced entity in no cluster raises ``DecompositionError``.
+    """
     assignment = decomposition.assignment()
     names = decomposition.cluster_names()
 
     shared: dict[tuple[str, str], int] = {}
     for f in model.functionalities:
-        touched = sorted({assignment[a.entity] for a in f.trace})
+        try:
+            touched = sorted({assignment[a.entity] for a in f.trace})
+        except KeyError as exc:
+            raise DecompositionError(f"entity {exc.args[0]!r} is not mapped to a cluster") from None
         for i, c1 in enumerate(touched):
             for c2 in touched[i + 1 :]:
                 shared[(c1, c2)] = shared.get((c1, c2), 0) + 1

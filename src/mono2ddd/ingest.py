@@ -316,17 +316,14 @@ def validate_model(
         by_name[name] = EntityStructure(name)
 
     # References must resolve; synthesize missing targets rather than fail.
-    pending = True
-    while pending:
-        pending = False
-        for s in list(by_name.values()):
-            for r in s.references:
-                if r.target not in by_name:
-                    warnings.append(
-                        f"entity {r.target!r} referenced by {s.name!r} but not declared; synthesized"
-                    )
-                    by_name[r.target] = EntityStructure(r.target)
-                    pending = True
+    # A synthesized entity has no references, so one pass closes them all.
+    for s in list(by_name.values()):
+        for r in s.references:
+            if r.target not in by_name:
+                warnings.append(
+                    f"entity {r.target!r} referenced by {s.name!r} but not declared; synthesized"
+                )
+                by_name[r.target] = EntityStructure(r.target)
 
     entities = tuple(by_name[name] for name in sorted(by_name))
     return MonolithModel(entities, tuple(kept_functionalities), tuple(warnings))

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import random_model, random_partition
+from helpers import UNIT_WEIGHTS, random_model, random_partition
 
 from mono2ddd.cml import (
     REFERENCE_COMMENT,
@@ -21,17 +21,17 @@ from mono2ddd.cml import (
     stats_comment,
     validate_document,
 )
-from mono2ddd.dddmap import (
-    NAMING_HEURISTICS,
-    access_stats,
-    build_ddd_model,
-    elect_root,
-    map_decomposition,
-    name_operation,
-    resolve_references,
-)
+from mono2ddd.dddmap import NAMING_HEURISTICS, build_ddd_model, elect_root, name_operation
+from mono2ddd.decompose import Decomposition
 from mono2ddd.errors import MappingError
-from mono2ddd.model import Access
+from mono2ddd.model import (
+    INHERITANCE,
+    Access,
+    Attribute,
+    EntityStructure,
+    MonolithModel,
+    Reference,
+)
 from mono2ddd.saga import refactor_model
 
 
@@ -89,22 +89,27 @@ def _entity(ctx, name):
     return entity
 
 
-def test_access_stats_fixture_a(fixture_a, fixture_a_decomposition):
+def test_stats_comments_fixture_a(fixture_a, fixture_a_decomposition):
     sagas = _fixture_sagas(fixture_a, fixture_a_decomposition)
-    stats = access_stats(("A", "B"), sagas)
+    ddd = build_ddd_model(fixture_a, fixture_a_decomposition, sagas)
+    c0, c1 = ddd.contexts
+    assert [e.name for e in c0.entities] == ["A", "B"]
     # f3 and f4 are distributed and hit A twice, B once; f1 is local.
-    assert stats == {"A": (2, 2), "B": (1, 1)}
+    assert _entity(c0, "A").comments == (stats_comment(2, 3, 2, 3),)
+    assert _entity(c0, "B").comments == (stats_comment(1, 3, 1, 3),)
     assert stats_comment(2, 3, 2, 3) == "accesses: external 66.67% (2/3), local 66.67% (2/3)"
-    stats = access_stats(("C", "D"), sagas)
-    assert stats["C"][0] == 2
-    assert stats["D"][0] == 0
+    assert [e.name for e in c1.entities] == ["C", "D"]
+    assert _entity(c1, "C").comments == (stats_comment(2, 2, 2, 3),)
+    assert _entity(c1, "D").comments == (stats_comment(0, 2, 1, 3),)
     assert stats_comment(2, 2, 0, 0) == "accesses: external 100.00% (2/2), local 0.00% (0/0)"
 
 
-def test_access_stats_zero_denominators():
-    stats = access_stats(("A",), [])
-    assert stats == {"A": (0, 0)}
-    assert stats_comment(0, 0, 0, 0) == "accesses: external 0.00% (0/0), local 0.00% (0/0)"
+def test_stats_comments_with_zero_denominators():
+    model = MonolithModel((EntityStructure("A"),), ())
+    ddd = build_ddd_model(model, _decomposition(("Only", ("A",))), [])
+    assert _entity(ddd.context("Only"), "A").comments == (
+        "accesses: external 0.00% (0/0), local 0.00% (0/0)",
+    )
 
 
 def test_elect_root_prefers_external_share_then_name():
@@ -117,10 +122,12 @@ def test_elect_root_needs_a_candidate():
         elect_root({})
 
 
-def test_map_decomposition_fixture_a(fixture_a, fixture_a_decomposition):
+def test_build_ddd_model_fixture_a(fixture_a, fixture_a_decomposition):
     sagas = _fixture_sagas(fixture_a, fixture_a_decomposition)
-    ddd = map_decomposition(fixture_a, fixture_a_decomposition, sagas)
+    ddd = build_ddd_model(fixture_a, fixture_a_decomposition, sagas)
     assert [c.name for c in ddd.contexts] == ["Cluster0", "Cluster1"]
+    # Without structure there are no references, so no placeholders.
+    assert ddd.relationships == ()
 
     c0 = ddd.context("Cluster0")
     assert [a.name for a in c0.aggregates] == ["Cluster0Aggregate"]
@@ -148,21 +155,21 @@ def test_map_decomposition_fixture_a(fixture_a, fixture_a_decomposition):
     )
 
 
-def test_map_decomposition_requires_all_sagas(fixture_a, fixture_a_decomposition):
+def test_build_ddd_model_requires_all_sagas(fixture_a, fixture_a_decomposition):
     sagas = _fixture_sagas(fixture_a, fixture_a_decomposition)
     with pytest.raises(MappingError, match="f4"):
-        map_decomposition(fixture_a, fixture_a_decomposition, sagas[:-1])
+        build_ddd_model(fixture_a, fixture_a_decomposition, sagas[:-1])
 
 
-def test_map_decomposition_rejects_unknown_heuristic(fixture_a, fixture_a_decomposition):
+def test_build_ddd_model_rejects_unknown_heuristic(fixture_a, fixture_a_decomposition):
     sagas = _fixture_sagas(fixture_a, fixture_a_decomposition)
     with pytest.raises(MappingError, match="heuristic"):
-        map_decomposition(fixture_a, fixture_a_decomposition, sagas, naming="fancy")
+        build_ddd_model(fixture_a, fixture_a_decomposition, sagas, naming="fancy")
 
 
 def test_duplicate_operation_names_collapse(fixture_a, fixture_a_decomposition):
     sagas = _fixture_sagas(fixture_a, fixture_a_decomposition)
-    ddd = map_decomposition(
+    ddd = build_ddd_model(
         fixture_a, fixture_a_decomposition, sagas, naming="ignore-order"
     )
     # f1 (A,B) and f4's Cluster0 step (A,B) share the name acA_acB.
@@ -170,15 +177,35 @@ def test_duplicate_operation_names_collapse(fixture_a, fixture_a_decomposition):
     assert names.count("acA_acB") == 1
 
 
-def test_structure_carried_onto_entities(topic_question, topic_question_decomposition):
-    sagas = _fixture_sagas(topic_question, topic_question_decomposition)
-    ddd = map_decomposition(topic_question, topic_question_decomposition, sagas)
-    topic = _entity(ddd.context("Cluster1"), "Topic")
+def test_structure_carried_onto_entities(topic_question):
+    # One cluster keeps Topic's reference to Question direct.
+    dec = _decomposition(("Cluster0", ("Question", "Topic")))
+    ddd = build_ddd_model(topic_question, dec, _fixture_sagas(topic_question, dec))
+    ctx = ddd.context("Cluster0")
+    assert [e.name for e in ctx.entities] == ["Question", "Topic"]
+    assert [(a.type, a.name) for a in _entity(ctx, "Question").attributes] == [
+        ("String", "title"),
+        ("String", "content"),
+    ]
+    topic = _entity(ctx, "Topic")
     assert [a.name for a in topic.attributes] == ["name"]
     assert topic.references == (CmlReference("Question", "question"),)
+    assert ddd.relationships == ()
 
 
-def test_resolve_references_builds_placeholder(topic_question, topic_question_decomposition):
+def test_inheritance_reference_becomes_a_plain_one():
+    model = MonolithModel(
+        (
+            EntityStructure("Base", (Attribute("id", "int"),)),
+            EntityStructure("Sub", (), (Reference("parent", "Base", INHERITANCE),)),
+        ),
+        (),
+    )
+    ddd = build_ddd_model(model, _decomposition(("C", ("Base", "Sub"))), [])
+    assert _entity(ddd.context("C"), "Sub").references == (CmlReference("Base", "parent"),)
+
+
+def test_build_ddd_model_builds_placeholder(topic_question, topic_question_decomposition):
     sagas = _fixture_sagas(topic_question, topic_question_decomposition)
     ddd = build_ddd_model(topic_question, topic_question_decomposition, sagas)
     c1 = ddd.context("Cluster1")
@@ -196,6 +223,65 @@ def test_resolve_references_builds_placeholder(topic_question, topic_question_de
     assert validate_document(ddd) == []
 
 
+def _decomposition(*clusters):
+    """A decomposition over clusters given as (name, members) pairs."""
+    return Decomposition(UNIT_WEIGHTS, len(clusters), clusters)
+
+
+def _structure_model(*entities):
+    """A model without functionalities over (name, ((field, target), ...)) pairs."""
+    return MonolithModel(
+        tuple(
+            EntityStructure(name, (), tuple(Reference(f, t) for f, t in refs))
+            for name, refs in entities
+        ),
+        (),
+    )
+
+
+def test_two_referencers_share_one_placeholder_and_relationship():
+    model = _structure_model(("X", (("z", "Z"),)), ("Y", (("parent", "Z"),)), ("Z", ()))
+    ddd = build_ddd_model(model, _decomposition(("Up", ("Z",)), ("Down", ("X", "Y"))), [])
+    down = ddd.context("Down")
+    assert [e.name for e in down.entities] == ["X", "Y", "Z_Reference"]
+    placeholders = [e for e in down.entities if e.is_reference]
+    assert [e.name for e in placeholders] == ["Z_Reference"]
+    assert placeholders[0].comments == (f"{REFERENCE_COMMENT} Up.Z",)
+    assert _entity(down, "X").references == (CmlReference("Z_Reference", "z"),)
+    assert _entity(down, "Y").references == (CmlReference("Z_Reference", "parent"),)
+    assert len(ddd.relationships) == 1
+    rel = ddd.relationships[0]
+    assert (rel.upstream, rel.downstream) == ("Up", "Down")
+    assert rel.comments == ("reference: X -> Z", "reference: Y -> Z")
+    assert validate_document(ddd) == []
+
+
+def test_build_ddd_model_rejects_a_reference_target_in_no_cluster():
+    # Ghost is declared but untraced, so a valid decomposition may leave it out.
+    model = _structure_model(("Ghost", ()), ("X", (("z", "Ghost"),)))
+    with pytest.raises(MappingError, match="reference target 'Ghost' not found in any context"):
+        build_ddd_model(model, _decomposition(("Only", ("X",))), [])
+
+
+def test_build_ddd_model_rejects_a_placeholder_named_like_an_entity():
+    model = _structure_model(("X", (("z", "Z"),)), ("Z", ()), ("Z_Reference", ()))
+    dec = _decomposition(("Up", ("Z",)), ("Down", ("X", "Z_Reference")))
+    with pytest.raises(
+        MappingError,
+        match=r"context 'Down' has an entity 'Z_Reference', the name of the placeholder for Up\.Z",
+    ):
+        build_ddd_model(model, dec, [])
+
+
+def test_build_ddd_model_rejects_a_member_the_model_lacks():
+    model = _structure_model(("A", ()))
+    dec = _decomposition(("C0", ("A",)), ("C1", ("Zed",)))
+    with pytest.raises(
+        MappingError, match="decomposition names entity 'Zed', which the model does not have"
+    ):
+        build_ddd_model(model, dec, [])
+
+
 def _tiny_document(*contexts):
     """A context map named Map over contexts given as (name, entities) pairs."""
     return CmlDocument(
@@ -209,47 +295,6 @@ def _tiny_document(*contexts):
             for name, entities in contexts
         ),
     )
-
-
-def test_two_referencers_share_one_placeholder_and_relationship():
-    doc = _tiny_document(
-        ("Up", [CmlEntity("Z", True)]),
-        (
-            "Down",
-            [
-                CmlEntity("X", True, references=(CmlReference("Z", "z"),)),
-                CmlEntity("Y", references=(CmlReference("Z", "parent"),)),
-            ],
-        ),
-    )
-    closed = resolve_references(doc)
-    down = closed.context("Down")
-    placeholders = [e for e in down.entities if e.is_reference]
-    assert [e.name for e in placeholders] == ["Z_Reference"]
-    assert _entity(down, "Y").references == (CmlReference("Z_Reference", "parent"),)
-    assert len(closed.relationships) == 1
-    assert closed.relationships[0].comments == ("reference: X -> Z", "reference: Y -> Z")
-
-
-def test_resolve_references_rejects_unknown_target():
-    doc = _tiny_document(("Only", [CmlEntity("X", references=(CmlReference("Ghost", "z"),))]))
-    with pytest.raises(MappingError, match="Ghost"):
-        resolve_references(doc)
-
-
-def test_resolve_references_rejects_a_placeholder_named_like_an_entity():
-    doc = _tiny_document(
-        ("Up", [CmlEntity("Z", True)]),
-        (
-            "Down",
-            [
-                CmlEntity("X", True, references=(CmlReference("Z", "z"),)),
-                CmlEntity("Z_Reference", comments=(stats_comment(0, 0, 0, 0),)),
-            ],
-        ),
-    )
-    with pytest.raises(MappingError, match="context 'Down' has an entity 'Z_Reference'"):
-        resolve_references(doc)
 
 
 def test_validate_flags_references_that_escape_their_context():

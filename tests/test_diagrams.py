@@ -11,9 +11,9 @@ from helpers import UNIT_WEIGHTS, random_model, random_partition
 
 from mono2ddd.cml import emit_document, parse_document
 from mono2ddd.dddmap import build_ddd_model
-from mono2ddd.decompose import decompose
+from mono2ddd.decompose import Decomposition, decompose
 from mono2ddd.diagrams import coordination_bpmn, decomposition_dot, document_dot
-from mono2ddd.errors import MappingError
+from mono2ddd.errors import DecompositionError, MappingError
 from mono2ddd.saga import refactor_model
 
 
@@ -36,6 +36,12 @@ def test_decomposition_dot_single_cluster(fixture_a):
     dot = decomposition_dot(fixture_a, decompose(fixture_a, UNIT_WEIGHTS, 1))
     check_dot(dot)
     assert "--" not in dot
+
+
+def test_decomposition_dot_rejects_a_traced_entity_in_no_cluster(fixture_a):
+    dec = Decomposition(UNIT_WEIGHTS, 2, (("C0", ("A", "C")), ("C1", ("D",))))
+    with pytest.raises(DecompositionError, match="entity 'B' is not mapped to a cluster"):
+        decomposition_dot(fixture_a, dec)
 
 
 def test_document_dot_directed_edges(topic_question, topic_question_decomposition):

@@ -153,6 +153,25 @@ def test_validate_model_synthesizes_reference_targets():
     assert "Ghost" in model.entity_names()
 
 
+def test_validate_model_synthesizes_each_missing_target_once():
+    structures = [
+        EntityStructure("A", references=(Reference("x", "Ghost"),)),
+        EntityStructure("B", references=(Reference("y", "Ghost"),)),
+        EntityStructure("C", references=(Reference("z", "Seen"),)),
+    ]
+    trace = (Access("A", "R"), Access("Seen", "W"))
+    model = validate_model([Functionality("f", trace)], structures)
+    assert model.warnings == (
+        "entity 'Seen' accessed but not declared; synthesized",
+        "entity 'Ghost' referenced by 'A' but not declared; synthesized",
+    )
+    assert model.entities == (
+        *structures,
+        EntityStructure("Ghost"),
+        EntityStructure("Seen"),
+    )
+
+
 def test_validate_model_keeps_first_duplicate():
     structures = [
         EntityStructure("A", attributes=()),
