@@ -13,6 +13,9 @@ parser, refactorings and diagrams share.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
+
 from .cml import (
     REFERENCE_COMMENT,
     REFERENCE_SUFFIX,
@@ -44,25 +47,32 @@ def name_operation(
     functionality: str, step_index: int, accesses: tuple[Access, ...], heuristic: str
 ) -> str:
     """Name one saga step's operation per the chosen heuristic."""
-    if not accesses:
+    entities = [a.entity for a in accesses]
+    modes = [a.mode for a in accesses]
+    return _name_operation(functionality, step_index, entities, modes, heuristic)
+
+
+def _name_operation(
+    functionality: str,
+    step_index: int,
+    entities: Sequence[str],
+    modes: Sequence[str],
+    heuristic: str,
+) -> str:
+    """``name_operation`` on a step's entity and mode columns."""
+    if not entities:
         raise MappingError("cannot name an operation with no accesses")
     if heuristic == "generic":
         return f"{functionality}_{step_index}"
 
-    order: list[str] = []
-    modes: dict[str, set[str]] = {}
-    for a in accesses:
-        if a.entity not in modes:
-            order.append(a.entity)
-            modes[a.entity] = set()
-        modes[a.entity].add(a.mode)
-
+    order = dict.fromkeys(entities)
     if heuristic == "full-trace":
+        pairs = set(zip(entities, modes))
+
         def prefix(entity: str) -> str:
-            m = modes[entity]
-            if m == {READ}:
+            if (entity, WRITE) not in pairs:
                 return "r"
-            if m == {WRITE}:
+            if (entity, READ) not in pairs:
                 return "w"
             return "rw"
 
@@ -74,15 +84,14 @@ def name_operation(
     raise MappingError(f"unknown naming heuristic {heuristic!r}")
 
 
-def _saga_accesses(sagas: list[Saga]) -> tuple[dict[str, int], dict[str, int]]:
+def _saga_accesses(sagas: list[Saga]) -> tuple[Counter[str], Counter[str]]:
     """Per entity, its accesses by multi-step sagas and by single-step ones."""
-    external: dict[str, int] = {}
-    local: dict[str, int] = {}
+    external: Counter[str] = Counter()
+    local: Counter[str] = Counter()
     for saga in sagas:
         table = external if len(saga.steps) > 1 else local
         for step in saga.steps:
-            for a in step.accesses:
-                table[a.entity] = table.get(a.entity, 0) + 1
+            table.update(step._entities)
     return external, local
 
 
@@ -104,7 +113,9 @@ def build_ddd_model(
 
     Each cluster becomes a context with one service and one aggregate; the
     entities keep their attributes, and a reference keeps its field but no
-    kind, so an inheritance reference becomes a plain one. A reference to
+    kind, so an inheritance reference becomes a plain one. An entity that
+    more than one cluster lists belongs to the later one, as in
+    ``Decomposition.assignment``, and is written only there. A reference to
     an entity of the same cluster stays direct. Any other target is
     replaced by one ``<Target>_Reference`` placeholder per target and
     context, appended after the members in name order, and the target's
@@ -112,9 +123,10 @@ def build_ddd_model(
     relationship lists its causing references, and the relationships are
     sorted by context pair. ``MappingError`` is raised for an unknown
     naming, sagas that do not cover the model's functionalities once each
-    or that name an unknown cluster, a member the model lacks, a reference
-    target in no cluster, and a placeholder name that a member of the
-    context already has.
+    or that name an unknown cluster, a member the model lacks, a cluster
+    whose every member a later cluster lists, a reference target in no
+    cluster, and a placeholder name that a member of the context already
+    has.
     """
     if naming not in NAMING_HEURISTICS:
         raise MappingError(f"unknown naming heuristic {naming!r}")
@@ -144,7 +156,9 @@ def build_ddd_model(
                 raise MappingError(
                     f"saga {saga.functionality!r} references unknown cluster {step.cluster!r}"
                 )
-            op_name = name_operation(saga.functionality, step.index, step.accesses, naming)
+            op_name = _name_operation(
+                saga.functionality, step.index, step._entities, step._modes, naming
+            )
             operations[step.cluster][op_name] = None
             steps.append(CmlStep(step.cluster, f"{step.cluster}Service", op_name))
         if saga.orchestrator not in coordinations:
@@ -168,7 +182,13 @@ def build_ddd_model(
     relationships: dict[tuple[str, str], set[tuple[str, str]]] = {}
     contexts = []
     for name, members in decomposition.clusters:
-        counts = {m: (external_accesses.get(m, 0), local_accesses.get(m, 0)) for m in members}
+        counts = {
+            m: (external_accesses[m], local_accesses[m]) for m in members if owner[m] == name
+        }
+        if not counts:
+            raise MappingError(
+                f"cluster {name!r} keeps no entity: a later cluster lists each of its members"
+            )
         external_total = sum(external for external, _ in counts.values())
         local_total = sum(local for _, local in counts.values())
         root = elect_root(

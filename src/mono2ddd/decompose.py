@@ -29,7 +29,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -163,17 +163,17 @@ def _index(model: MonolithModel) -> _Index:
         writes: dict[int, int] = {}
         run: list[int] = []
         prev = -1
-        for a in f.trace:
-            e = seen.get(a.entity)
+        for entity, mode in zip(f._entities, f._modes):
+            e = seen.get(entity)
             if e is None:
-                e = ids.get(a.entity)
+                e = ids.get(entity)
                 if e is None:
-                    e = ids[a.entity] = len(readers)
+                    e = ids[entity] = len(readers)
                     readers.append(0)
                     writers.append(0)
                     successors.append(0)
-                seen[a.entity] = e
-            if a.mode == READ:
+                seen[entity] = e
+            if mode == READ:
                 reads[e] = reads.get(e, 0) + 1
             else:
                 writes[e] = writes.get(e, 0) + 1
@@ -542,7 +542,7 @@ def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> N
     Every entity it names must exist in the model, and every traced entity
     must be in one of its clusters.
     """
-    traced = (a.entity for f in model.functionalities for a in f.trace)
+    traced = dict.fromkeys(chain.from_iterable(f._entities for f in model.functionalities))
     _check_fit(decomposition, set(model.entity_names()), traced)
 
 

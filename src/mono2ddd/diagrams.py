@@ -23,7 +23,7 @@ def decomposition_dot(model: MonolithModel, decomposition: Decomposition) -> str
     shared: dict[tuple[str, str], int] = {}
     for f in model.functionalities:
         try:
-            touched = sorted({assignment[a.entity] for a in f.trace})
+            touched = sorted({assignment[e] for e in dict.fromkeys(f._entities)})
         except KeyError as exc:
             raise DecompositionError(f"entity {exc.args[0]!r} is not mapped to a cluster") from None
         for i, c1 in enumerate(touched):

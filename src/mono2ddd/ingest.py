@@ -29,13 +29,11 @@ from .errors import ContractError, DslParseError
 from .model import (
     ASSOCIATION,
     INHERITANCE,
-    Access,
     Attribute,
     EntityStructure,
     Functionality,
     MonolithModel,
     Reference,
-    _access,
 )
 
 _INHERITANCE_FIELD = "super"
@@ -73,27 +71,35 @@ def parse_accesses(text: str) -> list[Functionality]:
         raw_trace = _require(raw.get("trace", None), list, f"{loc}.trace")
         if not raw_trace:
             raise ContractError("empty trace", f"{loc}.trace")
-        trace: list[Access] = []
-        append = trace.append
+        # The trace as columns: entity names, and modes with RW kept as two characters.
+        entities: list[str] = []
+        modes: list[str] = []
+        add_entity = entities.append
+        add_mode = modes.append
         for j, entry in enumerate(raw_trace):
             # The shape json.loads gives a valid entry; anything else is checked in full.
             if type(entry) is list and len(entry) == 2:
                 entity, mode = entry
                 if type(entity) is str and entity:
                     if mode == "R" or mode == "W":
-                        append(_access(entity, mode))
+                        add_entity(entity)
+                        add_mode(mode)
                         continue
                     if mode == "RW":
-                        append(_access(entity, "R"))
-                        append(_access(entity, "W"))
+                        add_entity(entity)
+                        add_entity(entity)
+                        add_mode(mode)
                         continue
-            trace.extend(_checked_entry(entry, f"{loc}.trace[{j}]"))
-        result.append(Functionality(name, tuple(trace)))
+            entity, mode = _checked_entry(entry, f"{loc}.trace[{j}]")
+            entities.extend([entity] * len(mode))
+            add_mode(mode)
+        result.append(Functionality._from_columns(name, tuple(entities), "".join(modes)))
     return result
 
 
-def _checked_entry(entry, eloc: str) -> list[Access]:
-    """The accesses of one trace entry off the fast path, or its ContractError."""
+def _checked_entry(entry, eloc: str) -> tuple[str, str]:
+    """The entity and mode (R, W or RW) of one trace entry off the fast path,
+    or its ContractError."""
     _require(entry, list, eloc)
     if len(entry) != 2:
         raise ContractError("trace entry must be [entity, mode]", eloc)
@@ -102,10 +108,8 @@ def _checked_entry(entry, eloc: str) -> list[Access]:
     _require(mode, str, eloc)
     if not entity:
         raise ContractError("empty entity name", eloc)
-    if mode == "RW":
-        return [Access(entity, "R"), Access(entity, "W")]
-    if mode in ("R", "W"):
-        return [Access(entity, mode)]
+    if mode in ("R", "W", "RW"):
+        return entity, mode
     raise ContractError(f"unknown access mode {mode!r}", eloc)
 
 
@@ -310,7 +314,7 @@ def validate_model(
 
     accessed: set[str] = set()
     for f in kept_functionalities:
-        accessed.update(a.entity for a in f.trace)
+        accessed.update(f._entities)
     for name in sorted(accessed - by_name.keys()):
         warnings.append(f"entity {name!r} accessed but not declared; synthesized")
         by_name[name] = EntityStructure(name)
@@ -339,7 +343,7 @@ def parse_model(accesses_text: str, structure_text: str | None = None) -> Monoli
 def accesses_to_json(model: MonolithModel) -> str:
     doc = {
         "functionalities": [
-            {"name": f.name, "trace": [[a.entity, a.mode] for a in f.trace]}
+            {"name": f.name, "trace": [[e, m] for e, m in zip(f._entities, f._modes)]}
             for f in model.functionalities
         ]
     }

@@ -4,11 +4,20 @@ A monolith is described by two ingredients: per-functionality ordered traces
 of read/write accesses to domain entities, and the static structure of those
 entities (attributes plus references between entities). Both are immutable
 value objects; every transformation downstream returns new values.
+
+A trace, and a saga step's accesses, are stored as two columns: a tuple of
+entity names and a string with one mode character (``R`` or ``W``) per
+position. Readers that need only names and modes read the columns. The
+``Access`` tuple, one object per position, is built once, on the first read
+of ``Functionality.trace`` or ``Step.accesses``, and that same tuple is
+returned on every later read, so code that follows accesses by identity
+(saga checks do) sees stable objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 READ = "R"
 WRITE = "W"
@@ -51,21 +60,105 @@ def _access(entity: str, mode: str) -> Access:
     return access
 
 
-@dataclass(frozen=True)
-class Functionality:
-    """A monolith use case: a name plus its ordered entity-access trace."""
+_entity_of = attrgetter("entity")
+_mode_of = attrgetter("mode")
 
+
+class _AccessColumns:
+    """Base of a frozen dataclass that keeps an access sequence as columns.
+
+    ``_entities`` holds the entity names and ``_modes`` one mode character
+    per position; ``_built`` is the ``Access`` tuple once it exists, else
+    None. A subclass's ``_key`` is its other fields and the columns, in the
+    order its ``_from_columns`` takes them. Equality, hash and pickling use
+    that key, so a value built from accesses equals the same value built
+    from columns.
+    """
+
+    __slots__ = ("_entities", "_modes", "_built")
+
+    def _set_accesses(self, accesses) -> None:
+        """Keep the given accesses as the cached tuple and derive the columns."""
+        built = tuple(accesses)
+        _set_entities(self, tuple(map(_entity_of, built)))
+        _set_modes(self, "".join(map(_mode_of, built)))
+        _set_built(self, built)
+
+    def _set_columns(self, entities: tuple[str, ...], modes: str) -> None:
+        """Keep checked columns; the ``Access`` tuple waits for its first read."""
+        _set_entities(self, entities)
+        _set_modes(self, modes)
+        _set_built(self, None)
+
+    def _accesses(self) -> tuple[Access, ...]:
+        built = self._built
+        if built is None:
+            built = tuple(map(_access, self._entities, self._modes))
+            _set_built(self, built)
+        return built
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # Rebuilt from the columns; a built tuple travels as state, so a
+        # copy shares its accesses and a deep copy copies them.
+        return (type(self)._from_columns, self._key(), self._built)
+
+    def __setstate__(self, built) -> None:
+        _set_built(self, built)
+
+
+_set_entities = _AccessColumns._entities.__set__
+_set_modes = _AccessColumns._modes.__set__
+_set_built = _AccessColumns._built.__set__
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Functionality(_AccessColumns):
+    """A monolith use case: a name plus its ordered entity-access trace.
+
+    The trace is stored as columns (see the module docstring). Built from
+    ``Access`` values, those values are the ``trace`` tuple; built from
+    parsed columns, ``trace`` builds its tuple on the first read and returns
+    it on every later one.
+    """
+
+    __slots__ = ("name",)
     name: str
     trace: tuple[Access, ...]
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, trace: tuple[Access, ...]):
+        if not name:
             raise ValueError("functionality name must be non-empty")
-        if not self.trace:
-            raise ValueError(f"functionality {self.name!r} has an empty trace")
+        if not trace:
+            raise ValueError(f"functionality {name!r} has an empty trace")
+        _set_name(self, name)
+        self._set_accesses(trace)
+
+    @classmethod
+    def _from_columns(cls, name: str, entities: tuple[str, ...], modes: str) -> Functionality:
+        """A functionality from checked columns: a non-empty name, as many
+        non-empty entity names as ``R``/``W`` characters, at least one."""
+        f = object.__new__(cls)
+        _set_name(f, name)
+        f._set_columns(entities, modes)
+        return f
+
+    def _key(self) -> tuple:
+        return (self.name, self._entities, self._modes)
 
     def entities(self) -> frozenset[str]:
-        return frozenset(a.entity for a in self.trace)
+        return frozenset(self._entities)
+
+
+_set_name = Functionality.name.__set__
+Functionality.trace = property(_AccessColumns._accesses, doc="The trace as ``Access`` values.")
 
 
 @dataclass(frozen=True)

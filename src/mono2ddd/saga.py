@@ -14,16 +14,51 @@ from json.encoder import encode_basestring_ascii
 
 from .decompose import Decomposition, _json_array
 from .errors import ContractError, SagaError
-from .model import WRITE, Access, Functionality, MonolithModel, _access
+from .model import WRITE, Access, Functionality, MonolithModel, _AccessColumns
 
 ORCHESTRATOR_POLICIES = ("first", "max-accesses")
 
 
-@dataclass(frozen=True)
-class Step:
+@dataclass(frozen=True, init=False, eq=False)
+class Step(_AccessColumns):
+    """One saga step: the cluster it runs in, its accesses in trace order,
+    and its position in the saga.
+
+    The accesses are stored as columns, like a functionality's trace (see
+    ``mono2ddd.model``). Built from ``Access`` values, those values are the
+    ``accesses`` tuple; built from a parsed sagas document, ``accesses``
+    builds its tuple on the first read and returns it on every later one.
+    """
+
+    __slots__ = ("cluster", "index")
     cluster: str
     accesses: tuple[Access, ...]
     index: int
+
+    def __init__(self, cluster: str, accesses: tuple[Access, ...], index: int):
+        _set_cluster(self, cluster)
+        self._set_accesses(accesses)
+        _set_index(self, index)
+
+    @classmethod
+    def _from_columns(
+        cls, cluster: str, entities: tuple[str, ...], modes: str, index: int
+    ) -> Step:
+        """A step from checked columns: as many non-empty entity names as
+        ``R``/``W`` characters."""
+        step = object.__new__(cls)
+        _set_cluster(step, cluster)
+        step._set_columns(entities, modes)
+        _set_index(step, index)
+        return step
+
+    def _key(self) -> tuple:
+        return (self.cluster, self._entities, self._modes, self.index)
+
+
+_set_cluster = Step.cluster.__set__
+_set_index = Step.index.__set__
+Step.accesses = property(_AccessColumns._accesses, doc="The step's accesses as ``Access`` values.")
 
 
 @dataclass(frozen=True)
@@ -207,9 +242,9 @@ def sagas_to_json(sagas: list[Saga]) -> str:
         step_items = []
         for step in s.steps:
             accesses = [
-                f"            [\n              {quote(a.entity)},\n"
-                f"              {quote(a.mode)}\n            ]"
-                for a in step.accesses
+                f"            [\n              {quote(entity)},\n"
+                f"              {quote(mode)}\n            ]"
+                for entity, mode in zip(step._entities, step._modes)
             ]
             step_items.append(
                 f'        {{\n          "accesses": {_json_array(accesses, " " * 10)},\n'
@@ -252,23 +287,28 @@ def parse_sagas(text: str) -> list[Saga]:
             raw_accesses = rs.get("accesses")
             if not isinstance(raw_accesses, list) or not raw_accesses:
                 raise ContractError("step must list accesses", sloc)
-            accesses = []
-            append = accesses.append
+            entities: list[str] = []
+            modes: list[str] = []
+            add_entity = entities.append
+            add_mode = modes.append
             for entry in raw_accesses:
                 # The shape json.loads gives a valid entry; anything else is checked in full.
                 if type(entry) is list and len(entry) == 2:
                     entity, mode = entry
                     if type(entity) is str and entity and (mode == "R" or mode == "W"):
-                        append(_access(entity, mode))
+                        add_entity(entity)
+                        add_mode(mode)
                         continue
-                append(_checked_access(entry, sloc))
-            steps.append(Step(rs["cluster"], tuple(accesses), j))
+                entity, mode = _checked_access(entry, sloc)
+                add_entity(entity)
+                add_mode(mode)
+            steps.append(Step._from_columns(rs["cluster"], tuple(entities), "".join(modes), j))
         result.append(Saga(name, orchestrator, tuple(steps)))
     return result
 
 
-def _checked_access(entry, sloc: str) -> Access:
-    """The access of one step entry off the fast path, or its ContractError."""
+def _checked_access(entry, sloc: str) -> tuple[str, str]:
+    """The entity and mode of one step entry off the fast path, or its ContractError."""
     if (
         not isinstance(entry, list)
         or len(entry) != 2
@@ -276,9 +316,10 @@ def _checked_access(entry, sloc: str) -> Access:
     ):
         raise ContractError("access must be [entity, mode]", sloc)
     try:
-        return Access(entry[0], entry[1])
+        access = Access(entry[0], entry[1])
     except ValueError as exc:
         raise ContractError(str(exc), sloc) from exc
+    return access.entity, access.mode
 
 
 def stats_tsv(stats: list[ReductionStats]) -> str:

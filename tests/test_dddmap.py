@@ -282,6 +282,27 @@ def test_build_ddd_model_rejects_a_member_the_model_lacks():
         build_ddd_model(model, dec, [])
 
 
+def test_an_entity_listed_twice_is_written_only_in_its_later_cluster():
+    model = _structure_model(("A", ()), ("B", (("a", "A"),)))
+    ddd = build_ddd_model(model, _decomposition(("C0", ("A", "B")), ("C1", ("A",))), [])
+    c0, c1 = ddd.context("C0"), ddd.context("C1")
+    assert [e.name for e in c0.entities] == ["B", "A_Reference"]
+    assert [e.name for e in c1.entities] == ["A"]
+    assert _entity(c0, "B").references == (CmlReference("A_Reference", "a"),)
+    assert _entity(c0, "A_Reference").comments == (f"{REFERENCE_COMMENT} C1.A",)
+    assert [(r.upstream, r.downstream, r.comments) for r in ddd.relationships] == [
+        ("C1", "C0", ("reference: B -> A",))
+    ]
+    assert validate_document(ddd) == []
+
+
+def test_build_ddd_model_rejects_a_cluster_a_later_one_empties():
+    model = _structure_model(("A", ()), ("B", ()))
+    dec = _decomposition(("C0", ("A",)), ("C1", ("A", "B")))
+    with pytest.raises(MappingError, match="cluster 'C0' keeps no entity"):
+        build_ddd_model(model, dec, [])
+
+
 def _tiny_document(*contexts):
     """A context map named Map over contexts given as (name, entities) pairs."""
     return CmlDocument(
