@@ -155,10 +155,11 @@ def _cmd_sagas(args) -> int:
     model = _load_model(args)
     decomposition = _load_decomposition(args, model)
     pairs = refactor_model(model, decomposition, args.orchestrator)
-    tsv = stats_tsv([stats for _, stats in pairs])
+    # Built before anything is written: a name the table refuses leaves no file behind.
+    tsv = stats_tsv([stats for _, stats in pairs]) if args.output != "-" else None
     if args.output:
         _write(args.output, sagas_to_json([saga for saga, _ in pairs]))
-    if args.output != "-":
+    if tsv is not None:
         _write("-", tsv, _stamp(args, "# generated {}"))
     return 0
 

@@ -496,6 +496,11 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{indent}]"
 
 
+def _breaks_tsv(name: str) -> bool:
+    """Whether ``name`` holds a tab or a line boundary ``str.splitlines`` splits at."""
+    return "\t" in name or "".join(name.splitlines()) != name
+
+
 def decomposition_to_json(decomposition: Decomposition) -> str:
     """Write what ``json.dumps(..., indent=2, sort_keys=True)`` writes.
 

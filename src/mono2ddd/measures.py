@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .decompose import (
     Decomposition,
     decomposition_to_json,
+    _breaks_tsv,
     _check_fit,
     _Index,
     _index,
@@ -261,9 +262,15 @@ def rank_decompositions(
 
 
 def report_tsv(report: MeasureReport) -> str:
-    """Render the per-cluster table plus a decomposition summary row."""
+    """Render the per-cluster table plus a decomposition summary row.
+
+    A cluster name that would break a row (a tab or a line break in it)
+    raises ``DecompositionError``.
+    """
     lines = ["cluster\tentities\tfunctionalities\tcohesion\tcoupling\tcomplexity"]
     for row in report.clusters:
+        if _breaks_tsv(row.name):
+            raise DecompositionError(f"cluster name {row.name!r} cannot be a TSV field")
         lines.append(
             "\t".join(
                 (

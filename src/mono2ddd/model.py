@@ -69,10 +69,11 @@ class _AccessColumns:
 
     ``_entities`` holds the entity names and ``_modes`` one mode character
     per position; ``_built`` is the ``Access`` tuple once it exists, else
-    None. A subclass's ``_key`` is its other fields and the columns, in the
-    order its ``_from_columns`` takes them. Equality, hash and pickling use
-    that key, so a value built from accesses equals the same value built
-    from columns.
+    None, or, for a refactored saga step, the functionality it picks its
+    accesses from (see ``saga.Step``). A subclass's ``_key`` is its other
+    fields and the columns, in the order its ``_from_columns`` takes them.
+    Equality, hash and pickling use that key, so a value built from
+    accesses equals the same value built from columns.
     """
 
     __slots__ = ("_entities", "_modes", "_built")

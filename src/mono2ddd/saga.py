@@ -1,9 +1,20 @@
 """Rewrite fine-grained access traces as coarse-grained sagas.
 
-A functionality's trace is first collapsed into maximal same-cluster runs,
-then steps are merged backward into earlier same-cluster steps whenever the
-reordering cannot change the outcome of any read/write conflict. The result
-is a saga: an ordered list of cluster-local steps plus an orchestrator.
+A functionality's trace is collapsed into maximal same-cluster runs, and
+each run merges backward into the last earlier step of its cluster whenever
+the reordering cannot change the outcome of any read/write conflict
+(``collapse_runs`` and ``merge_steps``). The result is a saga: an ordered
+list of cluster-local steps plus an orchestrator.
+
+Under a decomposition no such merge is ever blocked. A decomposition maps
+each entity to exactly one cluster, so a run of cluster ``c`` touches only
+entities of ``c`` and a step of any other cluster touches none of them: no
+access between a run and the last step of its cluster can conflict with
+it. Every run therefore joins that step, and a refactored saga has one
+step per cluster the trace touches, in order of first appearance, holding
+the cluster's accesses in trace order; its CGI is the number of clusters
+touched. ``refactor_model`` and ``refactor_functionality`` build that
+grouping directly from the trace columns, in one pass.
 """
 
 from __future__ import annotations
@@ -11,10 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
-from .decompose import Decomposition, _json_array
+from .decompose import Decomposition, _breaks_tsv, _json_array
 from .errors import ContractError, SagaError
-from .model import WRITE, Access, Functionality, MonolithModel, _AccessColumns
+from .model import WRITE, Access, Functionality, MonolithModel, _AccessColumns, _set_built
 
 ORCHESTRATOR_POLICIES = ("first", "max-accesses")
 
@@ -28,6 +40,12 @@ class Step(_AccessColumns):
     ``mono2ddd.model``). Built from ``Access`` values, those values are the
     ``accesses`` tuple; built from a parsed sagas document, ``accesses``
     builds its tuple on the first read and returns it on every later one.
+    A step refactored from a functionality keeps that functionality in
+    place of the tuple, and its first read of ``accesses`` picks the
+    functionality's own ``Access`` objects out of ``trace``, so the saga
+    holds exactly the trace's objects whichever is read first. The link
+    travels as a built tuple does: a copy shares the functionality, a deep
+    copy copies it.
     """
 
     __slots__ = ("cluster", "index")
@@ -42,23 +60,41 @@ class Step(_AccessColumns):
 
     @classmethod
     def _from_columns(
-        cls, cluster: str, entities: tuple[str, ...], modes: str, index: int
+        cls,
+        cluster: str,
+        entities: tuple[str, ...],
+        modes: str,
+        index: int,
+        source: Functionality | None = None,
     ) -> Step:
         """A step from checked columns: as many non-empty entity names as
-        ``R``/``W`` characters."""
+        ``R``/``W`` characters. ``source`` is the functionality whose trace
+        holds these accesses at the positions of these entities, and no
+        others."""
         step = object.__new__(cls)
         _set_cluster(step, cluster)
         step._set_columns(entities, modes)
         _set_index(step, index)
+        if source is not None:
+            _set_built(step, source)
         return step
 
     def _key(self) -> tuple:
         return (self.cluster, self._entities, self._modes, self.index)
 
+    def _step_accesses(self) -> tuple[Access, ...]:
+        source = self._built
+        if source.__class__ is not Functionality:
+            return self._accesses()
+        own = frozenset(self._entities)
+        built = tuple([a for a in source.trace if a.entity in own])
+        _set_built(self, built)
+        return built
+
 
 _set_cluster = Step.cluster.__set__
 _set_index = Step.index.__set__
-Step.accesses = property(_AccessColumns._accesses, doc="The step's accesses as ``Access`` values.")
+Step.accesses = property(Step._step_accesses, doc="The step's accesses as ``Access`` values.")
 
 
 @dataclass(frozen=True)
@@ -149,6 +185,12 @@ def merge_steps(
     collapsed at the first merge, as the rule does, so the result is the
     same for any input. Each step is moved at most once and walks back only
     over live steps.
+
+    On the runs of a trace under a decomposition nothing is ever blocked:
+    each entity belongs to exactly one cluster, so the entities of a moved
+    step and of every step it walks back over are disjoint. The result is
+    then one step per cluster, in order of first appearance, which
+    ``refactor_model`` builds without this walk.
     """
     live: list[tuple[str, list[Access], set[str], set[str]]] = []
     pending = steps
@@ -172,35 +214,56 @@ def merge_steps(
     return [(cluster, accesses) for cluster, accesses, _, _ in live]
 
 
-def _pick_orchestrator(steps: list[tuple[str, list[Access]]], policy: str) -> str:
+def _pick_orchestrator(sizes: dict[str, int], policy: str) -> str:
+    """The orchestrator of a saga with ``sizes[c]`` accesses in the step of
+    cluster ``c``, the clusters in step order."""
     if policy == "first":
-        return steps[0][0]
+        return next(iter(sizes))
     if policy == "max-accesses":
-        counts: dict[str, int] = {}
-        for cluster, accesses in steps:
-            counts[cluster] = counts.get(cluster, 0) + len(accesses)
-        best = max(counts.values())
-        return min(c for c, n in counts.items() if n == best)
+        best = max(sizes.values())
+        return min(c for c, n in sizes.items() if n == best)
     raise SagaError(f"unknown orchestrator policy {policy!r}")
 
 
 def _refactor(
     functionality: Functionality, mapping: dict[str, str], orchestrator_policy: str
 ) -> tuple[Saga, ReductionStats]:
-    merged = merge_steps(collapse_runs(functionality.trace, mapping))
+    """The saga of one trace: its positions grouped by cluster (see the
+    module docstring), read from the trace columns."""
+    entities = functionality._entities
+    modes = functionality._modes
+    try:
+        clusters = list(map(mapping.__getitem__, entities))
+    except KeyError as exc:
+        raise SagaError(f"entity {exc.args[0]!r} is not mapped to a cluster") from None
+    groups: dict[str, list[int]] = {}
+    for position, cluster in enumerate(clusters):
+        group = groups.get(cluster)
+        if group is None:
+            groups[cluster] = [position]
+        else:
+            group.append(position)
+    steps = []
+    for index, (cluster, positions) in enumerate(groups.items()):
+        if len(positions) == len(entities):
+            columns = entities, modes
+        elif len(positions) == 1:
+            columns = (entities[positions[0]],), modes[positions[0]]
+        else:
+            pick = itemgetter(*positions)
+            columns = pick(entities), "".join(pick(modes))
+        steps.append(Step._from_columns(cluster, *columns, index, functionality))
+    sizes = {cluster: len(positions) for cluster, positions in groups.items()}
     saga = Saga(
         functionality=functionality.name,
-        orchestrator=_pick_orchestrator(merged, orchestrator_policy),
-        steps=tuple(
-            Step(cluster, tuple(accesses), index)
-            for index, (cluster, accesses) in enumerate(merged)
-        ),
+        orchestrator=_pick_orchestrator(sizes, orchestrator_policy),
+        steps=tuple(steps),
     )
-    fgi = len(functionality.trace)
-    cgi = len(merged)
+    fgi = len(entities)
+    cgi = len(steps)
     stats = ReductionStats(
         functionality=functionality.name,
-        clusters_touched=len({cluster for cluster, _ in merged}),
+        clusters_touched=cgi,
         cgi=cgi,
         fgi=fgi,
         reduction_pct=1.0 - cgi / fgi,
@@ -230,22 +293,33 @@ def refactor_model(
     return [_refactor(f, mapping, orchestrator_policy) for f in model.functionalities]
 
 
+class _AccessItems(dict):
+    """The JSON text of each ``(entity, mode)`` step entry, written on first use."""
+
+    def __missing__(self, key: tuple[str, str]) -> str:
+        entity, mode = key
+        text = self[key] = (
+            f"            [\n              {encode_basestring_ascii(entity)},\n"
+            f"              {encode_basestring_ascii(mode)}\n            ]"
+        )
+        return text
+
+
 def sagas_to_json(sagas: list[Saga]) -> str:
     """Write what ``json.dumps(..., indent=2, sort_keys=True)`` writes.
 
     With ``indent`` the json module runs its pure-Python encoder, so the
     layout is written here and only the strings go through its C quoting.
+    Each distinct ``(entity, mode)`` item is written once per call.
     """
     quote = encode_basestring_ascii
+    items = _AccessItems()
+    item = items.__getitem__
     saga_items = []
     for s in sagas:
         step_items = []
         for step in s.steps:
-            accesses = [
-                f"            [\n              {quote(entity)},\n"
-                f"              {quote(mode)}\n            ]"
-                for entity, mode in zip(step._entities, step._modes)
-            ]
+            accesses = list(map(item, zip(step._entities, step._modes)))
             step_items.append(
                 f'        {{\n          "accesses": {_json_array(accesses, " " * 10)},\n'
                 f'          "cluster": {quote(step.cluster)}\n        }}'
@@ -323,8 +397,12 @@ def _checked_access(entry, sloc: str) -> tuple[str, str]:
 
 
 def stats_tsv(stats: list[ReductionStats]) -> str:
+    """The reduction table; a functionality name that would break a row
+    (a tab or a line break in it) raises ``SagaError``."""
     lines = ["name\tclusters\tCGI\tFGI\treduction%"]
     for s in stats:
+        if _breaks_tsv(s.functionality):
+            raise SagaError(f"functionality name {s.functionality!r} cannot be a TSV field")
         lines.append(
             "\t".join(
                 (

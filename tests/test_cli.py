@@ -518,6 +518,34 @@ def test_every_subcommand_checks_the_decomposition(
     assert err == f"error: {message}\n"
 
 
+# A tab, and line boundaries that str.splitlines knows beyond "\n".
+_TSV_BREAKING_NAMES = ("a\tb\nc", "cr\rlf", "form\x0cfeed", "group\x1dsep", "next\x85line", "par\u2029")
+
+
+@pytest.mark.parametrize("name", _TSV_BREAKING_NAMES)
+def test_a_name_that_would_break_a_tsv_row_exits_one(workdir, capsys, name):
+    accesses = workdir / "named.json"
+    trace = [["A", "R"], ["B", "W"]]
+    accesses.write_text(json.dumps({"functionalities": [{"name": name, "trace": trace}]}))
+    plain, named = workdir / "plain.json", workdir / "named_dec.json"
+    plain.write_text('{"clusters": {"C0": ["A"], "C1": ["B"]}}')
+    named.write_text(json.dumps({"clusters": {"C0": ["A"], name: ["B"]}}))
+    model = ["--accesses", str(accesses)]
+    sagas = workdir / "sagas.json"
+
+    code, out, err = run(capsys, "sagas", *model, "--decomposition", str(plain), "-o", str(sagas))
+    assert (code, out) == (1, "")
+    assert err == f"error: functionality name {name!r} cannot be a TSV field\n"
+    assert not sagas.exists()
+    code, out, err = run(capsys, "assess", *model, "--decomposition", str(named))
+    assert (code, out) == (1, "")
+    assert err == f"error: cluster name {name!r} cannot be a TSV field\n"
+    # With the JSON on stdout no table is written, and JSON quotes any name.
+    code, out, err = run(capsys, "sagas", *model, "--decomposition", str(plain), "-o", "-")
+    assert code == 0, err
+    assert json.loads(out)["sagas"][0]["functionality"] == name
+
+
 @pytest.mark.parametrize(
     ("params", "message"),
     [

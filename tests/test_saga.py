@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -12,11 +15,13 @@ from hypothesis import strategies as st
 from helpers import UNIT_WEIGHTS, random_model, random_partition
 from oracles import check_saga
 
-from mono2ddd.decompose import decompose
+from mono2ddd.decompose import Decomposition, decompose
 from mono2ddd.errors import ContractError, SagaError
-from mono2ddd.model import WRITE, Access
+from mono2ddd.ingest import parse_accesses
+from mono2ddd.model import WRITE, Access, EntityStructure, MonolithModel
 from mono2ddd.saga import (
     ORCHESTRATOR_POLICIES,
+    ReductionStats,
     Saga,
     Step,
     collapse_runs,
@@ -416,3 +421,138 @@ def test_sagas_to_json_writes_what_json_dumps_writes():
             for _ in range(rng.randint(0, 3))
         ]
         assert sagas_to_json(sagas) == _json_dumps_sagas(sagas)
+
+
+# --- refactoring by cluster equals the merge walk -------------------------------
+
+
+def _pick_by_merged_steps(merged, policy):
+    if policy == "first":
+        return merged[0][0]
+    counts = {}
+    for cluster, accesses in merged:
+        counts[cluster] = counts.get(cluster, 0) + len(accesses)
+    best = max(counts.values())
+    return min(c for c, n in counts.items() if n == best)
+
+
+def _reference(functionality, mapping, policy):
+    """The saga and stats of the merge walk: `merge_steps(collapse_runs(...))`."""
+    merged = merge_steps(collapse_runs(functionality.trace, mapping))
+    steps = [
+        (cluster, tuple(a.entity for a in accesses), "".join(a.mode for a in accesses))
+        for cluster, accesses in merged
+    ]
+    cgi, fgi = len(merged), len(functionality.trace)
+    stats = ReductionStats(
+        functionality.name, len({c for c, _ in merged}), cgi, fgi, 1.0 - cgi / fgi
+    )
+    return functionality.name, _pick_by_merged_steps(merged, policy), steps, stats
+
+
+def _columns(saga, stats):
+    for index, step in enumerate(saga.steps):
+        assert step.index == index
+    steps = [(step.cluster, step._entities, step._modes) for step in saga.steps]
+    return saga.functionality, saga.orchestrator, steps, stats
+
+
+def _assert_refactoring_matches_merge_walk(model, dec, policy):
+    mapping = dec.assignment()
+    expected = [_reference(f, mapping, policy) for f in model.functionalities]
+    assert [_columns(*pair) for pair in refactor_model(model, dec, policy)] == expected
+    for f, reference in zip(model.functionalities, expected):
+        assert _columns(*refactor_functionality(model, dec, f.name, policy)) == reference
+
+
+@pytest.mark.parametrize("policy", ORCHESTRATOR_POLICIES)
+def test_refactoring_by_cluster_equals_the_merge_walk(policy):
+    rng = random.Random(20261021)
+    for _ in range(150):
+        model = random_model(rng, max_entities=8, max_trace=40)
+        names = list(model.entity_names())
+        dec = random_partition(rng, names, rng.randint(1, len(names)))
+        _assert_refactoring_matches_merge_walk(model, dec, policy)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(ORCHESTRATOR_POLICIES))
+def test_refactoring_by_cluster_property_equals_the_merge_walk(rng, policy):
+    model = random_model(rng, max_entities=8, max_trace=30)
+    names = list(model.entity_names())
+    dec = random_partition(rng, names, rng.randint(1, len(names)))
+    _assert_refactoring_matches_merge_walk(model, dec, policy)
+
+
+# A trace over two clusters: C holds A and B, D holds X.
+_TRACE = (("A", "R"), ("X", "W"), ("B", "W"), ("A", "R"), ("X", "R"))
+_STEP_C = (("A", "R"), ("B", "W"), ("A", "R"))
+_STEP_C_POSITIONS = (0, 2, 3)
+
+
+def _refactored(read_first):
+    """A parsed functionality and the first step of its refactored saga,
+    with the trace, the step's accesses, or neither read first."""
+    doc = {"functionalities": [{"name": "f", "trace": [list(p) for p in _TRACE]}]}
+    (functionality,) = parse_accesses(json.dumps(doc))
+    model = MonolithModel(tuple(EntityStructure(e) for e in "ABX"), (functionality,))
+    dec = Decomposition(UNIT_WEIGHTS, 2, (("C", ("A", "B")), ("D", ("X",))))
+    saga, _ = refactor_functionality(model, dec, "f")
+    step = saga.steps[0]
+    if read_first == "trace":
+        functionality.trace
+    elif read_first == "step":
+        step.accesses
+    return functionality, step
+
+
+_READ_ORDERS = ("trace", "step", "neither")
+
+
+@pytest.mark.parametrize("read_first", _READ_ORDERS)
+def test_a_refactored_step_holds_the_trace_objects(read_first):
+    functionality, step = _refactored(read_first)
+    accesses = step.accesses
+    assert accesses is step.accesses
+    assert [(a.entity, a.mode) for a in accesses] == list(_STEP_C)
+    trace = functionality.trace
+    assert [id(a) for a in accesses] == [id(trace[i]) for i in _STEP_C_POSITIONS]
+
+
+@pytest.mark.parametrize("read_first", _READ_ORDERS)
+def test_a_refactored_step_is_the_value_built_from_accesses(read_first):
+    functionality, step = _refactored(read_first)
+    built = Step("C", tuple(Access(e, m) for e, m in _STEP_C), 0)
+    assert step == built and built == step and hash(step) == hash(built)
+    assert len({step, built}) == 1
+    assert step != Step("C", built.accesses, 1) and step != Step("D", built.accesses, 0)
+    assert repr(step) == repr(built)
+
+
+@pytest.mark.parametrize("read_first", _READ_ORDERS)
+def test_a_refactored_step_pickles_and_copies(read_first):
+    functionality, step = _refactored(read_first)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(step, protocol))
+        assert type(clone) is Step and clone == step and hash(clone) == hash(step)
+        assert repr(clone) == repr(step)
+        assert clone.accesses is clone.accesses
+    shallow, deep = copy.copy(step), copy.deepcopy(step)
+    assert shallow == step and deep == step
+    # As with a built tuple: a copy shares the accesses, a deep copy copies them.
+    assert shallow.accesses is step.accesses
+    trace = functionality.trace
+    assert [id(a) for a in step.accesses] == [id(trace[i]) for i in _STEP_C_POSITIONS]
+    assert all(a is not b for a, b in zip(deep.accesses, step.accesses))
+
+
+@pytest.mark.parametrize("read_first", _READ_ORDERS)
+def test_a_refactored_step_replaces_and_stays_frozen(read_first):
+    _, step = _refactored(read_first)
+    moved = dataclasses.replace(step, index=3)
+    assert moved == Step("C", tuple(Access(e, m) for e, m in _STEP_C), 3)
+    assert moved.accesses is step.accesses
+    for name in ("cluster", "accesses", "index", "_entities", "_modes", "_built"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(step, name, None)
+    assert not hasattr(step, "__dict__")

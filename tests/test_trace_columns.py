@@ -268,9 +268,10 @@ def test_column_readers_build_no_access(tmp_path, capsys, counted, case):
     assert counted == {"built": 0, "checked": 0}
 
 
+@pytest.mark.parametrize("read_first", ["trace", "steps"])
 @pytest.mark.parametrize("case", range(5))
-def test_sagas_call_builds_each_trace_once_and_keeps_identity(
-    tmp_path, capsys, counted, monkeypatch, case
+def test_saga_calls_build_no_access_and_steps_hold_the_trace_objects(
+    tmp_path, capsys, counted, monkeypatch, case, read_first
 ):
     accesses, structure = list(_models())[case]
     model = _inputs(tmp_path, accesses, structure)
@@ -288,10 +289,20 @@ def test_sagas_call_builds_each_trace_once_and_keeps_identity(
     monkeypatch.setattr(cli, "refactor_model", recording)
     counted["built"] = counted["checked"] = 0
     _main("sagas", *model, "--decomposition", dec, "-o", tmp_path / "sagas.json")
+    _main("to-cml", *model, "--decomposition", dec, "-o", tmp_path / "model.cml")
     capsys.readouterr()
+    # Taken before any trace or step is read below.
+    assert counted == {"built": 0, "checked": 0}
+    assert len(calls) == 2
 
-    ((parsed, decomposition, pairs),) = calls
-    assert counted == {"built": sum(len(f.trace) for f in parsed.functionalities), "checked": 0}
-    mapping = decomposition.assignment()
-    for f, (saga, _) in zip(parsed.functionalities, pairs):
-        assert check_saga(f.trace, mapping, saga) == []
+    traced = 0
+    for parsed, decomposition, pairs in calls:
+        mapping = decomposition.assignment()
+        for f, (saga, _) in zip(parsed.functionalities, pairs):
+            if read_first == "steps":
+                for step in saga.steps:
+                    step.accesses
+            assert check_saga(f.trace, mapping, saga) == []
+            traced += len(f.trace)
+    # Each trace was built once, and its steps hold the same objects.
+    assert counted == {"built": traced, "checked": 0}
