@@ -33,7 +33,7 @@ from .cml import (
     CmlStep,
     stats_comment,
 )
-from .decompose import Decomposition
+from .decompose import Decomposition, check_decomposition
 from .errors import MappingError
 from .model import READ, WRITE, Access, MonolithModel
 from .saga import Saga
@@ -113,20 +113,20 @@ def build_ddd_model(
 
     Each cluster becomes a context with one service and one aggregate; the
     entities keep their attributes, and a reference keeps its field but no
-    kind, so an inheritance reference becomes a plain one. An entity that
-    more than one cluster lists belongs to the later one, as in
-    ``Decomposition.assignment``, and is written only there. A reference to
-    an entity of the same cluster stays direct. Any other target is
-    replaced by one ``<Target>_Reference`` placeholder per target and
-    context, appended after the members in name order, and the target's
-    context becomes upstream of the referencing one: each ``[U]-[D]``
-    relationship lists its causing references, and the relationships are
-    sorted by context pair. ``MappingError`` is raised for an unknown
-    naming, sagas that do not cover the model's functionalities once each
-    or that name an unknown cluster, a member the model lacks, a cluster
-    whose every member a later cluster lists, a reference target in no
-    cluster, and a placeholder name that a member of the context already
-    has.
+    kind, so an inheritance reference becomes a plain one. An entity is
+    written only in the cluster ``check_decomposition`` gives it (the later
+    one if listed twice). A reference to an entity of the same cluster
+    stays direct. Any other target is replaced by one ``<Target>_Reference``
+    placeholder per target and context, appended after the members in name
+    order, and the target's context becomes upstream of the referencing
+    one: each ``[U]-[D]`` relationship lists its causing references, and
+    the relationships are sorted by context pair. ``MappingError`` is raised
+    for an unknown naming, sagas that do not cover the model's
+    functionalities once each or that name an unknown cluster or
+    orchestrator; then ``DecompositionError`` for a decomposition that does
+    not fit the model; then ``MappingError`` for a cluster whose every
+    member a later cluster lists, a reference target in no cluster, and a
+    placeholder name that a member of the context already has.
     """
     if naming not in NAMING_HEURISTICS:
         raise MappingError(f"unknown naming heuristic {naming!r}")
@@ -170,14 +170,8 @@ def build_ddd_model(
                 CmlCoordination(saga.functionality, tuple(steps))
             )
 
+    owner = check_decomposition(model, decomposition)
     structures = {e.name: e for e in model.entities}
-    for _, members in decomposition.clusters:
-        for member in members:
-            if member not in structures:
-                raise MappingError(
-                    f"decomposition names entity {member!r}, which the model does not have"
-                )
-    owner = decomposition.assignment()
     external_accesses, local_accesses = _saga_accesses(sagas)
     relationships: dict[tuple[str, str], set[tuple[str, str]]] = {}
     contexts = []

@@ -29,7 +29,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -524,31 +524,31 @@ def decomposition_to_json(decomposition: Decomposition) -> str:
     )
 
 
-def _check_fit(
+def _resolve(
     decomposition: Decomposition, known: Container[str], traced: Iterable[str]
-) -> None:
-    """``check_decomposition``'s two rules, given the model's entity names
-    and its traced entity names in trace order."""
-    for _, members in decomposition.clusters:
-        for entity in members:
-            if entity not in known:
-                raise DecompositionError(
-                    f"decomposition names entity {entity!r}, which the model does not have"
-                )
-    assigned = {e for _, members in decomposition.clusters for e in members}
+) -> dict[str, str]:
+    """``check_decomposition``, given the model's entity names and its traced
+    entity names in first-seen order."""
+    owner = decomposition.assignment()
+    for entity in owner:
+        if entity not in known:
+            raise DecompositionError(
+                f"decomposition names entity {entity!r}, which the model does not have"
+            )
     for entity in traced:
-        if entity not in assigned:
+        if entity not in owner:
             raise DecompositionError(f"entity {entity!r} is not mapped to a cluster")
+    return owner
 
 
-def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> None:
-    """Reject a decomposition that does not fit the model.
+def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> dict[str, str]:
+    """Each listed entity's cluster (an entity listed twice: the later one).
 
-    Every entity it names must exist in the model, and every traced entity
-    must be in one of its clusters.
+    ``DecompositionError`` names the first listed entity the model lacks,
+    else the first traced entity in no cluster. Every function that takes a
+    model and a decomposition applies this rule.
     """
-    traced = dict.fromkeys(chain.from_iterable(f._entities for f in model.functionalities))
-    _check_fit(decomposition, set(model.entity_names()), traced)
+    return _resolve(decomposition, set(model.entity_names()), model._traced)
 
 
 def parse_decomposition(text: str) -> Decomposition:
@@ -590,6 +590,8 @@ def parse_decomposition(text: str) -> Decomposition:
             seen.add(m)
         clusters.append((name, tuple(sorted(members))))
     n = params.get("n", len(clusters))
+    if type(n) is not int:
+        raise ContractError(f"params.n must be an integer, got {n!r}")
     if n != len(clusters):
         raise ContractError(f"params.n is {n} but document has {len(clusters)} clusters")
     return Decomposition(weights, len(clusters), tuple(clusters))

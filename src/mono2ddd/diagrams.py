@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .cml import CmlDocument
-from .decompose import Decomposition
-from .errors import DecompositionError, MappingError
+from .decompose import Decomposition, check_decomposition
+from .errors import MappingError
 from .model import MonolithModel
 
 
@@ -15,17 +15,16 @@ def _quote(name: str) -> str:
 def decomposition_dot(model: MonolithModel, decomposition: Decomposition) -> str:
     """Undirected context map; edges count functionalities shared by two clusters.
 
-    A traced entity in no cluster raises ``DecompositionError``.
+    Each entity counts for the cluster ``check_decomposition`` gives it, and
+    a decomposition that does not fit the model raises its
+    ``DecompositionError``.
     """
-    assignment = decomposition.assignment()
+    assignment = check_decomposition(model, decomposition)
     names = decomposition.cluster_names()
 
     shared: dict[tuple[str, str], int] = {}
     for f in model.functionalities:
-        try:
-            touched = sorted({assignment[e] for e in dict.fromkeys(f._entities)})
-        except KeyError as exc:
-            raise DecompositionError(f"entity {exc.args[0]!r} is not mapped to a cluster") from None
+        touched = sorted(set(map(assignment.__getitem__, f._entities)))
         for i, c1 in enumerate(touched):
             for c2 in touched[i + 1 :]:
                 shared[(c1, c2)] = shared.get((c1, c2), 0) + 1

@@ -33,11 +33,13 @@ class DslParseError(Mono2DddError):
 
 
 class DecompositionError(Mono2DddError):
-    """Invalid clustering request (bad weights, bad cluster count, empty grid)."""
+    """Invalid clustering request (bad weights, cluster count or grid), or a
+    decomposition that does not fit its model (``check_decomposition``)."""
 
 
 class SagaError(Mono2DddError):
-    """Saga refactoring cannot proceed (unknown functionality, unmapped entity)."""
+    """Saga refactoring cannot proceed (unknown functionality or policy, an
+    access ``collapse_runs`` cannot map, a name a TSV row cannot hold)."""
 
 
 class MappingError(Mono2DddError):

@@ -18,9 +18,9 @@ from .decompose import (
     Decomposition,
     decomposition_to_json,
     _breaks_tsv,
-    _check_fit,
     _Index,
     _index,
+    _resolve,
     _search,
 )
 from .errors import DecompositionError
@@ -115,8 +115,9 @@ def _measure(
 ) -> tuple[MeasureReport, list[float]]:
     """The report of one partition, plus each functionality's complexity.
 
-    Clusters are told apart by name, and an entity listed twice belongs to
-    the later cluster, as in ``Decomposition.assignment``. A functionality
+    It must fit by ``check_decomposition``'s rule, read from the index's
+    ``known`` and ``traced`` names, and a cluster's mask holds the entities
+    that rule's map gives it. Clusters are told apart by name. A functionality
     is distributed when no one cluster holds all its entities. Its
     complexity counts, per access, the other distributed functionalities
     that access the same entity in the other mode:
@@ -131,18 +132,12 @@ def _measure(
     under the distributed mask. Only coupling, which depends on the other
     clusters, is computed for every partition.
     """
-    _check_fit(decomposition, index.known, index.traced)
-    ids = index.ids
-    positions: dict[str, int] = {}
-    owner = [-1] * len(ids)
-    for name, members in decomposition.clusters:
-        c = positions.setdefault(name, len(positions))
-        for entity in members:
-            owner[ids[entity]] = c
+    owner = _resolve(decomposition, index.known, index.traced)
+    positions = {name: c for c, name in enumerate(dict.fromkeys(decomposition.cluster_names()))}
     masks = [0] * len(positions)
-    for e, c in enumerate(owner):
-        if c >= 0:
-            masks[c] |= 1 << e
+    ids = index.ids
+    for entity, name in owner.items():
+        masks[positions[name]] |= 1 << ids[entity]
 
     facts = []
     contained = 0

@@ -17,6 +17,8 @@ returned on every later read, so code that follows accesses by identity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 
 READ = "R"
@@ -219,6 +221,11 @@ class MonolithModel:
 
     def entity_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entities)
+
+    @cached_property
+    def _traced(self) -> tuple[str, ...]:
+        """Traced entity names in first-seen order, from the columns on first read."""
+        return tuple(dict.fromkeys(chain.from_iterable(f._entities for f in self.functionalities)))
 
     def structure(self, name: str) -> EntityStructure:
         for e in self.entities:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .decompose import Decomposition, _breaks_tsv, _json_array
+from .decompose import Decomposition, _breaks_tsv, _json_array, check_decomposition
 from .errors import ContractError, SagaError
 from .model import WRITE, Access, Functionality, MonolithModel, _AccessColumns, _set_built
 
@@ -229,15 +229,12 @@ def _refactor(
     functionality: Functionality, mapping: dict[str, str], orchestrator_policy: str
 ) -> tuple[Saga, ReductionStats]:
     """The saga of one trace: its positions grouped by cluster (see the
-    module docstring), read from the trace columns."""
+    module docstring), read from the trace columns. ``mapping`` is
+    ``check_decomposition``'s map, so it holds every traced entity."""
     entities = functionality._entities
     modes = functionality._modes
-    try:
-        clusters = list(map(mapping.__getitem__, entities))
-    except KeyError as exc:
-        raise SagaError(f"entity {exc.args[0]!r} is not mapped to a cluster") from None
     groups: dict[str, list[int]] = {}
-    for position, cluster in enumerate(clusters):
+    for position, cluster in enumerate(map(mapping.__getitem__, entities)):
         group = groups.get(cluster)
         if group is None:
             groups[cluster] = [position]
@@ -277,11 +274,12 @@ def refactor_functionality(
     name: str,
     orchestrator_policy: str = "first",
 ) -> tuple[Saga, ReductionStats]:
+    mapping = check_decomposition(model, decomposition)
     try:
         functionality = model.functionality(name)
     except KeyError:
         raise SagaError(f"unknown functionality {name!r}") from None
-    return _refactor(functionality, decomposition.assignment(), orchestrator_policy)
+    return _refactor(functionality, mapping, orchestrator_policy)
 
 
 def refactor_model(
@@ -289,7 +287,7 @@ def refactor_model(
     decomposition: Decomposition,
     orchestrator_policy: str = "first",
 ) -> list[tuple[Saga, ReductionStats]]:
-    mapping = decomposition.assignment()
+    mapping = check_decomposition(model, decomposition)
     return [_refactor(f, mapping, orchestrator_policy) for f in model.functionalities]
 
 

@@ -23,7 +23,7 @@ from mono2ddd.cml import (
 )
 from mono2ddd.dddmap import NAMING_HEURISTICS, build_ddd_model, elect_root, name_operation
 from mono2ddd.decompose import Decomposition
-from mono2ddd.errors import MappingError
+from mono2ddd.errors import DecompositionError, MappingError
 from mono2ddd.model import (
     INHERITANCE,
     Access,
@@ -277,9 +277,10 @@ def test_build_ddd_model_rejects_a_member_the_model_lacks():
     model = _structure_model(("A", ()))
     dec = _decomposition(("C0", ("A",)), ("C1", ("Zed",)))
     with pytest.raises(
-        MappingError, match="decomposition names entity 'Zed', which the model does not have"
-    ):
+        DecompositionError, match="decomposition names entity 'Zed', which the model does not have"
+    ) as err:
         build_ddd_model(model, dec, [])
+    assert type(err.value) is DecompositionError
 
 
 def test_an_entity_listed_twice_is_written_only_in_its_later_cluster():

@@ -256,6 +256,15 @@ def test_decomposition_json_equals_the_json_module_layout():
         ('{"clusters": {"c": []}}', "at least one entity"),
         ('{"clusters": {"c": ["A"], "d": ["A"]}}', "more than one cluster"),
         ('{"params": {"n": 3}, "clusters": {"c": ["A"]}}', "params.n"),
+        (
+            '{"params": {"n": "2"}, "clusters": {"c": ["A"], "d": ["B"]}}',
+            "params.n must be an integer, got '2'",
+        ),
+        ('{"params": {"n": true}, "clusters": {"c": ["A"]}}', "params.n must be an integer"),
+        (
+            '{"params": {"n": 2.0}, "clusters": {"c": ["A"], "d": ["B"]}}',
+            "params.n must be an integer, got 2.0",
+        ),
         ('{"params": {"weights": ["x", 0, 0, 0]}, "clusters": {"c": ["A"]}}', "params.weights"),
         ('{"params": {"weights": [null, 0, 0, 1]}, "clusters": {"c": ["A"]}}', "params.weights"),
         ('{"params": {"weights": [true, 0, 0, 0]}, "clusters": {"c": ["A"]}}', "params.weights"),
