@@ -218,104 +218,129 @@ def _cmd_cml_split(args) -> int:
     return 0
 
 
-def _add_model_arguments(parser, structure_required=False):
-    parser.add_argument("--accesses", required=True, help="accesses JSON file")
-    parser.add_argument(
-        "--structure",
-        required=structure_required,
-        help="entity structure file (JSON or the mini DSL)",
-    )
+class _Subparser:
+    """A subcommand's parser, built when ``argparse`` dispatches to it.
+
+    ``add_parser`` makes one per subcommand, and ``argparse`` calls only
+    ``parse_known_args`` on the one named on the command line; the help
+    text and choices of the parent come from ``add_parser``. So a call
+    builds its own subcommand's parser and no other.
+    """
+
+    def __init__(self, command: str, **kwargs):
+        self.command = command
+        self.kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        _add_arguments(parser, self.command)
+        return parser.parse_known_args(args, namespace)
+
+
+_COMMANDS = {
+    "decompose": "cluster entities into one decomposition",
+    "search": "grid-search weights and pick the best candidate",
+    "assess": "measure a decomposition (TSV)",
+    "sagas": "refactor functionalities into sagas",
+    "to-cml": "generate the DSL document",
+    "diagram": "render a context map (dot) or saga lanes (bpmn)",
+    "cml": "refactor an existing .cml document",
+}
+_CML_COMMANDS = {
+    "merge": "merge two bounded contexts",
+    "split": "split a context's aggregate",
+}
+
+
+def _add_subcommands(parser, dest: str, commands: dict[str, str], prefix: str = "") -> None:
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Subparser)
+    for name, help in commands.items():
+        sub.add_parser(name, help=help, command=prefix + name)
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """Add the arguments of ``command`` (``cml merge`` for a nested one) to ``p``."""
+    if command in ("decompose", "search", "assess", "sagas", "to-cml"):
+        p.add_argument("--accesses", required=True, help="accesses JSON file")
+        p.add_argument("--structure", help="entity structure file (JSON or the mini DSL)")
+
+    if command == "decompose":
+        p.add_argument("--weights", default="1,0,0,0", help="access,write,read,sequence")
+        p.add_argument("-n", type=int, required=True, help="number of clusters")
+        p.add_argument("-o", "--output", default="-", help="decomposition JSON ('-' = stdout)")
+        p.set_defaults(func=_cmd_decompose)
+    elif command == "search":
+        p.add_argument("--step", type=float, default=0.5, help="weight grid step")
+        p.add_argument("--n", default="2,3", help="comma-separated cluster counts")
+        p.add_argument("--top", type=int, default=100, help="short-list size for the pick")
+        p.add_argument("--candidates", help="optional TSV dump of every scored candidate")
+        p.add_argument("-o", "--output", default="-", help="winning decomposition JSON")
+        p.set_defaults(func=_cmd_search)
+    elif command == "assess":
+        p.add_argument("--decomposition", required=True, help="decomposition JSON file")
+        p.add_argument("-o", "--output", default="-", help="TSV output")
+        p.add_argument("--stamp", action="store_true", help="prepend a timestamp line")
+        p.set_defaults(func=_cmd_assess)
+    elif command == "sagas":
+        p.add_argument("--decomposition", required=True)
+        p.add_argument(
+            "--orchestrator",
+            choices=ORCHESTRATOR_POLICIES,
+            default="first",
+            help="orchestrator pick: first step's cluster, or the most-accessed one",
+        )
+        p.add_argument(
+            "-o",
+            "--output",
+            help="sagas JSON file; the reduction TSV prints to stdout ('-' = JSON to stdout)",
+        )
+        p.add_argument("--stamp", action="store_true", help="prepend a timestamp line")
+        p.set_defaults(func=_cmd_sagas)
+    elif command == "to-cml":
+        p.add_argument("--decomposition", required=True)
+        p.add_argument("--sagas", help="sagas JSON (computed on the fly when omitted)")
+        p.add_argument("--naming", choices=NAMING_HEURISTICS, default="full-trace")
+        p.add_argument("--orchestrator", choices=ORCHESTRATOR_POLICIES, default="first")
+        p.add_argument("--map-name", default="Decomposition", help="ContextMap identifier")
+        p.add_argument("-o", "--output", default="-", help=".cml output")
+        p.add_argument("--stamp", action="store_true", help="prepend a timestamp comment")
+        p.set_defaults(func=_cmd_to_cml)
+    elif command == "diagram":
+        p.add_argument("--format", choices=("dot", "bpmn"), required=True)
+        p.add_argument("--accesses", help="accesses JSON (dot from a decomposition)")
+        p.add_argument("--structure", help="entity structure file")
+        p.add_argument("--decomposition", help="decomposition JSON (dot view)")
+        p.add_argument("--cml", help=".cml document (dot from relationships, bpmn)")
+        p.add_argument("--coordination", help="coordination name (bpmn)")
+        p.add_argument("-o", "--output", default="-")
+        p.add_argument("--stamp", action="store_true", help="prepend a timestamp comment")
+        p.set_defaults(func=_cmd_diagram)
+    elif command == "cml":
+        _add_subcommands(p, "cml_command", _CML_COMMANDS, "cml ")
+    elif command == "cml merge":
+        p.add_argument("--in", dest="input", required=True, help=".cml input")
+        p.add_argument("-a", required=True, help="first context (kept position)")
+        p.add_argument("-b", required=True, help="second context")
+        p.add_argument("-o", "--output", default="-")
+        p.add_argument("--stamp", action="store_true")
+        p.set_defaults(func=_cmd_cml_merge)
+    elif command == "cml split":
+        p.add_argument("--in", dest="input", required=True, help=".cml input")
+        p.add_argument("--context", required=True)
+        p.add_argument(
+            "--parts",
+            required=True,
+            help="partition: entity names comma-separated, parts '/'-separated (A,B/C)",
+        )
+        p.add_argument("-o", "--output", default="-")
+        p.add_argument("--stamp", action="store_true")
+        p.set_defaults(func=_cmd_cml_split)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; a subcommand's own parser is built when it runs."""
     parser = _Parser(prog="mono2ddd", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="cluster entities into one decomposition")
-    _add_model_arguments(p)
-    p.add_argument("--weights", default="1,0,0,0", help="access,write,read,sequence")
-    p.add_argument("-n", type=int, required=True, help="number of clusters")
-    p.add_argument("-o", "--output", default="-", help="decomposition JSON ('-' = stdout)")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("search", help="grid-search weights and pick the best candidate")
-    _add_model_arguments(p)
-    p.add_argument("--step", type=float, default=0.5, help="weight grid step")
-    p.add_argument("--n", default="2,3", help="comma-separated cluster counts")
-    p.add_argument("--top", type=int, default=100, help="short-list size for the pick")
-    p.add_argument("--candidates", help="optional TSV dump of every scored candidate")
-    p.add_argument("-o", "--output", default="-", help="winning decomposition JSON")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("assess", help="measure a decomposition (TSV)")
-    _add_model_arguments(p)
-    p.add_argument("--decomposition", required=True, help="decomposition JSON file")
-    p.add_argument("-o", "--output", default="-", help="TSV output")
-    p.add_argument("--stamp", action="store_true", help="prepend a timestamp line")
-    p.set_defaults(func=_cmd_assess)
-
-    p = sub.add_parser("sagas", help="refactor functionalities into sagas")
-    _add_model_arguments(p)
-    p.add_argument("--decomposition", required=True)
-    p.add_argument(
-        "--orchestrator",
-        choices=ORCHESTRATOR_POLICIES,
-        default="first",
-        help="orchestrator pick: first step's cluster, or the most-accessed one",
-    )
-    p.add_argument(
-        "-o",
-        "--output",
-        help="sagas JSON file; the reduction TSV prints to stdout ('-' = JSON to stdout)",
-    )
-    p.add_argument("--stamp", action="store_true", help="prepend a timestamp line")
-    p.set_defaults(func=_cmd_sagas)
-
-    p = sub.add_parser("to-cml", help="generate the DSL document")
-    _add_model_arguments(p)
-    p.add_argument("--decomposition", required=True)
-    p.add_argument("--sagas", help="sagas JSON (computed on the fly when omitted)")
-    p.add_argument("--naming", choices=NAMING_HEURISTICS, default="full-trace")
-    p.add_argument("--orchestrator", choices=ORCHESTRATOR_POLICIES, default="first")
-    p.add_argument("--map-name", default="Decomposition", help="ContextMap identifier")
-    p.add_argument("-o", "--output", default="-", help=".cml output")
-    p.add_argument("--stamp", action="store_true", help="prepend a timestamp comment")
-    p.set_defaults(func=_cmd_to_cml)
-
-    p = sub.add_parser("diagram", help="render a context map (dot) or saga lanes (bpmn)")
-    p.add_argument("--format", choices=("dot", "bpmn"), required=True)
-    p.add_argument("--accesses", help="accesses JSON (dot from a decomposition)")
-    p.add_argument("--structure", help="entity structure file")
-    p.add_argument("--decomposition", help="decomposition JSON (dot view)")
-    p.add_argument("--cml", help=".cml document (dot from relationships, bpmn)")
-    p.add_argument("--coordination", help="coordination name (bpmn)")
-    p.add_argument("-o", "--output", default="-")
-    p.add_argument("--stamp", action="store_true", help="prepend a timestamp comment")
-    p.set_defaults(func=_cmd_diagram)
-
-    p = sub.add_parser("cml", help="refactor an existing .cml document")
-    cml_sub = p.add_subparsers(dest="cml_command", required=True)
-
-    m = cml_sub.add_parser("merge", help="merge two bounded contexts")
-    m.add_argument("--in", dest="input", required=True, help=".cml input")
-    m.add_argument("-a", required=True, help="first context (kept position)")
-    m.add_argument("-b", required=True, help="second context")
-    m.add_argument("-o", "--output", default="-")
-    m.add_argument("--stamp", action="store_true")
-    m.set_defaults(func=_cmd_cml_merge)
-
-    s = cml_sub.add_parser("split", help="split a context's aggregate")
-    s.add_argument("--in", dest="input", required=True, help=".cml input")
-    s.add_argument("--context", required=True)
-    s.add_argument(
-        "--parts",
-        required=True,
-        help="partition: entity names comma-separated, parts '/'-separated (A,B/C)",
-    )
-    s.add_argument("-o", "--output", default="-")
-    s.add_argument("--stamp", action="store_true")
-    s.set_defaults(func=_cmd_cml_split)
-
+    _add_subcommands(parser, "command", _COMMANDS)
     return parser
 
 

@@ -27,6 +27,11 @@ Application (services with void operations, coordinations with
 
 ``//`` comments are preserved as node metadata, so generated annotations
 (reference markers, access statistics) survive a parse/emit round trip.
+
+Nodes are frozen, slotted dataclasses. The parser and the refactors build
+them past ``__init__``, writing each slot directly: a document has
+thousands of nodes, and a frozen ``__init__`` sets every field through
+``object.__setattr__``, which made building the tree about half of a parse.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from itertools import islice, repeat
 from operator import is_, is_not
 
@@ -78,21 +83,21 @@ def stats_comment(external: int, external_total: int, local: int, local_total: i
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlAttribute:
     type: str
     name: str
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlReference:
     target: str
     name: str
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlEntity:
     name: str
     aggregate_root: bool = False
@@ -115,27 +120,27 @@ class CmlEntity:
         return self.name.endswith(REFERENCE_SUFFIX) and not self.attributes and not self.references
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlAggregate:
     name: str
     entities: tuple[CmlEntity, ...] = ()
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlOperation:
     name: str
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlService:
     name: str
     operations: tuple[CmlOperation, ...] = ()
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlStep:
     context: str
     service: str
@@ -143,14 +148,14 @@ class CmlStep:
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlCoordination:
     name: str
     steps: tuple[CmlStep, ...] = ()
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlBoundedContext:
     name: str
     services: tuple[CmlService, ...] = ()
@@ -170,14 +175,14 @@ class CmlBoundedContext:
         raise RefactorError(f"no aggregate {name!r} in context {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlRelationship:
     upstream: str
     downstream: str
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlContextMap:
     name: str
     contains: tuple[str, ...] = ()
@@ -185,7 +190,7 @@ class CmlContextMap:
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmlDocument:
     context_map: CmlContextMap | None
     contexts: tuple[CmlBoundedContext, ...] = ()
@@ -201,6 +206,74 @@ class CmlDocument:
             if c.name == name:
                 return c
         raise RefactorError(f"no bounded context {name!r}")
+
+
+def _constructor(cls):
+    """A constructor of ``cls`` that takes every field in order and writes
+    the slots through their descriptors, as ``model._access`` does.
+
+    The writes are unrolled per field count: a loop over the setters costs
+    as much as the frozen ``__init__`` they replace.
+    """
+    new = object.__new__
+    setters = [getattr(cls, f.name).__set__ for f in fields(cls)]
+    if len(setters) == 2:
+        s0, s1 = setters
+
+        def build(v0, v1):
+            node = new(cls)
+            s0(node, v0)
+            s1(node, v1)
+            return node
+
+    elif len(setters) == 3:
+        s0, s1, s2 = setters
+
+        def build(v0, v1, v2):
+            node = new(cls)
+            s0(node, v0)
+            s1(node, v1)
+            s2(node, v2)
+            return node
+
+    elif len(setters) == 4:
+        s0, s1, s2, s3 = setters
+
+        def build(v0, v1, v2, v3):
+            node = new(cls)
+            s0(node, v0)
+            s1(node, v1)
+            s2(node, v2)
+            s3(node, v3)
+            return node
+
+    else:
+        s0, s1, s2, s3, s4 = setters
+
+        def build(v0, v1, v2, v3, v4):
+            node = new(cls)
+            s0(node, v0)
+            s1(node, v1)
+            s2(node, v2)
+            s3(node, v3)
+            s4(node, v4)
+            return node
+
+    return build
+
+
+_new_attribute = _constructor(CmlAttribute)
+_new_reference = _constructor(CmlReference)
+_new_entity = _constructor(CmlEntity)
+_new_aggregate = _constructor(CmlAggregate)
+_new_operation = _constructor(CmlOperation)
+_new_service = _constructor(CmlService)
+_new_step = _constructor(CmlStep)
+_new_coordination = _constructor(CmlCoordination)
+_new_context = _constructor(CmlBoundedContext)
+_new_relationship = _constructor(CmlRelationship)
+_new_context_map = _constructor(CmlContextMap)
+_new_document = _constructor(CmlDocument)
 
 
 # Everything str.splitlines splits at; a ``//`` comment ends at any of them.
@@ -483,7 +556,7 @@ class _Parser:
             else:
                 raise self.outside(self.pos, "'ContextMap' or 'BoundedContext'")
         trailing = self.comments[self.grabbed :]
-        return CmlDocument(context_map, tuple(contexts), trailing)
+        return _new_document(context_map, tuple(contexts), trailing)
 
     def _context_map(self, comments: tuple[str, ...]) -> CmlContextMap:
         name = self.open_block("map name")
@@ -511,12 +584,12 @@ class _Parser:
                 downstream = tokens[pos + 2]
                 if downstream in _NOT_IDS:
                     raise self.unexpected(pos + 2, what="context name")
-                relationships.append(CmlRelationship(tok, downstream, node_comments))
+                relationships.append(_new_relationship(tok, downstream, node_comments))
                 pos += 3
             else:
                 raise self.outside(pos, "'contains', a relationship, or '}'")
         self.pos, self.grabbed = pos + 1, grabbed
-        return CmlContextMap(name, tuple(contains), tuple(relationships), comments)
+        return _new_context_map(name, tuple(contains), tuple(relationships), comments)
 
     def _bounded_context(self, comments: tuple[str, ...]) -> CmlBoundedContext:
         name = self.open_block("context name")
@@ -539,7 +612,7 @@ class _Parser:
                 aggregates.append(self._aggregate(node_comments))
             else:
                 raise self.outside(self.pos, "'Application' or 'Aggregate'")
-        return CmlBoundedContext(
+        return _new_context(
             name, tuple(services), tuple(coordinations), tuple(aggregates), comments
         )
 
@@ -562,11 +635,11 @@ class _Parser:
                 raise self.unexpected(pos + 3, ")")
             if tokens[pos + 4] != ";":
                 raise self.unexpected(pos + 4, ";")
-            operations.append(CmlOperation(op_name, all_comments[grabbed : before[pos]]))
+            operations.append(_new_operation(op_name, all_comments[grabbed : before[pos]]))
             grabbed = before[pos]
             pos += 5
         self.pos, self.grabbed = pos + 1, grabbed
-        return CmlService(name, tuple(operations), comments)
+        return _new_service(name, tuple(operations), comments)
 
     def _coordination(self, comments: tuple[str, ...]) -> CmlCoordination:
         name = self.open_block("coordination name")
@@ -591,12 +664,12 @@ class _Parser:
             if tokens[pos + 5] != ";":
                 raise self.unexpected(pos + 5, ";")
             steps.append(
-                CmlStep(context, service, operation, all_comments[grabbed : before[pos]])
+                _new_step(context, service, operation, all_comments[grabbed : before[pos]])
             )
             grabbed = before[pos]
             pos += 6
         self.pos, self.grabbed = pos + 1, grabbed
-        return CmlCoordination(name, tuple(steps), comments)
+        return _new_coordination(name, tuple(steps), comments)
 
     def _aggregate(self, comments: tuple[str, ...]) -> CmlAggregate:
         name = self.open_block("aggregate name")
@@ -605,7 +678,7 @@ class _Parser:
             if tok != "Entity":
                 raise self.outside(self.pos, "'Entity'")
             entities.append(self._entity(entity_comments))
-        return CmlAggregate(name, tuple(entities), comments)
+        return _new_aggregate(name, tuple(entities), comments)
 
     def _entity(self, comments: tuple[str, ...]) -> CmlEntity:
         name = self.open_block("entity name")
@@ -627,7 +700,7 @@ class _Parser:
                 if field_name in _NOT_IDS:
                     raise self.unexpected(pos + 2, what="reference field")
                 references.append(
-                    CmlReference(target, field_name, all_comments[grabbed : before[pos]])
+                    _new_reference(target, field_name, all_comments[grabbed : before[pos]])
                 )
                 grabbed = before[pos]
                 pos += 3
@@ -636,14 +709,14 @@ class _Parser:
                 if attr_name in _NOT_IDS:
                     raise self.unexpected(pos + 1, what="attribute name")
                 attributes.append(
-                    CmlAttribute(tok, attr_name, all_comments[grabbed : before[pos]])
+                    _new_attribute(tok, attr_name, all_comments[grabbed : before[pos]])
                 )
                 grabbed = before[pos]
                 pos += 2
             else:
                 raise self.outside(pos, "an attribute, a reference, or '}'")
         self.pos, self.grabbed = pos + 1, grabbed
-        return CmlEntity(
+        return _new_entity(
             name, aggregate_root, tuple(attributes), tuple(references), comments
         )
 
@@ -822,10 +895,12 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
                 if target not in final_names:
                     target = _collapse_target(target, final_names)
                 if target != r.target:
-                    references[j] = replace(r, target=target)
+                    references[j] = _new_reference(target, r.name, r.comments)
             if any(map(is_not, references, e.references)):
-                entities[i] = replace(e, references=tuple(references))
-        aggregates.append(CmlAggregate(name, tuple(entities), comments))
+                entities[i] = _new_entity(
+                    e.name, e.aggregate_root, e.attributes, tuple(references), e.comments
+                )
+        aggregates.append(_new_aggregate(name, tuple(entities), comments))
 
     old_names = {a, b}
 
@@ -858,11 +933,14 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
             joined: set[int] = set()
             for step in coordination.steps:
                 if step.context in old_names:
-                    step = replace(step, context=merged_name)
+                    step = _new_step(merged_name, step.service, step.operation, step.comments)
                 if collapsed and collapsed[-1].context == step.context:
                     prev = collapsed[-1]
-                    collapsed[-1] = replace(
-                        prev, operation=f"{prev.operation}_{step.operation}"
+                    collapsed[-1] = _new_step(
+                        prev.context,
+                        prev.service,
+                        f"{prev.operation}_{step.operation}",
+                        prev.comments,
                     )
                     joined.add(len(collapsed) - 1)
                 else:
@@ -874,7 +952,9 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
                 only = collapsed[0]
                 wanted_ops.setdefault(only.context, []).append((only.service, only.operation))
                 continue
-            kept.append(replace(coordination, steps=tuple(collapsed)))
+            kept.append(
+                _new_coordination(coordination.name, tuple(collapsed), coordination.comments)
+            )
         unchanged = len(kept) == len(coordinations) and all(map(is_, kept, coordinations))
         new_coordinations[ctx.name] = coordinations if unchanged else tuple(kept)
 
@@ -884,7 +964,7 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
             continue
         if ctx.name == a:
             all_contexts.append(
-                CmlBoundedContext(
+                _new_context(
                     merged_name,
                     _add_operations(
                         tuple(ctx_a.services) + tuple(ctx_b.services),
@@ -901,7 +981,9 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
         if services is ctx.services and coordinations is ctx.coordinations:
             all_contexts.append(ctx)
         else:
-            all_contexts.append(replace(ctx, services=services, coordinations=coordinations))
+            all_contexts.append(
+                _new_context(ctx.name, services, coordinations, ctx.aggregates, ctx.comments)
+            )
 
     context_map = doc.context_map
     if context_map is not None:
@@ -919,19 +1001,19 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
             if existing_idx is not None:
                 if rel.comments:
                     existing = rels[existing_idx]
-                    rels[existing_idx] = replace(
-                        existing, comments=existing.comments + rel.comments
+                    rels[existing_idx] = _new_relationship(
+                        up, down, existing.comments + rel.comments
                     )
             else:
                 at[up, down] = len(rels)
                 if up != rel.upstream or down != rel.downstream:
-                    rel = replace(rel, upstream=up, downstream=down)
+                    rel = _new_relationship(up, down, rel.comments)
                 rels.append(rel)
-        context_map = replace(
-            context_map, contains=tuple(contains), relationships=tuple(rels)
+        context_map = _new_context_map(
+            context_map.name, tuple(contains), tuple(rels), context_map.comments
         )
 
-    return CmlDocument(context_map, tuple(all_contexts), doc.trailing_comments)
+    return _new_document(context_map, tuple(all_contexts), doc.trailing_comments)
 
 
 def _add_operations(
@@ -942,7 +1024,8 @@ def _add_operations(
     for service_name, op_name in wanted:
         for idx, s in enumerate(patched):
             if s.name == service_name and all(op.name != op_name for op in s.operations):
-                patched[idx] = replace(s, operations=s.operations + (CmlOperation(op_name),))
+                operations = s.operations + (_new_operation(op_name, ()),)
+                patched[idx] = _new_service(s.name, operations, s.comments)
     return services if all(map(is_, patched, services)) else tuple(patched)
 
 
@@ -998,13 +1081,17 @@ def split_aggregate(
             )
         root = min(candidates, key=lambda e: (-external_share(e), e.name)).name
         entities = [
-            e if e.aggregate_root == (e.name == root) else replace(e, aggregate_root=e.name == root)
+            e
+            if e.aggregate_root == (e.name == root)
+            else _new_entity(e.name, e.name == root, e.attributes, e.references, e.comments)
             for e in entities
         ]
         new_aggregates.append(
-            CmlAggregate(f"{aggregate.name}_{i}", tuple(entities), aggregate.comments)
+            _new_aggregate(f"{aggregate.name}_{i}", tuple(entities), aggregate.comments)
         )
 
-    new_ctx = replace(ctx, aggregates=tuple(new_aggregates))
+    new_ctx = _new_context(
+        ctx.name, ctx.services, ctx.coordinations, tuple(new_aggregates), ctx.comments
+    )
     contexts = tuple(new_ctx if c.name == context_name else c for c in doc.contexts)
-    return CmlDocument(doc.context_map, contexts, doc.trailing_comments)
+    return _new_document(doc.context_map, contexts, doc.trailing_comments)

@@ -507,19 +507,43 @@ def decomposition_to_json(decomposition: Decomposition) -> str:
     With ``indent`` the json module runs its pure-Python encoder, so the
     layout is written here; strings go through its C quoting and numbers
     through its C encoder.
+
+    Raises ``DecompositionError`` for what ``parse_decomposition`` would
+    refuse or read as another partition: no clusters, two clusters of one
+    name, a cluster with no entities, an entity listed twice, and an ``n``
+    other than the number of clusters.
     """
+    if not decomposition.clusters:
+        raise DecompositionError("decomposition has no clusters")
+    clusters_by_name: dict[str, tuple[str, ...]] = {}
+    listed: set[str] = set()
+    for name, members in decomposition.clusters:
+        if name in clusters_by_name:
+            raise DecompositionError(f"two clusters are named {name!r}")
+        if not members:
+            raise DecompositionError(f"cluster {name!r} has no entities")
+        for m in members:
+            if m in listed:
+                raise DecompositionError(f"entity {m!r} is listed more than once")
+            listed.add(m)
+        clusters_by_name[name] = members
+    n = decomposition.n
+    if type(n) is not int or n != len(clusters_by_name):
+        raise DecompositionError(
+            f"n is {n!r} but the decomposition has {len(clusters_by_name)} clusters"
+        )
     quote = encode_basestring_ascii
     clusters = [
         f"    {quote(name)}: "
         + _json_array([f"      {quote(m)}" for m in members], "    ")
-        for name, members in sorted(dict(decomposition.clusters).items())
+        for name, members in sorted(clusters_by_name.items())
     ]
     # json.dumps separates the items of a flat list of numbers by ", ".
     weights = json.dumps(list(decomposition.weights.as_tuple()))[1:-1].split(", ")
-    clusters_json = "{\n" + ",\n".join(clusters) + "\n  }" if clusters else "{}"
+    clusters_json = "{\n" + ",\n".join(clusters) + "\n  }"
     return (
         f'{{\n  "clusters": {clusters_json},\n'
-        f'  "params": {{\n    "n": {json.dumps(decomposition.n)},\n'
+        f'  "params": {{\n    "n": {n},\n'
         f'    "weights": {_json_array([f"      {w}" for w in weights], "    ")}\n  }}\n}}\n'
     )
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
-from helpers import UNIT_WEIGHTS, random_model
+from helpers import UNIT_WEIGHTS, random_model, random_partition
 from oracles import oracle_cluster, oracle_similarity
 
 from mono2ddd.decompose import (
@@ -241,10 +242,60 @@ def test_decomposition_json_equals_the_json_module_layout():
         decomposition = Decomposition(weights, k, tuple(zip(names, map(tuple, groups))))
         assert decomposition_to_json(decomposition) == json_dumps_decomposition(decomposition)
     for weights in (SimilarityWeights(1, 0, 0, 0), SimilarityWeights(0.1, 0.2, 0.3, 0.4)):
-        # Integer weights, one empty cluster, and two clusters sharing a name.
-        for clusters in ((), (("c", ()),), (("b", ("X",)), ("a", ("Y",)), ("b", ("Z",)))):
-            decomposition = Decomposition(weights, len(clusters), clusters)
-            assert decomposition_to_json(decomposition) == json_dumps_decomposition(decomposition)
+        # Integer weights, and clusters listed out of name order.
+        clusters = (("b", ("X",)), ("a", ("Z", "Y")))
+        decomposition = Decomposition(weights, len(clusters), clusters)
+        assert decomposition_to_json(decomposition) == json_dumps_decomposition(decomposition)
+
+
+def canonical(decomposition: Decomposition) -> Decomposition:
+    """The decomposition as `parse_decomposition` returns it: clusters and members sorted."""
+    clusters = tuple(sorted((name, tuple(sorted(m))) for name, m in decomposition.clusters))
+    return Decomposition(decomposition.weights, decomposition.n, clusters)
+
+
+@pytest.mark.parametrize(
+    "clusters, n, message",
+    [
+        ((("C", ("A",)), ("C", ("B",))), 2, "two clusters are named 'C'"),
+        ((("C0", ("A", "B")), ("C1", ("A",))), 2, "entity 'A' is listed more than once"),
+        ((("C0", ("A", "A")),), 1, "entity 'A' is listed more than once"),
+        ((("C0", ("A",)), ("C1", ("B",))), 3, "n is 3 but the decomposition has 2 clusters"),
+        ((("C0", ("A",)),), True, "n is True but the decomposition has 1 clusters"),
+        ((), 0, "decomposition has no clusters"),
+        ((("C0", ("A",)), ("C1", ())), 2, "cluster 'C1' has no entities"),
+    ],
+)
+def test_decomposition_json_refuses_what_it_could_not_read_back(clusters, n, message):
+    decomposition = Decomposition(UNIT_WEIGHTS, n, clusters)
+    with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
+        decomposition_to_json(decomposition)
+    # Written the old way, each of these is refused or read as another partition.
+    try:
+        again = parse_decomposition(json_dumps_decomposition(decomposition))
+    except ContractError:
+        return
+    assert again != canonical(decomposition)
+
+
+def test_decomposition_json_round_trips_seeded_decompositions():
+    rng = random.Random(29)
+    for _ in range(200):
+        names = [f"E{i}" for i in range(rng.randint(1, 12))]
+        k = rng.randint(1, len(names))
+        decomposition = random_partition(rng, names, k)
+        weights = rng.choice(weight_grid(rng.choice((1.0, 0.5, 0.25))))
+        # Clusters and members in any order; the file lists them sorted.
+        clusters = [(name, tuple(rng.sample(m, len(m)))) for name, m in decomposition.clusters]
+        rng.shuffle(clusters)
+        decomposition = Decomposition(weights, k, tuple(clusters))
+        again = parse_decomposition(decomposition_to_json(decomposition))
+        assert again == canonical(decomposition)
+        assert again.assignment() == decomposition.assignment()
+    model = random_model(rng, max_entities=8)
+    for n in range(1, len(model.entity_names()) + 1):
+        decomposition = decompose(model, UNIT_WEIGHTS, n)
+        assert parse_decomposition(decomposition_to_json(decomposition)) == decomposition
 
 
 @pytest.mark.parametrize(
