@@ -8,7 +8,8 @@ decompositions for later ranking.
 One walk over a model's traces builds its index (``_index``), which the
 similarity criteria here and the measures in ``measures`` both read.
 Similarity is weighed straight into the rows of numbered entity distances
-that the clustering reads.
+that the clustering reads; one weight vector's similarity computes only the
+criteria it weighs.
 
 Clustering does not re-sum linkages: a float screen kept by Lance and
 Williams' update rule, with a nearest-neighbour cache per row, finds the
@@ -222,14 +223,11 @@ def _criteria(index: _Index) -> list[tuple]:
     (write, read) ``j``; both directions share one intersection size,
     ``(m1 & m2).bit_count()``. ``s`` counts the pair's consecutive
     occurrences in either order over the count of the most frequent pair.
+    A grid search computes these once and weighs them per vector
+    (``_combine``); ``build_similarity``, for one vector, computes only the
+    ones its weights use.
     """
-    follows: Counter[tuple[int, int]] = Counter()
-    for run in index.runs:
-        follows.update(zip(run, run[1:]))
-    pair_counts: dict[tuple[int, int], int] = {}
-    for (prev, e), count in follows.items():
-        key = (prev, e) if prev < e else (e, prev)
-        pair_counts[key] = pair_counts.get(key, 0) + count
+    pair_counts = _pair_counts(index)
     max_pair = max(pair_counts.values(), default=0)
 
     entities = range(len(index.names))
@@ -281,10 +279,63 @@ def _combine(
     return SimilarityMatrix(names, rows)
 
 
+def _pair_counts(index: _Index) -> dict[tuple[int, int], int]:
+    """How often each pair ``i < j`` occurs consecutively, in either order."""
+    follows: Counter[tuple[int, int]] = Counter()
+    for run in index.runs:
+        follows.update(zip(run, run[1:]))
+    pair_counts: dict[tuple[int, int], int] = {}
+    for (prev, e), count in follows.items():
+        key = (prev, e) if prev < e else (e, prev)
+        pair_counts[key] = pair_counts.get(key, 0) + count
+    return pair_counts
+
+
 def build_similarity(model: MonolithModel, weights: SimilarityWeights) -> SimilarityMatrix:
-    """Compute the symmetrized similarity matrix for all model entities."""
+    """Compute the symmetrized similarity matrix for all model entities.
+
+    Only the criteria whose weight is non-zero are computed: the sequence
+    pair counts, and each intersection of accessors, writers or readers,
+    only when its weight needs it. Each direction adds its terms in the
+    order of ``_combine`` onto ``0.0``. A term of weight zero is a zero, and
+    adding a zero changes at most the sign of a zero sum, which ``1.0 -
+    (forward + backward) / 2.0`` erases; so every distance is bit-equal to
+    ``_combine`` over all four criteria.
+    """
     index = _index(model)
-    return _combine(index.names, _criteria(index), weights)
+    names = index.names
+    size = len(names)
+    wa, ww, wr, ws = weights.as_tuple()
+    rd, wt = index.readers, index.writers
+    acc = [r | w for r, w in zip(rd, wt)]
+    na, nw, nr = ([m.bit_count() for m in masks] for masks in (acc, wt, rd))
+    pair_counts = _pair_counts(index) if ws else {}
+    max_pair = max(pair_counts.values(), default=0)
+    rows = [[0.0] * size for _ in names]
+    for i in range(size):
+        a1, w1, r1 = acc[i], wt[i], rd[i]
+        na1, nw1, nr1 = na[i], nw[i], nr[i]
+        row = rows[i]
+        for j in range(i + 1, size):
+            forward = backward = 0.0
+            if wa:
+                shared, n2 = (a1 & acc[j]).bit_count(), na[j]
+                forward += wa * (shared / na1 if na1 else 0.0)
+                backward += wa * (shared / n2 if n2 else 0.0)
+            if ww:
+                shared, n2 = (w1 & wt[j]).bit_count(), nw[j]
+                forward += ww * (shared / nw1 if nw1 else 0.0)
+                backward += ww * (shared / n2 if n2 else 0.0)
+            if wr:
+                shared, n2 = (r1 & rd[j]).bit_count(), nr[j]
+                forward += wr * (shared / nr1 if nr1 else 0.0)
+                backward += wr * (shared / n2 if n2 else 0.0)
+            if ws:
+                follows = ws * (pair_counts.get((i, j), 0) / max_pair if max_pair else 0.0)
+                forward += follows
+                backward += follows
+            row[j] = rows[j][i] = 1.0 - (forward + backward) / 2.0
+    return SimilarityMatrix(names, rows)
 
 
 def _linkage(rows: list[list[float]], a: list[int], b: list[int]) -> float:

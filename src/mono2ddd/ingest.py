@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import islice
 
 from .errors import ContractError, DslParseError
 from .model import (
@@ -113,26 +114,24 @@ def _checked_entry(entry, eloc: str) -> tuple[str, str]:
     raise ContractError(f"unknown access mode {mode!r}", eloc)
 
 
-def _check_entity_fields(name, attributes, references, location=None, line=None):
-    def fail(msg):
-        if line is not None:
-            raise DslParseError(msg, line, 1)
-        raise ContractError(msg, location)
-
+def _field_problem(name, attributes, references) -> str | None:
+    """What is wrong with an entity's fields (a repeated field name, more
+    than one inheritance reference), or None."""
     seen: set[str] = set()
     for a in attributes:
         if a.name in seen:
-            fail(f"duplicate field name {a.name!r} in entity {name!r}")
+            return f"duplicate field name {a.name!r} in entity {name!r}"
         seen.add(a.name)
     inheritance = 0
     for r in references:
         if r.field in seen:
-            fail(f"duplicate field name {r.field!r} in entity {name!r}")
+            return f"duplicate field name {r.field!r} in entity {name!r}"
         seen.add(r.field)
         if r.kind == INHERITANCE:
             inheritance += 1
     if inheritance > 1:
-        fail(f"entity {name!r} has more than one inheritance reference")
+        return f"entity {name!r} has more than one inheritance reference"
+    return None
 
 
 def parse_structure_json(text: str) -> list[EntityStructure]:
@@ -178,87 +177,140 @@ def parse_structure_json(text: str) -> list[EntityStructure]:
                     kind,
                 )
             )
-        _check_entity_fields(name, attrs, refs, location=loc)
+        problem = _field_problem(name, attrs, refs)
+        if problem:
+            raise ContractError(problem, loc)
         result.append(EntityStructure(name, tuple(attrs), tuple(refs)))
     return result
 
 
-_DSL_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[{}:;]|\S")
+# The line boundaries of ``str.splitlines``.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# A comment runs to the next line boundary; dropping it joins no tokens.
+_DSL_COMMENT = re.compile(rf"#[^{_LINE_BREAKS}]*")
+# A token and the whitespace before it.
+_DSL_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|->|[{}:;]|\S)")
+# A token that starts with one of these is a whole name.
+_ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# What reads past the last token see: '#' equals no literal and starts no
+# name, and no token starts with it once the comments are cut.
+_PAST_END = ("#",) * 5
+# The tokens after a member's keyword, in order: ``(literal, None)``, or
+# ``(None, what)`` for a name, with what an error calls it.
+_ATTR = ((None, "attribute name"), (":", None), (None, "attribute type"), (";", None))
+_REF = ((None, "reference field"), ("->", None), (None, "reference target"), (";", None))
 
 
-def _tokenize_dsl(text: str):
-    """Yield (token, line, column) triples; '#' starts a comment to end of line."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for m in _DSL_TOKEN.finditer(body):
-            yield m.group(0), lineno, m.start() + 1
+def _dsl_position(text: str, index: int) -> tuple[int, int]:
+    """Line and column of the index-th token, comments skipped.
+
+    Positions are only needed for errors, so the reader keeps none and this
+    rescans, with each comment blanked out in place. Lines are numbered as
+    ``str.splitlines`` splits them.
+    """
+    code = _DSL_COMMENT.sub(lambda comment: " " * len(comment[0]), text)
+    start = next(islice(_DSL_TOKEN.finditer(code), index, None)).start(1)
+    head = text[:start].splitlines(keepends=True)
+    if head and head[-1][-1] not in _LINE_BREAKS:
+        return len(head), len(head[-1]) + 1
+    return len(head) + 1, 1
+
+
+def _dsl_error(
+    text: str, end: int, index: int, message: str, expected: str = "more input"
+) -> DslParseError:
+    """``message`` at token ``index``; past the last token, the end of input there."""
+    if index >= end:
+        return DslParseError(
+            f"unexpected end of input (expected {expected})", *_dsl_position(text, end - 1)
+        )
+    return DslParseError(message, *_dsl_position(text, index))
+
+
+def _unexpected(text: str, tokens: list[str], end: int, pos: int, expected) -> DslParseError:
+    """The error at the first of ``expected`` the tokens from ``pos`` on do not meet."""
+    for index, (literal, what) in enumerate(expected, pos):
+        tok = tokens[index]
+        if literal is None:
+            if tok[0] not in _ID_START:
+                return _dsl_error(text, end, index, f"expected {what}, got {tok!r}")
+        elif tok != literal:
+            return _dsl_error(text, end, index, f"expected {literal!r}, got {tok!r}", literal)
+    raise AssertionError("the tokens meet every expectation")
 
 
 def parse_structure_dsl(text: str) -> list[EntityStructure]:
-    """Parse the mini structure DSL (one ``entity`` block per entity)."""
-    tokens = list(_tokenize_dsl(text))
-    pos = 0
+    """Parse the mini structure DSL (one ``entity`` block per entity).
 
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            last = tokens[-1] if tokens else ("", 1, 1)
-            raise DslParseError(
-                f"unexpected end of input (expected {expected or 'more input'})",
-                last[1],
-                last[2],
-            )
-        tok, line, col = tokens[pos]
-        if expected is not None and tok != expected:
-            raise DslParseError(f"expected {expected!r}, got {tok!r}", line, col)
-        pos += 1
-        return tok, line, col
-
-    def take_name(what):
-        tok, line, col = take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise DslParseError(f"expected {what}, got {tok!r}", line, col)
-        return tok, line
-
+    Comments, which run to the next ``str.splitlines`` boundary, are cut
+    out, and one ``findall`` splits the rest into tokens, each match
+    swallowing the whitespace before its token. The text loses its trailing
+    whitespace first: a run that no token follows would be rescanned from
+    each of its characters. The parser walks the token list by index and
+    reads a member's five tokens at once; reads past the end see
+    ``_PAST_END``, which fails every check. A name is checked by its first
+    character, which the token pattern makes equivalent to matching the
+    whole name. Only an error computes a position (``_dsl_position``).
+    """
+    tokens = _DSL_TOKEN.findall(_DSL_COMMENT.sub("", text).rstrip())
+    end = len(tokens)
+    tokens += _PAST_END
     result: list[EntityStructure] = []
     names: set[str] = set()
-    while pos < len(tokens):
-        _, line, col = tokens[pos]
-        take("entity")
-        name, entity_line = take_name("entity name")
+    pos = 0
+    while pos < end:
+        if tokens[pos] != "entity":
+            raise _dsl_error(text, end, pos, f"expected 'entity', got {tokens[pos]!r}")
+        name = tokens[pos + 1]
+        if name[0] not in _ID_START:
+            raise _dsl_error(text, end, pos + 1, f"expected entity name, got {name!r}")
+        at_name = pos + 1
         if name in names:
-            raise DslParseError(f"duplicate entity {name!r}", entity_line, col)
+            raise DslParseError(f"duplicate entity {name!r}", *_dsl_position(text, at_name))
         names.add(name)
         refs: list[Reference] = []
-        if peek() == "extends":
-            take("extends")
-            target, _ = take_name("superclass name")
+        tok = tokens[pos + 2]
+        pos += 3
+        if tok == "extends":
+            target = tokens[pos]
+            if target[0] not in _ID_START:
+                raise _dsl_error(text, end, pos, f"expected superclass name, got {target!r}")
             refs.append(Reference(_INHERITANCE_FIELD, target, INHERITANCE))
-        take("{")
+            tok = tokens[pos + 1]
+            pos += 2
+        if tok != "{":
+            raise _dsl_error(text, end, pos - 1, f"expected '{{', got {tok!r}", "{")
         attrs: list[Attribute] = []
-        while peek() != "}":
-            if peek() == "attr":
-                take("attr")
-                attr_name, _ = take_name("attribute name")
-                take(":")
-                attr_type, _ = take_name("attribute type")
-                take(";")
-                attrs.append(Attribute(attr_name, attr_type))
-            elif peek() == "ref":
-                take("ref")
-                field_name, _ = take_name("reference field")
-                take("->")
-                target, _ = take_name("reference target")
-                take(";")
-                refs.append(Reference(field_name, target, ASSOCIATION))
+        tok = tokens[pos]
+        while tok != "}":
+            if tok == "attr":
+                field, colon, kind, semi = tokens[pos + 1 : pos + 5]
+                if (
+                    colon != ":"
+                    or semi != ";"
+                    or field[0] not in _ID_START
+                    or kind[0] not in _ID_START
+                ):
+                    raise _unexpected(text, tokens, end, pos + 1, _ATTR)
+                attrs.append(Attribute(field, kind))
+            elif tok == "ref":
+                field, arrow, target, semi = tokens[pos + 1 : pos + 5]
+                if (
+                    arrow != "->"
+                    or semi != ";"
+                    or field[0] not in _ID_START
+                    or target[0] not in _ID_START
+                ):
+                    raise _unexpected(text, tokens, end, pos + 1, _REF)
+                refs.append(Reference(field, target, ASSOCIATION))
             else:
-                tok, tline, tcol = take()
-                raise DslParseError(f"expected 'attr', 'ref' or '}}', got {tok!r}", tline, tcol)
-        take("}")
-        _check_entity_fields(name, attrs, refs, line=entity_line)
+                raise _dsl_error(text, end, pos, f"expected 'attr', 'ref' or '}}', got {tok!r}")
+            pos += 5
+            tok = tokens[pos]
+        pos += 1
+        problem = _field_problem(name, attrs, refs)
+        if problem:
+            raise DslParseError(problem, _dsl_position(text, at_name)[0], 1)
         result.append(EntityStructure(name, tuple(attrs), tuple(refs)))
     return result
 

@@ -88,22 +88,48 @@ def test_parse_structure_dsl_is_whitespace_insensitive():
     assert squeezed == spaced
 
 
+DSL_ERRORS = [
+    ("entity {", 1, 8, "entity name"),
+    ("entity A (", 1, 10, "'{'"),
+    ("entity A {\n  attr x int;\n}", 2, 10, "':'"),
+    ("entity A {\n  ref x - B;\n}", 2, 9, "'->'"),
+    ("entity A {\n  bogus;\n}", 2, 3, "'attr', 'ref'"),
+    ("x", 1, 1, "expected 'entity', got 'x'"),
+    ("entity A { }\nentity A { }", 2, 8, "duplicate entity"),
+    # The name's own line and column, not the keyword's column on it.
+    ("entity A { }\n    entity\nA { }", 3, 1, "duplicate entity 'A'"),
+    ("entity A {\n  attr x: int;\n  attr x: int;\n}", 1, 1, "duplicate field"),
+    # At the end of input an error points at the last token.
+    ("entity", 1, 1, "unexpected end of input (expected more input)"),
+    ("entity A extends", 1, 10, "unexpected end of input (expected more input)"),
+    ("entity A {\n", 1, 10, "unexpected end of input (expected more input)"),
+    ("entity A { attr x", 1, 17, "unexpected end of input (expected :)"),
+    ("entity A { ref r -> B", 1, 21, "unexpected end of input (expected ;)"),
+    ("entity A { # }\n# }\n", 1, 10, "unexpected end of input (expected more input)"),
+    # Comments are skipped, and count as lines.
+    ("# head\nentity A {\n  attr x: int\n}", 4, 1, "expected ';', got '}'"),
+    ("entity A { } # c\n  entity B { ] }", 2, 14, "expected 'attr', 'ref' or '}', got ']'"),
+    ("entity A { } #\x0c entity B { ] }", 2, 13, "expected 'attr', 'ref' or '}', got ']'"),
+    # Lines end where str.splitlines ends them.
+    ("entity A { }\r\nentity B {\r\n  ref r B;\r\n}\r\n", 3, 9, "expected '->', got 'B'"),
+    ("entity A { }\u2028entity B {\u2028  attr 1: x;\u2028}", 3, 8,
+     "expected attribute name, got '1'"),
+    ("entity A {}\x1centity B {\x85attr x: y z;}", 3, 11, "expected ';', got 'z'"),
+]
+
+
+# A case's name leaves its column out, so the cases that checked only the
+# line kept their names when the column was added.
 @pytest.mark.parametrize(
-    "text,line,fragment",
-    [
-        ("entity {", 1, "entity name"),
-        ("entity A (", 1, "'{'"),
-        ("entity A {\n  attr x int;\n}", 2, "':'"),
-        ("entity A {\n  ref x - B;\n}", 2, "'->'"),
-        ("entity A {\n  bogus;\n}", 2, "'attr', 'ref'"),
-        ("entity A { }\nentity A { }", 2, "duplicate entity"),
-        ("entity A {\n  attr x: int;\n  attr x: int;\n}", 1, "duplicate field"),
-    ],
+    "text,line,column,fragment",
+    DSL_ERRORS,
+    ids=[f"{text}-{line}-{fragment}" for text, line, _, fragment in DSL_ERRORS],
 )
-def test_parse_structure_dsl_reports_position(text, line, fragment):
+def test_parse_structure_dsl_reports_position(text, line, column, fragment):
     with pytest.raises(DslParseError) as err:
         parse_structure(text)
-    assert err.value.line == line
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).startswith(f"line {line}, column {column}: ")
     assert fragment in str(err.value)
 
 

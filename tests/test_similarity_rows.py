@@ -6,6 +6,11 @@ criteria were keyed by entity names, `_combine` built a dict keyed by name
 pairs, and `_distance_rows` turned that dict back into numbered rows for
 the clustering. The copies below are those three functions as they were,
 and the rows must be equal by `repr`, so every float is bit-equal.
+
+For one weight vector `build_similarity` computes only the criteria whose
+weight is non-zero. Its rows must equal, by `repr`, the grid search's
+`_combine` over all four criteria (`_criteria`) for every vector of two
+grids and a few off-grid ones, and `decompose` must equal the search's cut.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import random
 from helpers import random_model
 from test_search import tied_model
 
-from mono2ddd.decompose import build_similarity, weight_grid
+from mono2ddd.decompose import _combine, _criteria, _index, _search
+
+from mono2ddd.decompose import SimilarityWeights, build_similarity, decompose, weight_grid
 from mono2ddd.model import WRITE, Access, EntityStructure, Functionality, MonolithModel
 
 # --- literal copies of the name-keyed similarity ----------------------------------
@@ -194,3 +201,61 @@ def test_similarity_is_one_minus_the_row_distance():
             assert matrix.similarity(e1, "Nope") == 0.0
             assert matrix.distance("Nope", e1) == 1.0
         assert matrix.similarity("Nope", "Nope") == 1.0
+
+
+# --- one vector against the grid's criteria ---------------------------------------
+
+# Weights within the tolerance of the grid: tiny negative terms and signed zeros.
+OFF_GRID = [
+    SimilarityWeights(1.0, -0.0, 0.0, -0.0),
+    SimilarityWeights(-0.0, 0.0, 1.0, 0.0),
+    SimilarityWeights(1.0 + 5e-10, -5e-10, 0.0, 0.0),
+    SimilarityWeights(0.5, -5e-10, 0.0, 0.5 + 5e-10),
+    SimilarityWeights(0.3, 0.2, 0.1, 0.4),
+]
+VECTORS = weight_grid(0.25) + weight_grid(0.1) + OFF_GRID
+
+
+def assert_rows_match_the_grid(model: MonolithModel) -> None:
+    index = _index(model)
+    criteria = _criteria(index)
+    for weights in VECTORS:
+        expected = _combine(index.names, criteria, weights)
+        matrix = build_similarity(model, weights)
+        assert matrix.entities == expected.entities
+        assert repr(matrix.rows) == repr(expected.rows), weights
+
+
+def _unaccessed_entity_model() -> MonolithModel:
+    fs = (
+        Functionality("f", _trace("AR", "BW", "AW", "CR")),
+        Functionality("g", _trace("CW", "BR")),
+    )
+    return MonolithModel(tuple(EntityStructure(e) for e in "ABCXY"), fs)
+
+
+def test_one_vector_rows_equal_the_grid_rows_on_hand_built_models():
+    for model in [*_hand_built(), _unaccessed_entity_model()]:
+        assert_rows_match_the_grid(model)
+
+
+def test_one_vector_rows_equal_the_grid_rows_on_seeded_models():
+    for _, model in _seeded(40):
+        assert_rows_match_the_grid(model)
+
+
+def test_the_unaccessed_entity_model_has_the_shape_it_claims():
+    index = _index(_unaccessed_entity_model())
+    assert [index.readers[index.ids[e]] | index.writers[index.ids[e]] for e in "XY"] == [0, 0]
+
+
+def test_decompose_equals_the_search_cut():
+    models = [*_hand_built(), _unaccessed_entity_model()]
+    models += [model for _, model in _seeded(16)]
+    for model in models:
+        index = _index(model)
+        counts = list(range(1, len(index.names) + 1))
+        cuts = {(d.weights, d.n): d for d in _search(index, 0.25, counts)}
+        for weights in weight_grid(0.25):
+            for n in counts:
+                assert decompose(model, weights, n) == cuts[weights, n]
