@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timezone
+import time
 
 from . import cml as cml_mod
 from . import diagrams
@@ -73,7 +73,7 @@ def _write(path: str | None, text: str, stamp_prefix: str | None = None) -> None
 def _stamp(args, comment: str) -> str | None:
     if not getattr(args, "stamp", False):
         return None
-    now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    now = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return comment.format(now) + "\n"
 
 
@@ -224,7 +224,8 @@ class _Subparser:
     ``add_parser`` makes one per subcommand, and ``argparse`` calls only
     ``parse_known_args`` on the one named on the command line; the help
     text and choices of the parent come from ``add_parser``. So a call
-    builds its own subcommand's parser and no other.
+    that reaches ``argparse`` (help, a usage error or a form ``_quick_args``
+    does not read) builds its own subcommand's parser and no other.
     """
 
     def __init__(self, command: str, **kwargs):
@@ -337,17 +338,121 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
         p.set_defaults(func=_cmd_cml_split)
 
 
+class _Spec:
+    """The options of one command, recorded from ``_add_arguments``.
+
+    It takes the ``add_argument`` and ``set_defaults`` calls an
+    ``argparse`` parser would, so the options are declared once. An
+    argument form it does not model (an ``action`` other than ``store``
+    or ``store_true``, a keyword such as ``nargs``, or a string default
+    that ``argparse`` would pass through ``type``) clears ``plain``.
+    """
+
+    _KEYWORDS = frozenset(("action", "choices", "default", "dest", "help", "required", "type"))
+
+    def __init__(self):
+        self.options: dict[str, tuple] = {}  # option string -> (dest, store_true, type, choices)
+        self.defaults: dict[str, object] = {}
+        self.required: set[str] = set()
+        self.plain = True
+
+    def add_argument(self, *flags: str, **kwargs) -> None:
+        action = kwargs.get("action", "store")
+        default = kwargs.get("default", False if action == "store_true" else None)
+        type_ = kwargs.get("type")
+        if (
+            not kwargs.keys() <= self._KEYWORDS
+            or action not in ("store", "store_true")
+            or (isinstance(default, str) and type_ is not None)
+        ):
+            self.plain = False
+            return
+        dest = kwargs.get("dest")
+        if dest is None:
+            long = [flag for flag in flags if flag.startswith("--")]
+            dest = (long or flags)[0].lstrip("-").replace("-", "_")
+        self.defaults[dest] = default
+        if kwargs.get("required"):
+            self.required.add(dest)
+        for flag in flags:
+            self.options[flag] = (dest, action == "store_true", type_, kwargs.get("choices"))
+
+    def set_defaults(self, **kwargs) -> None:
+        self.defaults.update(kwargs)
+
+
+def _quick_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``argparse`` would build from a plain, valid ``argv``.
+
+    Plain means: a command name (``cml`` with ``merge`` or ``split``), then
+    only exact option strings of that command, each ``store`` option
+    followed by a value that does not start with ``-`` (or is ``-``). Any
+    other form, and any value ``type`` or ``choices`` refuses, gives
+    ``None``, and ``main`` hands the line to ``argparse`` for its help,
+    usage errors and the rest. The spec is recorded on every call, so the
+    handlers it names are the module's current ones.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    found = {"command": argv[0]}
+    command, rest = argv[0], argv[1:]
+    if command == "cml":
+        if not rest or rest[0] not in _CML_COMMANDS:
+            return None
+        found["cml_command"] = rest[0]
+        command, rest = "cml " + rest[0], rest[1:]
+    spec = _Spec()
+    _add_arguments(spec, command)
+    if not spec.plain:
+        return None
+    given = {}
+    tokens = iter(rest)
+    for token in tokens:
+        option = spec.options.get(token)
+        if option is None:
+            return None
+        dest, store_true, type_, choices = option
+        if store_true:
+            given[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or (value.startswith("-") and value != "-"):
+            return None
+        if type_ is not None:
+            try:
+                value = type_(value)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        given[dest] = value
+    if not given.keys() >= spec.required:
+        return None
+    return argparse.Namespace(**found, **{**spec.defaults, **given})
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; a subcommand's own parser is built when it runs."""
+    """The ``argparse`` parser, for help, usage errors and the forms ``_quick_args`` leaves.
+
+    A subcommand's own parser is built only when it runs.
+    """
     parser = _Parser(prog="mono2ddd", description=__doc__.splitlines()[0])
     _add_subcommands(parser, "command", _COMMANDS)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line.
+
+    ``_quick_args`` reads a plain, valid one; ``argparse`` runs only for
+    help, usage errors and the other forms.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _quick_args(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr, end="")

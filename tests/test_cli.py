@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -764,7 +765,7 @@ def test_stamp_prepends_comment(workdir, capsys):
         "--stamp",
     )
     assert code == 0
-    assert out.startswith("// generated ")
+    assert re.fullmatch(r"// generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", out.split("\n", 1)[0])
     # Everything after the stamp line is the stable document.
     rest = out.split("\n", 1)[1]
     assert rest == (GOLDEN / "fixture_a.cml").read_text()

@@ -4,20 +4,27 @@
 subcommand's own parser and arguments are built only when `argparse`
 dispatches to it. `eager_build_parser` below is the parser as it was before,
 which built the whole tree on every call. Help text, usage errors, exit
-codes and parsed namespaces must be the same from both.
+codes and parsed namespaces must be the same from both. `cli._quick_args`,
+which reads a plain command line without `argparse`, must give the eager
+parser's namespace whenever it gives one.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
+import math
 import os
 import pathlib
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mono2ddd import cli
 from mono2ddd.cli import (
@@ -231,3 +238,92 @@ def test_benchmark_argv_parse_to_equal_namespaces(tmp_path):
         eager = eager_build_parser().parse_args(args)
         assert type(lazy) is argparse.Namespace
         assert vars(lazy) == vars(eager), args
+
+
+HANDLERS = ["_cmd_decompose", "_cmd_search", "_cmd_assess", "_cmd_sagas", "_cmd_to_cml",
+            "_cmd_diagram", "_cmd_cml_merge", "_cmd_cml_split"]
+
+
+def test_benchmark_chains_never_reach_argparse(tmp_path, monkeypatch):
+    argv = benchmark_argv(tmp_path)
+
+    def no_argparse():
+        raise AssertionError("argparse reached")
+
+    seen = []
+    monkeypatch.setattr(cli, "build_parser", no_argparse)
+    for name in HANDLERS:
+        monkeypatch.setattr(cli, name, lambda args, name=name: seen.append((name, args)) or 0)
+    for args in argv:
+        assert cli.main(list(args)) == 0, args
+        name, quick = seen.pop()
+        eager = eager_build_parser().parse_args(args)
+        assert name == eager.func.__name__, args
+        assert {**vars(quick), "func": eager.func} == vars(eager), args
+
+
+COMMANDS = [["decompose"], ["search"], ["assess"], ["sagas"], ["to-cml"], ["diagram"],
+            ["cml", "merge"], ["cml", "split"]]
+
+
+def recorded_spec(command: list[str]) -> cli._Spec:
+    spec = cli._Spec()
+    cli._add_arguments(spec, " ".join(command))
+    return spec
+
+
+NOT_EXACT = ["--bogus", "-h", "--", "--acc", "--accesses=a.json"]
+CHOICES = sorted({choice for command in COMMANDS
+                  for _, _, _, choices in recorded_spec(command).options.values()
+                  for choice in choices or ()})
+VALUES = ["-", "-1", "--x", "", " 4", "4_0", "nan", "inf", "-a b", "a.json", "2", "0.5",
+          *CHOICES]
+PLAIN_VALUES = [value for value in VALUES if not value.startswith("-")]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, its recorded spec and a line of its option strings and pool values."""
+    command = draw(st.sampled_from(COMMANDS))
+    spec = recorded_spec(command)
+    options = sorted(spec.options) * 3 + NOT_EXACT  # mostly exact, so many lines are valid
+    tokens = []
+    if draw(st.booleans()):  # the required options first
+        for dest in spec.required:
+            flag = next(f for f, option in spec.options.items() if option[0] == dest)
+            tokens += [flag, draw(st.sampled_from(PLAIN_VALUES))]
+    for _ in range(draw(st.integers(0, 3))):
+        tokens.append(draw(st.sampled_from(options)))
+        count = draw(st.sampled_from((0, 1, 1, 1, 2)))
+        tokens += draw(st.lists(st.sampled_from(VALUES), min_size=count, max_size=count))
+    return command, spec, tokens
+
+
+def eager_parse(argv):
+    """The eager parser's namespace for ``argv``, or None if it refuses or prints help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return eager_build_parser().parse_args(argv)
+    except (cli._UsageError, SystemExit):
+        return None
+
+
+def same_value(a, b) -> bool:
+    nan = isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b)
+    return nan or a == b
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(command_lines())
+def test_quick_args_agrees_with_eager_parser(line):
+    command, spec, tokens = line
+    argv = command + tokens
+    quick = cli._quick_args(argv)
+    eager = eager_parse(argv)
+    if quick is not None:
+        assert eager is not None, argv
+        assert vars(quick).keys() == vars(eager).keys(), argv
+        assert all(same_value(v, getattr(eager, k)) for k, v in vars(quick).items()), argv
+    plain = all(token in spec.options or not token.startswith("-") for token in tokens)
+    if eager is not None and plain:
+        assert quick is not None, argv
