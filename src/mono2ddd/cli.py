@@ -13,6 +13,7 @@ are byte-reproducible; `--stamp` opts in to a generation timestamp.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 
@@ -446,9 +447,18 @@ def main(argv: list[str] | None = None) -> int:
 
     ``_quick_args`` reads a plain, valid one; ``argparse`` runs only for
     help, usage errors and the other forms.
+
+    The cyclic garbage collector is paused for the call, because no
+    successful call makes a reference cycle (a test runs every call of the
+    benchmark chains and checks this), so its scans of the parsed traces
+    and document nodes would free nothing. The pause is process-wide
+    while ``main`` runs; on every way out, an exception included, the
+    collector is left enabled or disabled as the caller had it.
     """
     if argv is None:
         argv = sys.argv[1:]
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args = _quick_args(argv)
         if args is None:
@@ -465,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - contract: internal faults exit 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import re
@@ -821,6 +822,52 @@ def test_internal_fault_exits_two(workdir, capsys, monkeypatch):
     )
     assert code == 2
     assert err.startswith("internal error:")
+
+
+# (decompose arguments, fault the handler raises, exit code or exception)
+EXIT_PATHS = [
+    pytest.param(["accesses.json", "-n", "2"], None, 0, id="success"),
+    pytest.param(["accesses.json", "-n", "x"], None, 1, id="usage-error"),
+    pytest.param(["missing.json", "-n", "2"], None, 1, id="bad-input"),
+    pytest.param(["accesses.json", "-n", "2"], RuntimeError("synthetic fault"), 2,
+                 id="internal-fault"),
+    pytest.param(["accesses.json", "-n", "2"], BrokenPipeError(), 0, id="broken-pipe"),
+    pytest.param(["accesses.json", "-n", "2"], KeyboardInterrupt(), KeyboardInterrupt,
+                 id="interrupt"),
+]
+
+
+@pytest.mark.parametrize("collector_on", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("args, fault, expected", EXIT_PATHS)
+def test_main_pauses_the_collector_and_restores_it(
+    workdir, capsys, monkeypatch, collector_on, args, fault, expected
+):
+    handler_saw = []
+    real_handler = cli._cmd_decompose
+
+    def handler(namespace):
+        handler_saw.append(gc.isenabled())
+        if fault is not None:
+            raise fault
+        return real_handler(namespace)
+
+    monkeypatch.setattr(cli, "_cmd_decompose", handler)
+    monkeypatch.chdir(workdir)
+    argv = ["decompose", "--accesses", *args]
+    if not collector_on:
+        gc.disable()
+    try:
+        if expected is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == expected
+        assert gc.isenabled() is collector_on
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    # A usage error is refused before any handler runs.
+    assert handler_saw == ([] if args[-1] == "x" else [False])
 
 
 def test_console_script_runs_in_subprocess(workdir):

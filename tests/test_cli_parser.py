@@ -6,13 +6,15 @@ dispatches to it. `eager_build_parser` below is the parser as it was before,
 which built the whole tree on every call. Help text, usage errors, exit
 codes and parsed namespaces must be the same from both. `cli._quick_args`,
 which reads a plain command line without `argparse`, must give the eager
-parser's namespace whenever it gives one.
+parser's namespace whenever it gives one. The benchmark chains' real calls
+also run here, to check that no successful call makes a reference cycle.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -195,18 +197,19 @@ def test_usage_errors_are_unchanged(monkeypatch, capsys, argv):
     assert run_main(monkeypatch, capsys, cli.build_parser, argv) == expected
 
 
-def benchmark_argv(root: pathlib.Path) -> list[list[str]]:
-    """The argv of every call of the four benchmark chains, seed 0.
+def benchmark_plans(root: pathlib.Path, run_setup_job):
+    """Yield each benchmark workload's seed-0 plan and its rep directory.
 
     The workload generators write their inputs under ``root``; the
-    ``cml-refactor`` one runs ``to-cml`` to make the document it refactors.
+    ``cml-refactor`` one calls ``run_setup_job`` to make the document it
+    refactors. The working directory is the plan's rep directory until the
+    next plan is made, as in a benchmark chain.
     """
     sys.path.insert(0, str(PERFBENCH))
     try:
         workloads = importlib.import_module("workloads")
     finally:
         sys.path.remove(str(PERFBENCH))
-    argv = []
     cwd = os.getcwd()
     try:
         for name, make_plan in workloads.WORKLOADS.items():
@@ -214,18 +217,54 @@ def benchmark_argv(root: pathlib.Path) -> list[list[str]]:
             inputs.mkdir(parents=True)
             rep.mkdir()
             os.chdir(rep)
-
-            def run_setup_job(setup_argv):
-                assert cli.main(setup_argv) == 0
-
-            plan = make_plan(random.Random(f"{name}:0"), inputs, run_setup_job)
-            # The BPMN call names the first multi-step saga of the chain's sagas file.
-            saga = {"functionality": "f0", "steps": [{}, {}]}
-            (rep / "sagas.json").write_text(json.dumps({"sagas": [saga]}), encoding="utf-8")
-            argv += [op.args(rep) for op in plan.ops]
+            yield rep, make_plan(random.Random(f"{name}:0"), inputs, run_setup_job)
     finally:
         os.chdir(cwd)
+
+
+def run_setup_job(setup_argv):
+    assert cli.main(setup_argv) == 0
+
+
+def benchmark_argv(root: pathlib.Path) -> list[list[str]]:
+    """The argv of every call of the four benchmark chains, seed 0."""
+    argv = []
+    for rep, plan in benchmark_plans(root, run_setup_job):
+        # The BPMN call names the first multi-step saga of the chain's sagas file.
+        saga = {"functionality": "f0", "steps": [{}, {}]}
+        (rep / "sagas.json").write_text(json.dumps({"sagas": [saga]}), encoding="utf-8")
+        argv += [op.args(rep) for op in plan.ops]
     return argv
+
+
+def test_benchmark_chains_make_no_reference_cycle(tmp_path, capsys):
+    """No successful call leaves cyclic garbage.
+
+    ``cli.main`` pauses the cyclic collector for a call on the strength of
+    this, so a change that makes a cycle on a success path must fail here
+    rather than leak in every command-line call. Each chain runs its real
+    calls in order, so the BPMN call reads the sagas file the chain wrote;
+    the set-up call that makes the ``cml-refactor`` document is checked too.
+    """
+    calls = []
+
+    def call(argv):
+        gc.collect()
+        gc.disable()
+        assert cli.main(argv) == 0, argv
+        assert gc.collect() == 0, argv
+        capsys.readouterr()
+        calls.append(argv)
+
+    try:
+        # Closed on a failure too, so the working directory is restored at once.
+        with contextlib.closing(benchmark_plans(tmp_path, call)) as plans:
+            for rep, plan in plans:
+                for op in plan.ops:
+                    call(op.args(rep))
+    finally:
+        gc.enable()
+    assert len(calls) == 28  # the 27 chain calls and the cml-refactor set-up's to-cml
 
 
 def test_benchmark_argv_parse_to_equal_namespaces(tmp_path):
