@@ -28,9 +28,10 @@ Application (services with void operations, coordinations with
 ``//`` comments are preserved as node metadata, so generated annotations
 (reference markers, access statistics) survive a parse/emit round trip.
 
-Nodes are frozen, slotted dataclasses. The parser and the refactors build
-them past ``__init__``, writing each slot directly: a document has
-thousands of nodes, and a frozen ``__init__`` sets every field through
+Nodes are frozen, slotted records that keep the dataclass protocol (see
+``mono2ddd._record``). The parser and the refactors build them past
+``__init__``, writing each slot directly: a document has thousands of
+nodes, and a frozen ``__init__`` sets every field through
 ``object.__setattr__``, which made building the tree about half of a parse.
 """
 
@@ -39,10 +40,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
 from itertools import islice, repeat
 from operator import is_, is_not
 
+from ._record import record
 from .errors import CmlEmitError, CmlParseError, RefactorError
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -83,21 +84,21 @@ def stats_comment(external: int, external_total: int, local: int, local_total: i
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlAttribute:
     type: str
     name: str
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlReference:
     target: str
     name: str
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlEntity:
     name: str
     aggregate_root: bool = False
@@ -120,27 +121,27 @@ class CmlEntity:
         return self.name.endswith(REFERENCE_SUFFIX) and not self.attributes and not self.references
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlAggregate:
     name: str
     entities: tuple[CmlEntity, ...] = ()
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlOperation:
     name: str
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlService:
     name: str
     operations: tuple[CmlOperation, ...] = ()
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlStep:
     context: str
     service: str
@@ -148,14 +149,14 @@ class CmlStep:
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlCoordination:
     name: str
     steps: tuple[CmlStep, ...] = ()
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlBoundedContext:
     name: str
     services: tuple[CmlService, ...] = ()
@@ -175,14 +176,14 @@ class CmlBoundedContext:
         raise RefactorError(f"no aggregate {name!r} in context {self.name!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlRelationship:
     upstream: str
     downstream: str
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlContextMap:
     name: str
     contains: tuple[str, ...] = ()
@@ -190,7 +191,7 @@ class CmlContextMap:
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CmlDocument:
     context_map: CmlContextMap | None
     contexts: tuple[CmlBoundedContext, ...] = ()
@@ -209,14 +210,15 @@ class CmlDocument:
 
 
 def _constructor(cls):
-    """A constructor of ``cls`` that takes every field in order and writes
-    the slots through their descriptors, as ``model._access`` does.
+    """A constructor of ``cls`` that takes every field in order (a slotted
+    record's ``__slots__``) and writes the slots through their descriptors,
+    as ``model._access`` does.
 
     The writes are unrolled per field count: a loop over the setters costs
     as much as the frozen ``__init__`` they replace.
     """
     new = object.__new__
-    setters = [getattr(cls, f.name).__set__ for f in fields(cls)]
+    setters = [getattr(cls, name).__set__ for name in cls.__slots__]
     if len(setters) == 2:
         s0, s1 = setters
 

@@ -29,11 +29,11 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Container, Iterable
-from dataclasses import dataclass, field
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
+from ._record import record
 from .errors import ContractError, DecompositionError
 from .model import READ, MonolithModel
 
@@ -45,7 +45,7 @@ WEIGHT_TOLERANCE = 1e-9
 MAX_GRID_CANDIDATES = 100_000
 
 
-@dataclass(frozen=True)
+@record
 class SimilarityWeights:
     """Convex weights for the four similarity criteria."""
 
@@ -67,7 +67,7 @@ class SimilarityWeights:
         return (self.access, self.write, self.read, self.sequence)
 
 
-@dataclass(frozen=True)
+@record(uncompared=("rows",))
 class SimilarityMatrix:
     """Symmetric entity distances, numbered in entity name order.
 
@@ -77,7 +77,7 @@ class SimilarityMatrix:
     """
 
     entities: tuple[str, ...]
-    rows: list[list[float]] = field(compare=False)
+    rows: list[list[float]]
 
     def distance(self, e1: str, e2: str) -> float:
         """The pair's distance; a name the model lacks is at 1 from all others."""
@@ -93,7 +93,7 @@ class SimilarityMatrix:
         return 1.0 - self.distance(e1, e2)
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """A named partition of the model's entities."""
 

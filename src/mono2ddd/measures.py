@@ -11,9 +11,9 @@ all its partitions (``_measure``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._record import record
 from .decompose import (
     Decomposition,
     decomposition_to_json,
@@ -27,7 +27,7 @@ from .errors import DecompositionError
 from .model import MonolithModel
 
 
-@dataclass(frozen=True)
+@record
 class ClusterMeasures:
     name: str
     size: int
@@ -37,7 +37,7 @@ class ClusterMeasures:
     complexity: float
 
 
-@dataclass(frozen=True)
+@record
 class MeasureReport:
     clusters: tuple[ClusterMeasures, ...]
     cohesion: float

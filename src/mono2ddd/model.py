@@ -16,10 +16,11 @@ returned on every later read, so code that follows accesses by identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
+
+from ._record import record
 
 READ = "R"
 WRITE = "W"
@@ -30,7 +31,7 @@ INHERITANCE = "inheritance"
 REFERENCE_KINDS = (ASSOCIATION, INHERITANCE)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Access:
     """One read or write of a domain entity at a trace position."""
 
@@ -67,7 +68,7 @@ _mode_of = attrgetter("mode")
 
 
 class _AccessColumns:
-    """Base of a frozen dataclass that keeps an access sequence as columns.
+    """Base of a frozen record that keeps an access sequence as columns.
 
     ``_entities`` holds the entity names and ``_modes`` one mode character
     per position; ``_built`` is the ``Access`` tuple once it exists, else
@@ -122,7 +123,7 @@ _set_modes = _AccessColumns._modes.__set__
 _set_built = _AccessColumns._built.__set__
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@record(eq=False)
 class Functionality(_AccessColumns):
     """A monolith use case: a name plus its ordered entity-access trace.
 
@@ -164,13 +165,13 @@ _set_name = Functionality.name.__set__
 Functionality.trace = property(_AccessColumns._accesses, doc="The trace as ``Access`` values.")
 
 
-@dataclass(frozen=True)
+@record
 class Attribute:
     name: str
     type: str
 
 
-@dataclass(frozen=True)
+@record
 class Reference:
     """A structural link from the owning entity to ``target``.
 
@@ -187,7 +188,7 @@ class Reference:
             raise ValueError(f"unknown reference kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class EntityStructure:
     """Static shape of one domain entity: attributes and outgoing references."""
 
@@ -196,7 +197,7 @@ class EntityStructure:
     references: tuple[Reference, ...] = ()
 
 
-@dataclass(frozen=True)
+@record(uncompared=("warnings",))
 class MonolithModel:
     """Validated model: every traced entity has a structure entry.
 
@@ -210,7 +211,7 @@ class MonolithModel:
 
     entities: tuple[EntityStructure, ...]
     functionalities: tuple[Functionality, ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         names: set[str] = set()

@@ -20,10 +20,10 @@ grouping directly from the trace columns, in one pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
+from ._record import record
 from .decompose import Decomposition, _breaks_tsv, _json_array, check_decomposition
 from .errors import ContractError, SagaError
 from .model import WRITE, Access, Functionality, MonolithModel, _AccessColumns, _set_built
@@ -31,7 +31,7 @@ from .model import WRITE, Access, Functionality, MonolithModel, _AccessColumns, 
 ORCHESTRATOR_POLICIES = ("first", "max-accesses")
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@record(eq=False)
 class Step(_AccessColumns):
     """One saga step: the cluster it runs in, its accesses in trace order,
     and its position in the saga.
@@ -97,14 +97,14 @@ _set_index = Step.index.__set__
 Step.accesses = property(Step._step_accesses, doc="The step's accesses as ``Access`` values.")
 
 
-@dataclass(frozen=True)
+@record
 class Saga:
     functionality: str
     orchestrator: str
     steps: tuple[Step, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ReductionStats:
     functionality: str
     clusters_touched: int
