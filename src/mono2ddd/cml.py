@@ -29,10 +29,9 @@ Application (services with void operations, coordinations with
 (reference markers, access statistics) survive a parse/emit round trip.
 
 Nodes are frozen, slotted records that keep the dataclass protocol (see
-``mono2ddd._record``). The parser and the refactors build them past
-``__init__``, writing each slot directly: a document has thousands of
-nodes, and a frozen ``__init__`` sets every field through
-``object.__setattr__``, which made building the tree about half of a parse.
+``mono2ddd._record``). The parser and the refactors build them through
+their own constructors, whose compiled ``__init__`` writes each slot
+through its descriptor and runs no other check.
 """
 
 from __future__ import annotations
@@ -207,75 +206,6 @@ class CmlDocument:
             if c.name == name:
                 return c
         raise RefactorError(f"no bounded context {name!r}")
-
-
-def _constructor(cls):
-    """A constructor of ``cls`` that takes every field in order (a slotted
-    record's ``__slots__``) and writes the slots through their descriptors,
-    as ``model._access`` does.
-
-    The writes are unrolled per field count: a loop over the setters costs
-    as much as the frozen ``__init__`` they replace.
-    """
-    new = object.__new__
-    setters = [getattr(cls, name).__set__ for name in cls.__slots__]
-    if len(setters) == 2:
-        s0, s1 = setters
-
-        def build(v0, v1):
-            node = new(cls)
-            s0(node, v0)
-            s1(node, v1)
-            return node
-
-    elif len(setters) == 3:
-        s0, s1, s2 = setters
-
-        def build(v0, v1, v2):
-            node = new(cls)
-            s0(node, v0)
-            s1(node, v1)
-            s2(node, v2)
-            return node
-
-    elif len(setters) == 4:
-        s0, s1, s2, s3 = setters
-
-        def build(v0, v1, v2, v3):
-            node = new(cls)
-            s0(node, v0)
-            s1(node, v1)
-            s2(node, v2)
-            s3(node, v3)
-            return node
-
-    else:
-        s0, s1, s2, s3, s4 = setters
-
-        def build(v0, v1, v2, v3, v4):
-            node = new(cls)
-            s0(node, v0)
-            s1(node, v1)
-            s2(node, v2)
-            s3(node, v3)
-            s4(node, v4)
-            return node
-
-    return build
-
-
-_new_attribute = _constructor(CmlAttribute)
-_new_reference = _constructor(CmlReference)
-_new_entity = _constructor(CmlEntity)
-_new_aggregate = _constructor(CmlAggregate)
-_new_operation = _constructor(CmlOperation)
-_new_service = _constructor(CmlService)
-_new_step = _constructor(CmlStep)
-_new_coordination = _constructor(CmlCoordination)
-_new_context = _constructor(CmlBoundedContext)
-_new_relationship = _constructor(CmlRelationship)
-_new_context_map = _constructor(CmlContextMap)
-_new_document = _constructor(CmlDocument)
 
 
 # Everything str.splitlines splits at; a ``//`` comment ends at any of them.
@@ -558,7 +488,7 @@ class _Parser:
             else:
                 raise self.outside(self.pos, "'ContextMap' or 'BoundedContext'")
         trailing = self.comments[self.grabbed :]
-        return _new_document(context_map, tuple(contexts), trailing)
+        return CmlDocument(context_map, tuple(contexts), trailing)
 
     def _context_map(self, comments: tuple[str, ...]) -> CmlContextMap:
         name = self.open_block("map name")
@@ -586,12 +516,12 @@ class _Parser:
                 downstream = tokens[pos + 2]
                 if downstream in _NOT_IDS:
                     raise self.unexpected(pos + 2, what="context name")
-                relationships.append(_new_relationship(tok, downstream, node_comments))
+                relationships.append(CmlRelationship(tok, downstream, node_comments))
                 pos += 3
             else:
                 raise self.outside(pos, "'contains', a relationship, or '}'")
         self.pos, self.grabbed = pos + 1, grabbed
-        return _new_context_map(name, tuple(contains), tuple(relationships), comments)
+        return CmlContextMap(name, tuple(contains), tuple(relationships), comments)
 
     def _bounded_context(self, comments: tuple[str, ...]) -> CmlBoundedContext:
         name = self.open_block("context name")
@@ -614,7 +544,7 @@ class _Parser:
                 aggregates.append(self._aggregate(node_comments))
             else:
                 raise self.outside(self.pos, "'Application' or 'Aggregate'")
-        return _new_context(
+        return CmlBoundedContext(
             name, tuple(services), tuple(coordinations), tuple(aggregates), comments
         )
 
@@ -637,11 +567,11 @@ class _Parser:
                 raise self.unexpected(pos + 3, ")")
             if tokens[pos + 4] != ";":
                 raise self.unexpected(pos + 4, ";")
-            operations.append(_new_operation(op_name, all_comments[grabbed : before[pos]]))
+            operations.append(CmlOperation(op_name, all_comments[grabbed : before[pos]]))
             grabbed = before[pos]
             pos += 5
         self.pos, self.grabbed = pos + 1, grabbed
-        return _new_service(name, tuple(operations), comments)
+        return CmlService(name, tuple(operations), comments)
 
     def _coordination(self, comments: tuple[str, ...]) -> CmlCoordination:
         name = self.open_block("coordination name")
@@ -666,12 +596,12 @@ class _Parser:
             if tokens[pos + 5] != ";":
                 raise self.unexpected(pos + 5, ";")
             steps.append(
-                _new_step(context, service, operation, all_comments[grabbed : before[pos]])
+                CmlStep(context, service, operation, all_comments[grabbed : before[pos]])
             )
             grabbed = before[pos]
             pos += 6
         self.pos, self.grabbed = pos + 1, grabbed
-        return _new_coordination(name, tuple(steps), comments)
+        return CmlCoordination(name, tuple(steps), comments)
 
     def _aggregate(self, comments: tuple[str, ...]) -> CmlAggregate:
         name = self.open_block("aggregate name")
@@ -680,7 +610,7 @@ class _Parser:
             if tok != "Entity":
                 raise self.outside(self.pos, "'Entity'")
             entities.append(self._entity(entity_comments))
-        return _new_aggregate(name, tuple(entities), comments)
+        return CmlAggregate(name, tuple(entities), comments)
 
     def _entity(self, comments: tuple[str, ...]) -> CmlEntity:
         name = self.open_block("entity name")
@@ -702,7 +632,7 @@ class _Parser:
                 if field_name in _NOT_IDS:
                     raise self.unexpected(pos + 2, what="reference field")
                 references.append(
-                    _new_reference(target, field_name, all_comments[grabbed : before[pos]])
+                    CmlReference(target, field_name, all_comments[grabbed : before[pos]])
                 )
                 grabbed = before[pos]
                 pos += 3
@@ -711,16 +641,14 @@ class _Parser:
                 if attr_name in _NOT_IDS:
                     raise self.unexpected(pos + 1, what="attribute name")
                 attributes.append(
-                    _new_attribute(tok, attr_name, all_comments[grabbed : before[pos]])
+                    CmlAttribute(tok, attr_name, all_comments[grabbed : before[pos]])
                 )
                 grabbed = before[pos]
                 pos += 2
             else:
                 raise self.outside(pos, "an attribute, a reference, or '}'")
         self.pos, self.grabbed = pos + 1, grabbed
-        return _new_entity(
-            name, aggregate_root, tuple(attributes), tuple(references), comments
-        )
+        return CmlEntity(name, aggregate_root, tuple(attributes), tuple(references), comments)
 
 
 def parse_document(text: str) -> CmlDocument:
@@ -897,12 +825,12 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
                 if target not in final_names:
                     target = _collapse_target(target, final_names)
                 if target != r.target:
-                    references[j] = _new_reference(target, r.name, r.comments)
+                    references[j] = CmlReference(target, r.name, r.comments)
             if any(map(is_not, references, e.references)):
-                entities[i] = _new_entity(
+                entities[i] = CmlEntity(
                     e.name, e.aggregate_root, e.attributes, tuple(references), e.comments
                 )
-        aggregates.append(_new_aggregate(name, tuple(entities), comments))
+        aggregates.append(CmlAggregate(name, tuple(entities), comments))
 
     old_names = {a, b}
 
@@ -935,10 +863,10 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
             joined: set[int] = set()
             for step in coordination.steps:
                 if step.context in old_names:
-                    step = _new_step(merged_name, step.service, step.operation, step.comments)
+                    step = CmlStep(merged_name, step.service, step.operation, step.comments)
                 if collapsed and collapsed[-1].context == step.context:
                     prev = collapsed[-1]
-                    collapsed[-1] = _new_step(
+                    collapsed[-1] = CmlStep(
                         prev.context,
                         prev.service,
                         f"{prev.operation}_{step.operation}",
@@ -955,7 +883,7 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
                 wanted_ops.setdefault(only.context, []).append((only.service, only.operation))
                 continue
             kept.append(
-                _new_coordination(coordination.name, tuple(collapsed), coordination.comments)
+                CmlCoordination(coordination.name, tuple(collapsed), coordination.comments)
             )
         unchanged = len(kept) == len(coordinations) and all(map(is_, kept, coordinations))
         new_coordinations[ctx.name] = coordinations if unchanged else tuple(kept)
@@ -966,7 +894,7 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
             continue
         if ctx.name == a:
             all_contexts.append(
-                _new_context(
+                CmlBoundedContext(
                     merged_name,
                     _add_operations(
                         tuple(ctx_a.services) + tuple(ctx_b.services),
@@ -984,7 +912,7 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
             all_contexts.append(ctx)
         else:
             all_contexts.append(
-                _new_context(ctx.name, services, coordinations, ctx.aggregates, ctx.comments)
+                CmlBoundedContext(ctx.name, services, coordinations, ctx.aggregates, ctx.comments)
             )
 
     context_map = doc.context_map
@@ -1003,19 +931,17 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
             if existing_idx is not None:
                 if rel.comments:
                     existing = rels[existing_idx]
-                    rels[existing_idx] = _new_relationship(
-                        up, down, existing.comments + rel.comments
-                    )
+                    rels[existing_idx] = CmlRelationship(up, down, existing.comments + rel.comments)
             else:
                 at[up, down] = len(rels)
                 if up != rel.upstream or down != rel.downstream:
-                    rel = _new_relationship(up, down, rel.comments)
+                    rel = CmlRelationship(up, down, rel.comments)
                 rels.append(rel)
-        context_map = _new_context_map(
+        context_map = CmlContextMap(
             context_map.name, tuple(contains), tuple(rels), context_map.comments
         )
 
-    return _new_document(context_map, tuple(all_contexts), doc.trailing_comments)
+    return CmlDocument(context_map, tuple(all_contexts), doc.trailing_comments)
 
 
 def _add_operations(
@@ -1026,8 +952,8 @@ def _add_operations(
     for service_name, op_name in wanted:
         for idx, s in enumerate(patched):
             if s.name == service_name and all(op.name != op_name for op in s.operations):
-                operations = s.operations + (_new_operation(op_name, ()),)
-                patched[idx] = _new_service(s.name, operations, s.comments)
+                operations = s.operations + (CmlOperation(op_name, ()),)
+                patched[idx] = CmlService(s.name, operations, s.comments)
     return services if all(map(is_, patched, services)) else tuple(patched)
 
 
@@ -1085,15 +1011,15 @@ def split_aggregate(
         entities = [
             e
             if e.aggregate_root == (e.name == root)
-            else _new_entity(e.name, e.name == root, e.attributes, e.references, e.comments)
+            else CmlEntity(e.name, e.name == root, e.attributes, e.references, e.comments)
             for e in entities
         ]
         new_aggregates.append(
-            _new_aggregate(f"{aggregate.name}_{i}", tuple(entities), aggregate.comments)
+            CmlAggregate(f"{aggregate.name}_{i}", tuple(entities), aggregate.comments)
         )
 
-    new_ctx = _new_context(
+    new_ctx = CmlBoundedContext(
         ctx.name, ctx.services, ctx.coordinations, tuple(new_aggregates), ctx.comments
     )
     contexts = tuple(new_ctx if c.name == context_name else c for c in doc.contexts)
-    return _new_document(doc.context_map, contexts, doc.trailing_comments)
+    return CmlDocument(doc.context_map, contexts, doc.trailing_comments)

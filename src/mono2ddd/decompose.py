@@ -31,7 +31,6 @@ from collections import Counter
 from collections.abc import Container, Iterable
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from ._record import record
 from .errors import ContractError, DecompositionError
@@ -114,7 +113,8 @@ class Decomposition:
         return {e: name for name, members in self.clusters for e in members}
 
 
-class _Index(NamedTuple):
+@record
+class _Index:
     """The facts of one model's traces that similarity and the measures read.
 
     Entities are numbered: the model's distinct entity names in name order

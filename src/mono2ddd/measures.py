@@ -11,8 +11,6 @@ all its partitions (``_measure``).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ._record import record
 from .decompose import (
     Decomposition,
@@ -59,7 +57,8 @@ def coupling(model: MonolithModel, decomposition: Decomposition, name: str) -> f
     return measure(model, decomposition).cluster(name).coupling
 
 
-class _ClusterFacts(NamedTuple):
+@record
+class _ClusterFacts:
     """What one cluster's measures take from its own members alone.
 
     ``users``: the positions of the functionalities that touch it, which

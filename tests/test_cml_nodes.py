@@ -1,11 +1,11 @@
 """The value contract of the CML nodes that the parser and refactors build.
 
-The twelve ``Cml*`` classes are frozen, slotted dataclasses. The parser,
-``merge_bounded_contexts`` and ``split_aggregate`` build them past their
-generated ``__init__``, writing each slot directly. A node built that way
-must be the same value as one built through the public constructor: equal,
-with the same hash and repr, still frozen, and surviving ``replace``,
-copies and pickling. Checked on every node of the golden files, of seeded
+The twelve ``Cml*`` classes are frozen, slotted records. The parser,
+``merge_bounded_contexts`` and ``split_aggregate`` build them through their
+own constructors, whose compiled ``__init__`` writes each slot through its
+descriptor. A node they build must be the same value as one a caller
+builds again from its fields: equal, with the same hash and repr, still
+frozen, and surviving ``replace``, copies and pickling. Checked on every node of the golden files, of seeded
 generated documents, and of the results of merging and splitting them.
 """
 
