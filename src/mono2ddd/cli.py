@@ -72,7 +72,7 @@ def _write(path: str | None, text: str, stamp_prefix: str | None = None) -> None
 
 
 def _stamp(args, comment: str) -> str | None:
-    if not getattr(args, "stamp", False):
+    if not args.stamp:
         return None
     now = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return comment.format(now) + "\n"
@@ -111,13 +111,6 @@ def _load_decomposition(args, model):
     decomposition = parse_decomposition(_read(args.decomposition))
     check_decomposition(model, decomposition)
     return decomposition
-
-
-def _load_sagas(args, model, decomposition):
-    if getattr(args, "sagas", None):
-        return parse_sagas(_read(args.sagas))
-    policy = getattr(args, "orchestrator", "first")
-    return [saga for saga, _ in refactor_model(model, decomposition, policy)]
 
 
 def _cmd_decompose(args) -> int:
@@ -168,7 +161,10 @@ def _cmd_sagas(args) -> int:
 def _cmd_to_cml(args) -> int:
     model = _load_model(args)
     decomposition = _load_decomposition(args, model)
-    sagas = _load_sagas(args, model, decomposition)
+    if args.sagas:
+        sagas = parse_sagas(_read(args.sagas))
+    else:
+        sagas = [saga for saga, _ in refactor_model(model, decomposition, args.orchestrator)]
     doc = build_ddd_model(model, decomposition, sagas, args.naming, args.map_name)
     _write(args.output, cml_mod.emit_document(doc), _stamp(args, "// generated {}"))
     return 0
@@ -219,26 +215,6 @@ def _cmd_cml_split(args) -> int:
     return 0
 
 
-class _Subparser:
-    """A subcommand's parser, built when ``argparse`` dispatches to it.
-
-    ``add_parser`` makes one per subcommand, and ``argparse`` calls only
-    ``parse_known_args`` on the one named on the command line; the help
-    text and choices of the parent come from ``add_parser``. So a call
-    that reaches ``argparse`` (help, a usage error or a form ``_quick_args``
-    does not read) builds its own subcommand's parser and no other.
-    """
-
-    def __init__(self, command: str, **kwargs):
-        self.command = command
-        self.kwargs = kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = _Parser(**self.kwargs)
-        _add_arguments(parser, self.command)
-        return parser.parse_known_args(args, namespace)
-
-
 _COMMANDS = {
     "decompose": "cluster entities into one decomposition",
     "search": "grid-search weights and pick the best candidate",
@@ -255,9 +231,9 @@ _CML_COMMANDS = {
 
 
 def _add_subcommands(parser, dest: str, commands: dict[str, str], prefix: str = "") -> None:
-    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Subparser)
+    sub = parser.add_subparsers(dest=dest, required=True)
     for name, help in commands.items():
-        sub.add_parser(name, help=help, command=prefix + name)
+        _add_arguments(sub.add_parser(name, help=help), prefix + name)
 
 
 def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
@@ -433,10 +409,7 @@ def _quick_args(argv: list[str]) -> argparse.Namespace | None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``argparse`` parser, for help, usage errors and the forms ``_quick_args`` leaves.
-
-    A subcommand's own parser is built only when it runs.
-    """
+    """The ``argparse`` parser, for help, usage errors and the forms ``_quick_args`` leaves."""
     parser = _Parser(prog="mono2ddd", description=__doc__.splitlines()[0])
     _add_subcommands(parser, "command", _COMMANDS)
     return parser

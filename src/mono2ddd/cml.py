@@ -43,7 +43,8 @@ from itertools import islice, repeat
 from operator import is_, is_not
 
 from ._record import record
-from .errors import CmlEmitError, CmlParseError, RefactorError
+from .errors import LINE_BREAKS as _LINE_BREAKS
+from .errors import CmlEmitError, CmlParseError, RefactorError, line_and_column
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -208,10 +209,6 @@ class CmlDocument:
         raise RefactorError(f"no bounded context {name!r}")
 
 
-# Everything str.splitlines splits at; a ``//`` comment ends at any of them.
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 def emit_document(doc: CmlDocument) -> str:
     """Render the document deterministically: 4-space indent, LF endings.
 
@@ -368,13 +365,9 @@ def _position(text: str, index: int) -> tuple[int, int]:
     """Line and column of the index-th token, comments counted.
 
     Positions are only needed for errors, so the tokenizer keeps none and
-    this rescans. Lines are numbered as ``str.splitlines`` splits them.
+    this rescans.
     """
-    start = next(islice(_TOKEN.finditer(text), index, None)).start(1)
-    head = text[:start].splitlines(keepends=True)
-    if head and head[-1][-1] not in _LINE_BREAKS:
-        return len(head), len(head[-1]) + 1
-    return len(head) + 1, 1
+    return line_and_column(text, next(islice(_TOKEN.finditer(text), index, None)).start(1))
 
 
 def _tokenize(text: str) -> tuple[list[str | None], list[int], tuple[str, ...]]:

@@ -29,11 +29,13 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Container, Iterable
+from functools import reduce
 from itertools import compress
 from json.encoder import encode_basestring_ascii
+from operator import add
 
 from ._record import record
-from .errors import ContractError, DecompositionError
+from .errors import ContractError, DecompositionError, json_document
 from .model import READ, MonolithModel
 
 WEIGHT_TOLERANCE = 1e-9
@@ -59,8 +61,9 @@ class SimilarityWeights:
             # Written as "not in range" so that NaN, which fails every comparison, fails it.
             if not -WEIGHT_TOLERANCE <= v <= 1 + WEIGHT_TOLERANCE:
                 raise DecompositionError(f"weight out of range: {v}")
-        if abs(sum(values) - 1.0) > WEIGHT_TOLERANCE:
-            raise DecompositionError(f"weights must sum to 1, got {sum(values)}")
+        total = reduce(add, values, 0.0)
+        if abs(total - 1.0) > WEIGHT_TOLERANCE:
+            raise DecompositionError(f"weights must sum to 1, got {total}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.access, self.write, self.read, self.sequence)
@@ -343,9 +346,11 @@ def _linkage(rows: list[list[float]], a: list[int], b: list[int]) -> float:
 
     ``a`` is the cluster with the smaller head. Its sorted members are the
     outer loop and ``b``'s sorted members the inner one; the terms are
-    summed in that order with one ``sum`` and divided by ``len(a) * len(b)``.
+    summed left to right onto ``0.0`` in that order (``reduce``, not ``sum``,
+    which Python 3.12 compensates) and divided by ``len(a) * len(b)``.
     """
-    return sum([row[y] for row in map(rows.__getitem__, a) for y in b]) / (len(a) * len(b))
+    terms = [row[y] for row in map(rows.__getitem__, a) for y in b]
+    return reduce(add, terms, 0.0) / (len(a) * len(b))
 
 
 def _agglomerate(
@@ -380,9 +385,8 @@ def _agglomerate(
     Lance-Williams update averages its inputs' errors and adds at most
     ``3u``, and a linkage is updated at most ``E`` times, so a screened value
     is off by at most about ``3*E*u``. Twice their sum is below
-    ``tol = (E + 4)**2 * u``, whatever rounding ``sum`` does (Python 3.12
-    compensates it), so every merge is the one that re-summing all linkages
-    would make.
+    ``tol = (E + 4)**2 * u``, so every merge is the one that re-summing all
+    linkages would make.
     """
     names, rows = matrix.entities, matrix.rows
     size = len(names)
@@ -627,10 +631,7 @@ def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> d
 
 
 def parse_decomposition(text: str) -> Decomposition:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # syntax, nesting depth or integer size
-        raise ContractError(f"malformed JSON: {exc}") from exc
+    doc = json_document(text)
     if not isinstance(doc, dict) or "clusters" not in doc:
         raise ContractError("decomposition document must have a 'clusters' object")
     params = doc.get("params", {})

@@ -26,7 +26,7 @@ import json
 import re
 from itertools import islice
 
-from .errors import ContractError, DslParseError
+from .errors import LINE_BREAKS, ContractError, DslParseError, json_document, line_and_column
 from .model import (
     ASSOCIATION,
     INHERITANCE,
@@ -48,10 +48,7 @@ def _require(obj, kind, location):
 
 def parse_accesses(text: str) -> list[Functionality]:
     """Parse an accesses document into functionalities, preserving order."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # syntax, nesting depth or integer size
-        raise ContractError(f"malformed JSON: {exc}") from exc
+    doc = json_document(text)
     _require(doc, dict, "$")
     items = _require(doc.get("functionalities", None), list, "functionalities")
 
@@ -135,10 +132,7 @@ def _field_problem(name, attributes, references) -> str | None:
 
 
 def parse_structure_json(text: str) -> list[EntityStructure]:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # syntax, nesting depth or integer size
-        raise ContractError(f"malformed JSON: {exc}") from exc
+    doc = json_document(text)
     _require(doc, dict, "$")
     items = _require(doc.get("entities", None), list, "entities")
 
@@ -184,10 +178,8 @@ def parse_structure_json(text: str) -> list[EntityStructure]:
     return result
 
 
-# The line boundaries of ``str.splitlines``.
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # A comment runs to the next line boundary; dropping it joins no tokens.
-_DSL_COMMENT = re.compile(rf"#[^{_LINE_BREAKS}]*")
+_DSL_COMMENT = re.compile(rf"#[^{LINE_BREAKS}]*")
 # A token and the whitespace before it.
 _DSL_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|->|[{}:;]|\S)")
 # A token that starts with one of these is a whole name.
@@ -205,15 +197,10 @@ def _dsl_position(text: str, index: int) -> tuple[int, int]:
     """Line and column of the index-th token, comments skipped.
 
     Positions are only needed for errors, so the reader keeps none and this
-    rescans, with each comment blanked out in place. Lines are numbered as
-    ``str.splitlines`` splits them.
+    rescans, with each comment blanked out in place.
     """
     code = _DSL_COMMENT.sub(lambda comment: " " * len(comment[0]), text)
-    start = next(islice(_DSL_TOKEN.finditer(code), index, None)).start(1)
-    head = text[:start].splitlines(keepends=True)
-    if head and head[-1][-1] not in _LINE_BREAKS:
-        return len(head), len(head[-1]) + 1
-    return len(head) + 1, 1
+    return line_and_column(text, next(islice(_DSL_TOKEN.finditer(code), index, None)).start(1))
 
 
 def _dsl_error(

@@ -11,6 +11,9 @@ all its partitions (``_measure``).
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 from ._record import record
 from .decompose import (
     Decomposition,
@@ -87,9 +90,10 @@ def _cluster_facts(index: _Index, mask: int, size: int) -> _ClusterFacts:
     for position, entities in enumerate(index.entities):
         if entities & mask == entities:
             contained |= 1 << position
+    cohesion = reduce(add, [count / size for count in hits if count], 0.0)
     return _ClusterFacts(
         users=users,
-        cohesion=sum([count / size for count in hits if count]) / len(users) if users else 0.0,
+        cohesion=cohesion / len(users) if users else 0.0,
         reach=reach,
         contained=contained,
         complexity={},
@@ -123,7 +127,9 @@ def _measure(
     ``sum(reads(e) * (|W(e) & D| - [f writes e]) + writes(e) * (|R(e) & D|
     - [f reads e]))`` over its entities ``e``, where ``D`` is the set of
     distributed functionalities. The sums are integers, and every float is
-    summed in the order the cluster rows and the model list them.
+    summed left to right onto ``0.0``, in the order the cluster rows and the
+    model list them: ``reduce``, not ``sum``, which Python 3.12 compensates,
+    so every version rounds the same.
 
     ``memo`` keeps what partitions of one model share, and must only ever
     see that model's index: a cluster's ``_ClusterFacts`` under its
@@ -164,9 +170,8 @@ def _measure(
                     coupling_total += entered / len(other_members)
         complexity = cluster.complexity.get(distributed)
         if complexity is None:
-            complexity = cluster.complexity[distributed] = (
-                sum([by_functionality[f] for f in users]) / len(users) if users else 0.0
-            )
+            total = reduce(add, [by_functionality[f] for f in users], 0.0)
+            complexity = cluster.complexity[distributed] = total / len(users) if users else 0.0
         rows.append(
             ClusterMeasures(
                 name=name,
@@ -178,14 +183,12 @@ def _measure(
             )
         )
 
-    total_functionalities = len(by_functionality)
+    count = len(by_functionality)
     report = MeasureReport(
         clusters=tuple(rows),
-        cohesion=sum(r.cohesion for r in rows) / k,
-        coupling=sum(r.coupling for r in rows) / k,
-        complexity=(
-            sum(by_functionality) / total_functionalities if total_functionalities else 0.0
-        ),
+        cohesion=reduce(add, [r.cohesion for r in rows], 0.0) / k,
+        coupling=reduce(add, [r.coupling for r in rows], 0.0) / k,
+        complexity=reduce(add, by_functionality, 0.0) / count if count else 0.0,
     )
     return report, by_functionality
 

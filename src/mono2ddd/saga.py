@@ -19,13 +19,12 @@ grouping directly from the trace columns, in one pass.
 
 from __future__ import annotations
 
-import json
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from ._record import record
 from .decompose import Decomposition, _breaks_tsv, _json_array, check_decomposition
-from .errors import ContractError, SagaError
+from .errors import ContractError, SagaError, json_document
 from .model import WRITE, Access, Functionality, MonolithModel, _AccessColumns, _set_built
 
 ORCHESTRATOR_POLICIES = ("first", "max-accesses")
@@ -331,10 +330,7 @@ def sagas_to_json(sagas: list[Saga]) -> str:
 
 
 def parse_sagas(text: str) -> list[Saga]:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # syntax, nesting depth or integer size
-        raise ContractError(f"malformed JSON: {exc}") from exc
+    doc = json_document(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("sagas", None), list):
         raise ContractError("sagas document must have a 'sagas' list")
     result = []

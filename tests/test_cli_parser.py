@@ -1,10 +1,10 @@
-"""The command-line parser against a literal copy of the eager one it replaced.
+"""The command-line parser against a literal copy of an earlier one.
 
-`cli.build_parser` registers each subcommand by name and help text, and a
-subcommand's own parser and arguments are built only when `argparse`
-dispatches to it. `eager_build_parser` below is the parser as it was before,
-which built the whole tree on every call. Help text, usage errors, exit
-codes and parsed namespaces must be the same from both. `cli._quick_args`,
+`cli.build_parser` builds the whole `argparse` tree from `_add_arguments`,
+the one declaration of each subcommand's options. `eager_build_parser`
+below is the parser as it was written before that declaration existed,
+with every option spelled out. Help text, usage errors, exit codes and
+parsed namespaces must be the same from both. `cli._quick_args`,
 which reads a plain command line without `argparse`, must give the eager
 parser's namespace whenever it gives one. The benchmark chains' real calls
 also run here, to check that no successful call makes a reference cycle.

@@ -6,12 +6,16 @@ writer masks and successors, and the traced entities in first-seen order.
 These tests hold copies of `measure`, `_cluster_hits`, `_complexities` and
 `check_decomposition` as they were before the index, and require the same
 report by `repr` (so every float is bit-equal), or the same error type and
-message, on seeded, tied and generated models.
+message, on seeded, tied and generated models. The copies sum floats left
+to right onto `0.0`, as the package does, because from Python 3.12 `sum`
+compensates.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -126,13 +130,13 @@ def old_measure(model: MonolithModel, decomposition: Decomposition) -> MeasureRe
                 size=len(members),
                 functionalities=len(users),
                 cohesion=(
-                    sum(count / len(members) for _, count in users) / len(users)
+                    reduce(add, (count / len(members) for _, count in users), 0.0) / len(users)
                     if users
                     else 0.0
                 ),
                 coupling=coupling_total / (k - 1) if k > 1 else 0.0,
                 complexity=(
-                    sum(by_functionality[f] for f, _ in users) / len(users)
+                    reduce(add, (by_functionality[f] for f, _ in users), 0.0) / len(users)
                     if users
                     else 0.0
                 ),
@@ -142,10 +146,10 @@ def old_measure(model: MonolithModel, decomposition: Decomposition) -> MeasureRe
     total_functionalities = len(model.functionalities)
     return MeasureReport(
         clusters=tuple(rows),
-        cohesion=sum(r.cohesion for r in rows) / k,
-        coupling=sum(r.coupling for r in rows) / k,
+        cohesion=reduce(add, (r.cohesion for r in rows), 0.0) / k,
+        coupling=reduce(add, (r.coupling for r in rows), 0.0) / k,
         complexity=(
-            sum(by_functionality.values()) / total_functionalities
+            reduce(add, by_functionality.values(), 0.0) / total_functionalities
             if total_functionalities
             else 0.0
         ),

@@ -12,6 +12,8 @@ from __future__ import annotations
 import importlib
 import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -71,7 +73,11 @@ def seeded_models(count: int):
 
 
 def reference_cuts(matrix, n_values):
-    """Average linkage re-summing every cluster pair on every merge, cut at each n."""
+    """Average linkage re-summing every cluster pair on every merge, cut at each n.
+
+    Each linkage is summed left to right onto ``0.0``, the order ``_linkage``
+    promises on every Python version.
+    """
     clusters = [[e] for e in matrix.entities]
     cuts = {}
     while True:
@@ -82,8 +88,8 @@ def reference_cuts(matrix, n_values):
         best = None
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
-                total = sum(
-                    matrix.distance(x, y) for x in clusters[i] for y in clusters[j]
+                total = reduce(
+                    add, (matrix.distance(x, y) for x in clusters[i] for y in clusters[j]), 0.0
                 )
                 d = total / (len(clusters[i]) * len(clusters[j]))
                 lo, hi = sorted((clusters[i][0], clusters[j][0]))
