@@ -10,13 +10,13 @@ for a record met again inside its own repr), frozen ``__setattr__`` and
 imports neither ``dataclasses`` nor ``inspect``, whose import and per-class
 code generation were most of the package's import time.
 
-The methods that read the fields are compiled from source, as
-``dataclass`` compiles them, but only ``__init__`` when the class is made.
-``__eq__``, ``__hash__``, ``__repr__`` and ``__getstate__`` start as
-stand-ins: the first call of one compiles the method, puts it on the class
-in the stand-in's place and calls it. So an import compiles one function
-per class, and a record that is compared, hashed or printed runs the same
-code a dataclass would.
+Only ``__init__`` is compiled from source, as ``dataclass`` compiles it,
+when the class is made. ``__eq__``, ``__hash__``, ``__repr__`` and
+``__getstate__`` are plain functions made once per class over an
+``operator.attrgetter`` key that returns the tuple of the fields (or of
+the compared ones): ``==`` compares the keys (field by field from Python
+3.13), ``hash`` hashes the compared key, ``__getstate__`` lists the key
+and ``__repr__``, which ``reprlib.recursive_repr`` guards, writes it.
 
 The dataclass protocol is kept lazily too: the first read of
 ``__dataclass_fields__`` asks ``dataclasses.make_dataclass`` for the
@@ -37,8 +37,9 @@ generated ``__doc__`` writes them with ``repr``, as ``inspect`` does.
 
 from __future__ import annotations
 
+import operator
+import reprlib
 import sys
-from _thread import get_ident
 from types import MemberDescriptorType
 
 _MISSING = object()
@@ -77,27 +78,23 @@ def _build(cls, slots, eq, uncompared):
 
     own = cls.__dict__
     setters = tuple(getattr(cls, name).__set__ for name in names) if slots else None
-    compiled = ["__repr__"]
-    methods = {}
+    fields, compared = _key(names), _key(tuple(n for n in names if n not in uncompared))
+    methods = {"__repr__": _repr(names, fields)}
     if "__init__" not in own:
         methods["__init__"] = _init(cls, names, annotations, defaults, setters)
     if eq:
-        compiled += ["__eq__", "__hash__"]
+        methods["__eq__"] = _eq(compared)
     if slots:
-        compiled.append("__getstate__")
+        methods["__getstate__"] = _getstate(fields)
         methods["__setstate__"] = _setstate(setters)
     if _PY313:
         methods["__replace__"] = _replace
-    compared = tuple(n for n in names if n not in uncompared)
-    for attr in compiled:
-        methods[attr] = _compiled_on_first_call(cls, attr, names, compared)
-    hash_method = methods.pop("__hash__", None)
     # As with ``dataclass``: a method the class defines itself is kept, but
     # not ``__setattr__`` or ``__delattr__``, nor a ``__hash__`` of None.
     methods = {attr: method for attr, method in methods.items() if attr not in own}
     methods["__setattr__"], methods["__delattr__"] = _frozen(cls, frozenset(names))
     if eq and own.get("__hash__") is None:
-        methods["__hash__"] = hash_method
+        methods["__hash__"] = _hash(compared)
     for attr, method in methods.items():
         if method is not _replace:
             method.__qualname__ = f"{cls.__qualname__}.{attr}"
@@ -134,80 +131,75 @@ def _init(cls, names, annotations, defaults, setters):
         body = [f"_setattr(self, {name!r}, {name})" for name in names]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    init = _compile(cls, "__init__", ", ".join(("self", *names)), body or ["pass"], namespace)
+    source = f"def __init__({', '.join(('self', *names))}):\n"
+    source += "".join(f"    {line}\n" for line in body or ["pass"])
+    namespace["__name__"] = cls.__module__
+    exec(source, namespace)
+    init = namespace["__init__"]
     init.__defaults__ = tuple(defaults.values()) or None
     init.__annotations__ = {**{name: annotations[name] for name in names}, "return": None}
     return init
 
 
-def _compile(cls, name, params, body, namespace):
-    """The function ``name`` of ``cls``, compiled from its parameters and body lines."""
-    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
-    namespace["__name__"] = cls.__module__
-    exec(source, namespace)
-    return namespace[name]
+def _key(names):
+    """The function from a record to the tuple of its fields ``names``."""
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    if names:
+        get = operator.attrgetter(*names)
+        return lambda self: (get(self),)
+    return lambda self: ()
 
 
-def _tuple(owner, names):
-    """The source of a tuple of ``owner``'s named attributes, as ``dataclass`` writes it."""
-    return "(" + "".join(f"{owner}.{name}," for name in names) + ")"
+def _repr(names, fields):
+    """``__repr__`` as ``dataclass`` writes it, ``...`` for a record met
+    again inside its own repr in one thread."""
+    template = "(" + ", ".join(f"{name}={{!r}}" for name in names) + ")"
 
-
-def _compiled_on_first_call(cls, attr, names, compared):
-    """A stand-in for the method ``attr`` of ``cls``, with fields ``names``
-    of which ``compared`` take part in ``==`` and ``hash``. Its first call
-    compiles the method, puts it on the class in its place, and calls it."""
-
-    def stand_in(self, *args):
-        params = "self, other" if attr == "__eq__" else "self"
-        method = _compile(cls, attr, params, _body(attr, names, compared), {})
-        if attr == "__repr__":
-            method = _recursion_guarded(method)
-        method.__qualname__ = f"{cls.__qualname__}.{attr}"
-        setattr(cls, attr, method)
-        return method(self, *args)
-
-    return stand_in
-
-
-def _body(attr, names, compared):
-    """The body lines of the method ``attr``, as ``dataclass`` writes them."""
-    if attr == "__repr__":
-        fields = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-        return [f'return self.__class__.__qualname__ + f"({fields})"']
-    if attr == "__getstate__":
-        return [f"return [{''.join(f'self.{name},' for name in names)}]"]
-    if attr == "__hash__":
-        return [f"return hash({_tuple('self', compared)})"]
-    if _PY313:
-        same = " and ".join(f"self.{name}==other.{name}" for name in compared) or "True"
-        first = ["if self is other:", "    return True"]
-    else:
-        same, first = _tuple("self", compared) + "==" + _tuple("other", compared), []
-    return [
-        *first,
-        "if other.__class__ is self.__class__:",
-        f"    return {same}",
-        "return NotImplemented",
-    ]
-
-
-def _recursion_guarded(method):
-    """``method``, but returning ``...`` when called again for the same
-    record inside its own call in one thread, as a dataclass's repr does."""
-    running = set()
-
+    @reprlib.recursive_repr()
     def __repr__(self):
-        key = id(self), get_ident()
-        if key in running:
-            return "..."
-        running.add(key)
-        try:
-            return method(self)
-        finally:
-            running.discard(key)
+        return self.__class__.__qualname__ + template.format(*fields(self))
 
     return __repr__
+
+
+def _eq(compared):
+    """``__eq__`` over the ``compared`` key: the tuples compared before
+    Python 3.13, and from 3.13 field by field. The identity check changes
+    no result before 3.13, where a tuple compares its items by identity
+    first."""
+    if _PY313:
+
+        def same(one, other):
+            return all(map(operator.eq, one, other))
+
+    else:
+        same = operator.eq
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return same(compared(self), compared(other))
+        return NotImplemented
+
+    return __eq__
+
+
+def _hash(compared):
+    def __hash__(self):
+        return hash(compared(self))
+
+    return __hash__
+
+
+def _getstate(fields):
+    """``__getstate__`` of a slotted record: the list of its field values."""
+
+    def __getstate__(self):
+        return list(fields(self))
+
+    return __getstate__
 
 
 def _replace(self, /, **changes):

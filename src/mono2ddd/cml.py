@@ -214,7 +214,8 @@ def emit_document(doc: CmlDocument) -> str:
 
     Raises ``CmlEmitError`` for what ``parse_document`` could not read back:
     a name that is not an identifier, a keyword where it would open an
-    attribute or a relationship, and a comment with a line break in it.
+    attribute or a relationship, and a comment with a line break in it or
+    whitespace at either end, which the reader strips.
     Each distinct name is checked once per call. A block's body is written
     before its header, so names and comments are checked in the order
     their nodes are completed.
@@ -236,6 +237,8 @@ def emit_document(doc: CmlDocument) -> str:
             # Splitting drops exactly the characters at which a comment ends.
             if "".join(c.splitlines()) != c:
                 raise CmlEmitError(f"comment contains a line break: {c!r}")
+            if c.strip() != c:
+                raise CmlEmitError(f"comment has whitespace at an end: {c!r}")
         return [f"{indent}// {c}" for c in node_comments]
 
     def block(start: int, indent: str, header: str, node_comments: tuple[str, ...]) -> None:

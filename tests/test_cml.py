@@ -184,6 +184,13 @@ def test_emit_rejects_a_comment_with_any_line_break(line_break):
         emit_document(doc)
 
 
+@pytest.mark.parametrize("comment", [" x", "x ", " x ", "\tx", " "])
+def test_emit_rejects_a_comment_the_reader_would_strip(comment):
+    doc = CmlDocument(None, (CmlBoundedContext("A", comments=(comment,)),))
+    with pytest.raises(CmlEmitError, match="whitespace at an end"):
+        emit_document(doc)
+
+
 def test_emit_rejects_keywords_only_where_they_would_open_a_line():
     # Each keyword is first written where it is a name, which must not let it
     # pass where it would start a line.

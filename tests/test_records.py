@@ -1,12 +1,14 @@
 """The package's frozen records keep the contract of the dataclasses they were.
 
 Every value class is built by ``mono2ddd._record.record``, not by
-``dataclasses.dataclass``. The Cml nodes, ``Access``, ``Functionality`` and
-``Step`` are pinned by their own tests; the other eleven that were
-dataclasses are checked here against a reference ``dataclass(frozen=True)``
-made from the same annotations, defaults and methods: fields, signature,
-docstring, match arguments, equality, hash and repr on seeded values,
-frozenness, ``replace``, copies, pickling and the ``__post_init__`` checks.
+``dataclasses.dataclass``. ``Functionality`` and ``Step``, which define
+their own ``__init__``, are pinned by their own tests; the other
+twenty-four that were dataclasses are checked here against a reference
+``dataclass(frozen=True)`` made from the same annotations, defaults and
+methods, with ``slots=True`` for the slotted ones (``Access`` and the
+twelve Cml nodes): fields, signature, docstring, match arguments,
+equality, hash and repr on seeded values, frozenness, ``replace``, copies,
+pickling, the pickling state and the ``__post_init__`` checks.
 
 Also checked: importing the command line loads none of ``dataclasses``,
 ``inspect`` and ``typing``, and no module of the package grows past the
@@ -30,6 +32,20 @@ import pytest
 
 from mono2ddd import _record
 from mono2ddd._record import record
+from mono2ddd.cml import (
+    CmlAggregate,
+    CmlAttribute,
+    CmlBoundedContext,
+    CmlContextMap,
+    CmlCoordination,
+    CmlDocument,
+    CmlEntity,
+    CmlOperation,
+    CmlReference,
+    CmlRelationship,
+    CmlService,
+    CmlStep,
+)
 from mono2ddd.decompose import Decomposition, SimilarityMatrix, SimilarityWeights
 from mono2ddd.errors import DecompositionError
 from mono2ddd.measures import ClusterMeasures, MeasureReport
@@ -60,12 +76,33 @@ UNCOMPARED = {
     ReductionStats: (),
 }
 
+# Each slotted record with its defaults. A slotted class keeps no class
+# attribute for a default, so they are spelled out here.
+SLOTTED_DEFAULTS = {
+    Access: {},
+    CmlAttribute: {"comments": ()},
+    CmlReference: {"comments": ()},
+    CmlEntity: {"aggregate_root": False, "attributes": (), "references": (), "comments": ()},
+    CmlAggregate: {"entities": (), "comments": ()},
+    CmlOperation: {"comments": ()},
+    CmlService: {"operations": (), "comments": ()},
+    CmlStep: {"comments": ()},
+    CmlCoordination: {"steps": (), "comments": ()},
+    CmlBoundedContext: {"services": (), "coordinations": (), "aggregates": (), "comments": ()},
+    CmlRelationship: {"comments": ()},
+    CmlContextMap: {"contains": (), "relationships": (), "comments": ()},
+    CmlDocument: {"contexts": (), "trailing_comments": ()},
+}
+
 
 def reference(cls):
     """A frozen dataclass of the record's name, annotations, defaults and
-    methods, with the record's docstring unless the record generated it."""
+    methods, with the record's docstring unless the record generated it,
+    slotted if the record is."""
     own = vars(cls)
     names = list(cls.__annotations__)
+    slots = cls in SLOTTED_DEFAULTS
+    defaults = SLOTTED_DEFAULTS[cls] if slots else {n: own[n] for n in names if n in own}
     namespace = {
         "__module__": cls.__module__,
         "__qualname__": cls.__qualname__,
@@ -78,15 +115,16 @@ def reference(cls):
     if not doc.startswith(cls.__name__ + "("):
         namespace["__doc__"] = doc
     for name in names:
-        compare = name not in UNCOMPARED[cls]
-        if name in own:
-            namespace[name] = dataclasses.field(default=own[name], compare=compare)
+        compare = name not in UNCOMPARED.get(cls, ())
+        if name in defaults:
+            namespace[name] = dataclasses.field(default=defaults[name], compare=compare)
         elif not compare:
             namespace[name] = dataclasses.field(compare=False)
-    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
+    return dataclasses.dataclass(frozen=True, slots=slots)(type(cls.__name__, (), namespace))
 
 
-REFERENCES = {cls: reference(cls) for cls in UNCOMPARED}
+RECORDS = [*UNCOMPARED, *SLOTTED_DEFAULTS]
+REFERENCES = {cls: reference(cls) for cls in RECORDS}
 
 
 def _pick(rng, options):
@@ -138,8 +176,45 @@ def _arguments(cls, rng, nan=False):
     if cls is Saga:
         steps = (Step(_pick(rng, ["C0", "C1"]), (Access("A", "R"),), 0),)
         return (_pick(rng, "fg"), "C0", steps)
-    assert cls is ReductionStats
-    return (_pick(rng, "fg"), rng.randint(1, 2), 2, 3, _pick(rng, floats))
+    if cls is ReductionStats:
+        return (_pick(rng, "fg"), rng.randint(1, 2), 2, 3, _pick(rng, floats))
+    if cls is Access:
+        return (_pick(rng, "AB"), _pick(rng, "RW"))
+    return _cml_arguments(cls, rng) + (_pick(rng, [(), ("note",)]),)
+
+
+def _cml_arguments(cls, rng):
+    """Seeded arguments of a Cml node but its comments, which come last."""
+    name = _pick(rng, "AB")
+    if cls is CmlAttribute:
+        return (_pick(rng, ["String", "int"]), name)
+    if cls is CmlReference:
+        return (_pick(rng, "EF"), name)
+    if cls is CmlEntity:
+        attributes = _pick(rng, [(), (CmlAttribute("String", "a"),)])
+        references = _pick(rng, [(), (CmlReference("F", "f"),)])
+        return (name, _pick(rng, [False, True]), attributes, references)
+    if cls is CmlAggregate:
+        return (name, _pick(rng, [(), (CmlEntity("E", True),)]))
+    if cls is CmlOperation:
+        return (name,)
+    if cls is CmlService:
+        return (name, _pick(rng, [(), (CmlOperation("op"),)]))
+    if cls is CmlStep:
+        return (name, "S", _pick(rng, ["op", "undo"]))
+    if cls is CmlCoordination:
+        return (name, _pick(rng, [(), (CmlStep("A", "S", "op"),)]))
+    if cls is CmlBoundedContext:
+        services = _pick(rng, [(), (CmlService("S"),)])
+        coordinations = _pick(rng, [(), (CmlCoordination("K"),)])
+        return (name, services, coordinations, _pick(rng, [(), (CmlAggregate("G"),)]))
+    if cls is CmlRelationship:
+        return (name, _pick(rng, "BC"))
+    if cls is CmlContextMap:
+        return (name, _pick(rng, [(), ("A", "B")]), _pick(rng, [(), (CmlRelationship("A", "B"),)]))
+    assert cls is CmlDocument
+    context_map = _pick(rng, [None, CmlContextMap("M")])
+    return (context_map, _pick(rng, [(), (CmlBoundedContext("A"),)]))
 
 
 def _pairs(cls, seed, count=12, nan=False):
@@ -148,7 +223,6 @@ def _pairs(cls, seed, count=12, nan=False):
     return [(cls(*args), ref(*args)) for args in (_arguments(cls, rng, nan) for _ in range(count))]
 
 
-RECORDS = list(UNCOMPARED)
 IDS = [cls.__name__ for cls in RECORDS]
 
 
@@ -254,6 +328,8 @@ def test_replace_copies_and_pickles_keep_the_value(cls):
         assert hasattr(cls, "__replace__") is hasattr(ref, "__replace__")
         if hasattr(copy, "replace"):
             assert _outcome(copy.replace, value, change) == _outcome(copy.replace, ref, change)
+        if cls in SLOTTED_DEFAULTS:
+            assert value.__getstate__() == ref.__getstate__()
         clones = [copy.copy(value), copy.deepcopy(value)]
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             clones.append(pickle.loads(pickle.dumps(value, protocol)))
@@ -270,6 +346,8 @@ def test_replace_copies_and_pickles_keep_the_value(cls):
         (SimilarityWeights, (1.5, -0.5, 0.0, 0.0), DecompositionError),
         (Reference, ("f", "A", "composition"), ValueError),
         (MonolithModel, ((), (Functionality("f", (Access("A", "R"),)),) * 2), ValueError),
+        (Access, ("", "R"), ValueError),
+        (Access, ("A", "X"), ValueError),
     ],
 )
 def test_post_init_errors_are_the_dataclass_ones(cls, arguments, error):
@@ -313,7 +391,7 @@ def test_a_record_keeps_what_its_class_defines():
             b: int
 
 
-def test_methods_are_compiled_on_their_first_call():
+def test_the_methods_serve_a_subclass_from_the_base():
     @record(slots=True)
     class Point:
         x: float
@@ -322,15 +400,12 @@ def test_methods_are_compiled_on_their_first_call():
     class Moved(Point):
         __slots__ = ()
 
-    attrs = ("__eq__", "__hash__", "__repr__", "__getstate__")
-    stand_ins = {attr: vars(Point)[attr] for attr in attrs}
     assert Moved(1.0) == Moved(1.0) != Moved(2.0) and hash(Moved(1.0)) == hash((1.0, 0.0))
     assert repr(Moved(1.0)).endswith("Moved(x=1.0, y=0.0)")
     assert Moved(1.0).__getstate__() == [1.0, 0.0]
-    for attr, stand_in in stand_ins.items():
-        compiled = vars(Point)[attr]
-        assert compiled is not stand_in and attr not in vars(Moved)
-        assert compiled.__qualname__ == f"{Point.__qualname__}.{attr}"
+    for attr in ("__eq__", "__hash__", "__repr__", "__getstate__"):
+        assert attr not in vars(Moved)
+        assert vars(Point)[attr].__qualname__ == f"{Point.__qualname__}.{attr}"
     assert Point(1.0) == Point(1.0) and Point(1.0) != Moved(1.0)
 
 
