@@ -49,26 +49,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ContractError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str | None, text: str, stamp_prefix: str | None = None) -> None:
-    if stamp_prefix is not None:
-        text = stamp_prefix + text
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ContractError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    _write_all([(path, (stamp_prefix or "") + text)])
+
+
+def _write_all(outputs: list[tuple[str | None, str]]) -> None:
+    """Write each ``(path, text)``, a path of None or ``-`` to stdout and any
+    other to a UTF-8 file, once every text encodes for its target.
+
+    ``ContractError`` names the first output that cannot take its text, and
+    then nothing is written.
+    """
+    for path, text in outputs:
+        if path is None or path == "-":
+            name, encoding, errors = "stdout", sys.stdout.encoding, sys.stdout.errors
+        else:
+            name, encoding, errors = path, "utf-8", "strict"
+        try:
+            if encoding:  # An in-memory stdout has none and takes any text.
+                text.encode(encoding, errors)
+        except UnicodeEncodeError as exc:
+            raise ContractError(f"cannot write {name}: {exc}") from exc
+    for path, text in outputs:
+        if path is None or path == "-":
+            sys.stdout.write(text)
+            continue
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ContractError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _stamp(args, comment: str) -> str | None:
@@ -149,12 +170,15 @@ def _cmd_sagas(args) -> int:
     model = _load_model(args)
     decomposition = _load_decomposition(args, model)
     pairs = refactor_model(model, decomposition, args.orchestrator)
-    # Built before anything is written: a name the table refuses leaves no file behind.
-    tsv = stats_tsv([stats for _, stats in pairs]) if args.output != "-" else None
+    # Every output is built and encoded before any is written: a name the
+    # table refuses, or one stdout cannot encode, leaves no file behind.
+    outputs = []
     if args.output:
-        _write(args.output, sagas_to_json([saga for saga, _ in pairs]))
-    if tsv is not None:
-        _write("-", tsv, _stamp(args, "# generated {}"))
+        outputs.append((args.output, sagas_to_json([saga for saga, _ in pairs])))
+    if args.output != "-":
+        stamp = _stamp(args, "# generated {}") or ""
+        outputs.append(("-", stamp + stats_tsv([stats for _, stats in pairs])))
+    _write_all(outputs)
     return 0
 
 

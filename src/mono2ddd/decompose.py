@@ -28,7 +28,6 @@ import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Container, Iterable
 from functools import reduce
 from itertools import compress
 from json.encoder import encode_basestring_ascii
@@ -122,12 +121,12 @@ class _Index:
 
     Entities are numbered: the model's distinct entity names in name order
     (``names``, so comparing numbers compares names), then any traced entity
-    the model lacks (only a hand-built model has one) in first-seen order.
-    A set of entities is a bit mask over those numbers, and a set of
-    functionalities is a bit mask over their model positions.
+    the model lacks (only a hand-built model has one, and no decomposition
+    fits it) in first-seen order. A set of entities is a bit mask over those
+    numbers, and a set of functionalities is a bit mask over their model
+    positions. Whether a decomposition fits is ``check_decomposition``'s.
 
-    - ``ids``: entity name -> number; ``known``: the model's entity names;
-      ``traced``: traced entity names in first-seen order.
+    - ``ids``: entity name -> number.
     - Per functionality, in model order: its name (``functionalities``), the
       mask of its entities (``entities``), its trace's entities with each
       repeat dropped (``runs``: consecutive entries follow each other),
@@ -140,8 +139,6 @@ class _Index:
 
     names: tuple[str, ...]
     ids: dict[str, int]
-    known: frozenset[str]
-    traced: tuple[str, ...]
     functionalities: tuple[str, ...]
     entities: tuple[int, ...]
     runs: tuple[list[int], ...]
@@ -157,7 +154,6 @@ def _index(model: MonolithModel) -> _Index:
     """Walk every trace once and keep what similarity and the measures need."""
     names = tuple(sorted(set(model.entity_names())))
     ids = {name: e for e, name in enumerate(names)}
-    seen: dict[str, int] = {}
     readers = [0] * len(names)
     writers = [0] * len(names)
     successors = [0] * len(names)
@@ -168,15 +164,12 @@ def _index(model: MonolithModel) -> _Index:
         run: list[int] = []
         prev = -1
         for entity, mode in zip(f._entities, f._modes):
-            e = seen.get(entity)
+            e = ids.get(entity)
             if e is None:
-                e = ids.get(entity)
-                if e is None:
-                    e = ids[entity] = len(readers)
-                    readers.append(0)
-                    writers.append(0)
-                    successors.append(0)
-                seen[entity] = e
+                e = ids[entity] = len(readers)
+                readers.append(0)
+                writers.append(0)
+                successors.append(0)
             if mode == READ:
                 reads[e] = reads.get(e, 0) + 1
             else:
@@ -202,8 +195,6 @@ def _index(model: MonolithModel) -> _Index:
     return _Index(
         names=names,
         ids=ids,
-        known=frozenset(names),
-        traced=tuple(seen),
         functionalities=tuple(f.name for f in model.functionalities),
         entities=tuple(masks),
         runs=tuple(runs),
@@ -603,31 +594,24 @@ def decomposition_to_json(decomposition: Decomposition) -> str:
     )
 
 
-def _resolve(
-    decomposition: Decomposition, known: Container[str], traced: Iterable[str]
-) -> dict[str, str]:
-    """``check_decomposition``, given the model's entity names and its traced
-    entity names in first-seen order."""
-    owner = decomposition.assignment()
-    for entity in owner:
-        if entity not in known:
-            raise DecompositionError(
-                f"decomposition names entity {entity!r}, which the model does not have"
-            )
-    for entity in traced:
-        if entity not in owner:
-            raise DecompositionError(f"entity {entity!r} is not mapped to a cluster")
-    return owner
-
-
 def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> dict[str, str]:
     """Each listed entity's cluster (an entity listed twice: the later one).
 
     ``DecompositionError`` names the first listed entity the model lacks,
     else the first traced entity in no cluster. Every function that takes a
-    model and a decomposition applies this rule.
+    model and a decomposition applies this rule through this function.
     """
-    return _resolve(decomposition, set(model.entity_names()), model._traced)
+    owner = decomposition.assignment()
+    known = set(model.entity_names())
+    for entity in owner:
+        if entity not in known:
+            raise DecompositionError(
+                f"decomposition names entity {entity!r}, which the model does not have"
+            )
+    for entity in model._traced:
+        if entity not in owner:
+            raise DecompositionError(f"entity {entity!r} is not mapped to a cluster")
+    return owner
 
 
 def parse_decomposition(text: str) -> Decomposition:

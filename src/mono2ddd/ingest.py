@@ -88,16 +88,14 @@ def parse_accesses(text: str) -> list[Functionality]:
                         add_entity(entity)
                         add_mode(mode)
                         continue
-            entity, mode = _checked_entry(entry, f"{loc}.trace[{j}]")
-            entities.extend([entity] * len(mode))
-            add_mode(mode)
+            _checked_entry(entry, f"{loc}.trace[{j}]")
         result.append(Functionality._from_columns(name, tuple(entities), "".join(modes)))
     return result
 
 
-def _checked_entry(entry, eloc: str) -> tuple[str, str]:
-    """The entity and mode (R, W or RW) of one trace entry off the fast path,
-    or its ContractError."""
+def _checked_entry(entry, eloc: str):
+    """Raise the ContractError of an entry the fast path refuses: as
+    ``json.loads`` gives exact lists and strings, the fast path takes every valid one."""
     _require(entry, list, eloc)
     if len(entry) != 2:
         raise ContractError("trace entry must be [entity, mode]", eloc)
@@ -106,8 +104,6 @@ def _checked_entry(entry, eloc: str) -> tuple[str, str]:
     _require(mode, str, eloc)
     if not entity:
         raise ContractError("empty entity name", eloc)
-    if mode in ("R", "W", "RW"):
-        return entity, mode
     raise ContractError(f"unknown access mode {mode!r}", eloc)
 
 

@@ -21,8 +21,8 @@ from .decompose import (
     _breaks_tsv,
     _Index,
     _index,
-    _resolve,
     _search,
+    check_decomposition,
 )
 from .errors import DecompositionError
 from .model import MonolithModel
@@ -114,16 +114,16 @@ def _complexities(index: _Index, distributed: int) -> list[float]:
 
 
 def _measure(
-    index: _Index, decomposition: Decomposition, memo: dict
+    index: _Index, decomposition: Decomposition, owner: dict[str, str], memo: dict
 ) -> tuple[MeasureReport, list[float]]:
     """The report of one partition, plus each functionality's complexity.
 
-    It must fit by ``check_decomposition``'s rule, read from the index's
-    ``known`` and ``traced`` names, and a cluster's mask holds the entities
-    that rule's map gives it. Clusters are told apart by name. A functionality
-    is distributed when no one cluster holds all its entities. Its
-    complexity counts, per access, the other distributed functionalities
-    that access the same entity in the other mode:
+    ``owner`` is ``check_decomposition``'s map of the partition over the
+    index's model, and a cluster's mask holds the entities that map gives
+    it. Clusters are told apart by name. A functionality is distributed
+    when no one cluster holds all its entities. Its complexity counts, per
+    access, the other distributed functionalities that access the same
+    entity in the other mode:
     ``sum(reads(e) * (|W(e) & D| - [f writes e]) + writes(e) * (|R(e) & D|
     - [f reads e]))`` over its entities ``e``, where ``D`` is the set of
     distributed functionalities. The sums are integers, and every float is
@@ -137,7 +137,6 @@ def _measure(
     under the distributed mask. Only coupling, which depends on the other
     clusters, is computed for every partition.
     """
-    owner = _resolve(decomposition, index.known, index.traced)
     positions = {name: c for c, name in enumerate(dict.fromkeys(decomposition.cluster_names()))}
     masks = [0] * len(positions)
     ids = index.ids
@@ -195,8 +194,9 @@ def _measure(
 
 def complexity(model: MonolithModel, decomposition: Decomposition, name: str) -> float:
     """Complexity of one functionality under the given decomposition."""
+    owner = check_decomposition(model, decomposition)
     index = _index(model)
-    _, by_functionality = _measure(index, decomposition, {})
+    _, by_functionality = _measure(index, decomposition, owner, {})
     complexities = dict(zip(index.functionalities, by_functionality))
     if name not in complexities:
         raise DecompositionError(f"unknown functionality {name!r}")
@@ -205,7 +205,8 @@ def complexity(model: MonolithModel, decomposition: Decomposition, name: str) ->
 
 def measure(model: MonolithModel, decomposition: Decomposition) -> MeasureReport:
     """Per-cluster and decomposition-level measures of one partition."""
-    return _measure(_index(model), decomposition, {})[0]
+    owner = check_decomposition(model, decomposition)
+    return _measure(_index(model), decomposition, owner, {})[0]
 
 
 def search_candidates(
@@ -227,7 +228,8 @@ def search_candidates(
     candidates = []
     for d in _search(index, step, n_values):
         if d.clusters not in reports:
-            reports[d.clusters] = _measure(index, d, memo)[0]
+            owner = check_decomposition(model, d)
+            reports[d.clusters] = _measure(index, d, owner, memo)[0]
         candidates.append((d, reports[d.clusters]))
     return candidates
 

@@ -8,10 +8,10 @@ value objects; every transformation downstream returns new values.
 A trace, and a saga step's accesses, are stored as two columns: a tuple of
 entity names and a string with one mode character (``R`` or ``W``) per
 position. Readers that need only names and modes read the columns. The
-``Access`` tuple, one object per position, is built once, on the first read
-of ``Functionality.trace`` or ``Step.accesses``, and that same tuple is
-returned on every later read, so code that follows accesses by identity
-(saga checks do) sees stable objects.
+``Access`` tuple, one object per position, is built once, through
+``Access`` and its checks, on the first read of ``Functionality.trace`` or
+``Step.accesses``, and that same tuple is returned on every later read, so
+code that follows accesses by identity (saga checks do) sees stable objects.
 """
 
 from __future__ import annotations
@@ -43,24 +43,6 @@ class Access:
             raise ValueError("access entity name must be non-empty")
         if self.mode not in MODES:
             raise ValueError(f"unknown access mode {self.mode!r} (expected R or W)")
-
-
-_new_access = object.__new__
-_set_entity = Access.entity.__set__
-_set_mode = Access.mode.__set__
-
-
-def _access(entity: str, mode: str) -> Access:
-    """A new ``Access`` from a non-empty entity and a mode the caller checked.
-
-    Writes the two slots directly, past the frozen ``__setattr__`` and the
-    checks of ``__post_init__``. Every call returns a new object: a trace
-    position is an object, and saga checks follow accesses by identity.
-    """
-    access = _new_access(Access)
-    _set_entity(access, entity)
-    _set_mode(access, mode)
-    return access
 
 
 _entity_of = attrgetter("entity")
@@ -97,7 +79,7 @@ class _AccessColumns:
     def _accesses(self) -> tuple[Access, ...]:
         built = self._built
         if built is None:
-            built = tuple(map(_access, self._entities, self._modes))
+            built = tuple(map(Access, self._entities, self._modes))
             _set_built(self, built)
         return built
 
@@ -199,9 +181,15 @@ class EntityStructure:
 
 @record(uncompared=("warnings",))
 class MonolithModel:
-    """Validated model: every traced entity has a structure entry.
+    """A monolith's entity structures and functionalities.
 
     Functionality names are unique; a repeated one raises ``ValueError``.
+    A model from ``validate_model`` (so from ``parse_model``) has a
+    structure entry for every traced entity. A hand-built one may trace an
+    entity it does not declare: ``decompose._index`` numbers that entity
+    after the declared ones, and no decomposition fits such a model, since
+    ``check_decomposition`` refuses both a listed entity the model lacks
+    and a traced entity in no cluster.
 
     ``warnings`` records repairs made during validation (synthesized
     entities, dropped duplicates). They are diagnostics, not state: two

@@ -367,16 +367,15 @@ def parse_sagas(text: str) -> list[Saga]:
                         add_entity(entity)
                         add_mode(mode)
                         continue
-                entity, mode = _checked_access(entry, sloc)
-                add_entity(entity)
-                add_mode(mode)
+                _checked_access(entry, sloc)
             steps.append(Step._from_columns(rs["cluster"], tuple(entities), "".join(modes), j))
         result.append(Saga(name, orchestrator, tuple(steps)))
     return result
 
 
-def _checked_access(entry, sloc: str) -> tuple[str, str]:
-    """The entity and mode of one step entry off the fast path, or its ContractError."""
+def _checked_access(entry, sloc: str):
+    """Raise the ContractError of an entry the fast path refuses: as
+    ``json.loads`` gives exact lists and strings, the fast path takes every valid one."""
     if (
         not isinstance(entry, list)
         or len(entry) != 2
@@ -384,10 +383,10 @@ def _checked_access(entry, sloc: str) -> tuple[str, str]:
     ):
         raise ContractError("access must be [entity, mode]", sloc)
     try:
-        access = Access(entry[0], entry[1])
+        Access(*entry)
     except ValueError as exc:
         raise ContractError(str(exc), sloc) from exc
-    return access.entity, access.mode
+    raise AssertionError("the fast path takes every valid access")
 
 
 def stats_tsv(stats: list[ReductionStats]) -> str:

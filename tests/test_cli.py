@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import io
 import json
 import pathlib
 import re
@@ -670,6 +671,12 @@ def test_diagram_bpmn_from_cml(workdir, capsys):
     assert out == "Cluster1: rC\nCluster0: wA_rB\n"
 
 
+def test_diagram_dot_requires_a_cml_or_a_decomposition(capsys):
+    code, out, err = run(capsys, "diagram", "--format", "dot")
+    assert (code, out) == (1, "")
+    assert err == "error: --format dot needs either --cml or --accesses with --decomposition\n"
+
+
 def test_diagram_bpmn_requires_coordination(workdir, capsys):
     cml = workdir / "model.cml"
     cml.write_text((GOLDEN / "fixture_a.cml").read_text())
@@ -788,6 +795,89 @@ def test_bad_json_exits_one(workdir, capsys):
     assert "error:" in err
 
 
+# A stray byte, a cut two-byte sequence, and a surrogate encoded as UTF-8 bytes.
+_UNDECODABLE = (b"\xff\xfe{}", b'{"functionalities": [\xc3(]}', b'[" \xed\xa0\x80"]')
+
+
+def _lines_reading(workdir, bad: str):
+    """A command line per input option, each reading ``bad`` through that option."""
+    accesses = ["--accesses", str(workdir / "accesses.json")]
+    decomposition = ["--decomposition", str(workdir / "dec.json")]
+    yield ["decompose", "--accesses", bad, "-n", "2"]
+    yield ["search", *accesses, "--structure", bad]
+    yield ["assess", *accesses, "--decomposition", bad]
+    yield ["sagas", *accesses, *decomposition, "--structure", bad]
+    yield ["to-cml", *accesses, *decomposition, "--sagas", bad]
+    yield ["diagram", "--format", "dot", "--cml", bad]
+    yield ["diagram", "--format", "bpmn", "--cml", bad, "--coordination", "f"]
+    yield ["cml", "merge", "--in", bad, "-a", "A", "-b", "B"]
+    yield ["cml", "split", "--in", bad, "--context", "A", "--parts", "A/B"]
+
+
+@pytest.mark.parametrize("data", _UNDECODABLE)
+def test_an_undecodable_input_file_exits_one(workdir, capsys, data):
+    dec = workdir / "dec.json"
+    assert run(capsys, "decompose", "--accesses", str(workdir / "accesses.json"), "-n", "2",
+               "-o", str(dec))[0] == 0
+    bad = workdir / "bad"
+    bad.write_bytes(data)
+    for argv in _lines_reading(workdir, str(bad)):
+        code, out, err = run(capsys, *argv, "-o", str(workdir / "out"))
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode"), err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (workdir / "out").exists()
+
+
+def test_undecodable_stdin_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), "utf-8"))
+    code, out, err = run(capsys, "decompose", "--accesses", "-", "-n", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read -: 'utf-8' codec can't decode byte 0xff")
+
+
+def _surrogate_inputs(workdir):
+    """An accesses file whose first functionality is named with a lone
+    surrogate, and two decompositions, one with such a cluster name."""
+    trace = [["A", "R"], ["B", "W"]]
+    doc = {"functionalities": [{"name": "f\ud800", "trace": trace}, {"name": "g", "trace": trace}]}
+    (workdir / "lone.json").write_text(json.dumps(doc))
+    (workdir / "plain_dec.json").write_text('{"clusters": {"C0": ["A"], "C1": ["B"]}}')
+    (workdir / "lone_dec.json").write_text('{"clusters": {"C0": ["A"], "C\\ud800": ["B"]}}')
+    return ["--accesses", str(workdir / "lone.json")]
+
+
+@pytest.mark.parametrize(
+    "command", [["assess"], ["diagram", "--format", "dot"]], ids=["assess", "diagram"]
+)
+def test_an_unencodable_name_exits_one_and_writes_no_file(workdir, capsys, command):
+    model = _surrogate_inputs(workdir)
+    argv = [*command, *model, "--decomposition", str(workdir / "lone_dec.json")]
+    out_file = workdir / "out"
+    code, out, err = run(capsys, *argv, "-o", str(out_file))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {out_file}: 'utf-8' codec can't encode")
+    assert not out_file.exists()
+    # Stdout, strict UTF-8 under capture, refuses the name before anything is written.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write stdout: 'utf-8' codec can't encode")
+
+
+def test_sagas_writes_no_json_when_stdout_refuses_the_table(workdir, capsys):
+    model = _surrogate_inputs(workdir)
+    sagas = workdir / "sagas.json"
+    dec = ["--decomposition", str(workdir / "plain_dec.json")]
+    code, out, err = run(capsys, "sagas", *model, *dec, "-o", str(sagas))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write stdout: 'utf-8' codec can't encode")
+    assert not sagas.exists()
+    # The JSON escapes the name, so on its own it is written.
+    code, out, err = run(capsys, "sagas", *model, *dec, "-o", "-")
+    assert code == 0, err
+    assert json.loads(out)["sagas"][0]["functionality"] == "f\ud800"
+
+
 def test_unknown_flag_exits_one(workdir, capsys):
     code, _, err = run(
         capsys,
@@ -805,6 +895,10 @@ def test_unknown_flag_exits_one(workdir, capsys):
 def test_unknown_subcommand_exits_one(capsys):
     code, _, _ = run(capsys, "transmogrify")
     assert code == 1
+    code, out, err = run(capsys, "cml", "bogus")
+    assert (code, out) == (1, "")
+    assert err.startswith("mono2ddd cml: argument cml_command: invalid choice: 'bogus'")
+    assert "\nusage: mono2ddd cml " in err
 
 
 def test_internal_fault_exits_two(workdir, capsys, monkeypatch):

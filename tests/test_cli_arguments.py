@@ -7,9 +7,14 @@ structure DSL, decomposition, sagas and the generated `.cml`) and may
 mutate one value or name: `decompose --weights` or `-n`; `search --step`,
 `--n` or `--top`; a cluster member or name of the decomposition that
 `assess`, `sagas`, `to-cml` and `diagram` read; a saga's step cluster or
-orchestrator; `--orchestrator`, `--naming` or `--map-name`; or `diagram
---coordination`. An unmutated line must exit 0. The runs are derandomized,
-so every run and every CI leg sees the same examples.
+orchestrator; `--orchestrator`, `--naming` or `--map-name`; `diagram
+--coordination`; or an input file the call reads: made non-UTF-8, a name in
+it given a lone surrogate (JSON spells one as `\ud800`), a saga named for
+a functionality the accesses lack, or a structure entity dropped or given
+a reference to an undeclared entity. An unmutated line must exit 0. The
+runs are derandomized, so every run and every CI leg sees the same
+examples. Stdout here is a `StringIO`, which takes any text, so a name
+that only stdout would refuse is tested in `test_cli.py`.
 """
 
 from __future__ import annotations
@@ -100,9 +105,7 @@ def _run(workdir, scenario, argv, mutated):
     """
     paths = {f"{{{name}}}": str(workdir / name) for name in (*_FILES, "out")}
     for name in _FILES:
-        text = scenario[name]
-        text = text if isinstance(text, str) else json.dumps(text)
-        (workdir / name).write_text(text, encoding="utf-8")
+        (workdir / name).write_bytes(_file_bytes(scenario[name]))
     argv = [paths.get(arg, arg) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -131,6 +134,63 @@ def _decomposition_mutated(draw, scenario):
         new = draw(_NAMES)
         clusters[new] = clusters.pop(name) + clusters.get(new, [])
     return {**scenario, "decomposition": {**decomposition, "clusters": clusters}}
+
+
+def _file_bytes(value) -> bytes:
+    """The bytes of a scenario file: bytes as they are, text as UTF-8, a JSON value dumped."""
+    if isinstance(value, bytes):
+        return value
+    return (value if isinstance(value, str) else json.dumps(value)).encode("utf-8")
+
+
+# A stray byte, a cut two-byte sequence, and a surrogate encoded as UTF-8 bytes.
+_UNDECODABLE = st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])
+# The mutations of each input file's content, beside making it non-UTF-8.
+_FILE_MUTATIONS = {
+    "accesses": ["surrogate functionality", "surrogate entity"],
+    "structure": ["drop entity", "undeclared reference"],
+    "decomposition": ["surrogate cluster"],
+    "sagas": ["unknown functionality", "surrogate functionality"],
+    "cml": [],
+}
+
+
+@st.composite
+def _file_mutated(draw, scenario, files):
+    """The scenario with one of the input ``files`` mutated."""
+    name = draw(st.sampled_from(files))
+    mutation = draw(st.sampled_from(["undecodable", *_FILE_MUTATIONS[name]]))
+    value = json.loads(json.dumps(scenario[name])) if name != "structure" else scenario[name]
+    if mutation == "undecodable":
+        data = _file_bytes(value)
+        at = draw(st.integers(0, len(data)))
+        value = data[:at] + draw(_UNDECODABLE) + data[at:]
+    elif name == "accesses":
+        functionality = draw(st.sampled_from(value["functionalities"]))
+        if mutation == "surrogate functionality":
+            functionality["name"] += "\ud800"
+        else:
+            draw(st.sampled_from(functionality["trace"]))[0] += "\udc80"
+    elif name == "structure":
+        blocks = value.replace("\n}\n", "\n}\n\0").split("\0")[:-1]
+        at = draw(st.integers(0, len(blocks) - 1))
+        if mutation == "drop entity":
+            blocks.pop(at)
+        else:
+            head, rest = blocks[at].split("\n", 1)
+            blocks[at] = f"{head}\n    ref undeclaredRef -> Undeclared;\n{rest}"
+        value = "".join(blocks)
+    elif name == "decomposition":
+        clusters = value["clusters"]
+        cluster = draw(st.sampled_from(sorted(clusters)))
+        clusters[cluster + "\ud800"] = clusters.pop(cluster)
+    else:
+        saga = draw(st.sampled_from(value["sagas"]))
+        if mutation == "surrogate functionality":
+            saga["functionality"] += "\ud800"
+        else:
+            saga["functionality"] = draw(_NAMES | st.just("Nowhere"))
+    return {**scenario, name: value}
 
 
 @st.composite
@@ -264,3 +324,26 @@ def test_diagram_exits_0_or_1(workdir, data):
     else:
         argv = ["diagram", "--format", "dot", "--cml", "{cml}"]
     _run(workdir, scenario, [*argv, "-o", "{out}"], mutation)
+
+
+_DECOMPOSED = [*_MODEL, "--decomposition", "{decomposition}"]
+# One well-formed line of each reading command, with the input files it reads.
+_READING_LINES = [
+    (["decompose", *_MODEL, "-n", "2"], ("accesses", "structure")),
+    (["search", *_MODEL, "--step", "0.5", "--n", "2"], ("accesses", "structure")),
+    (["assess", *_DECOMPOSED], ("accesses", "structure", "decomposition")),
+    (["sagas", *_DECOMPOSED], ("accesses", "structure", "decomposition")),
+    (["to-cml", *_DECOMPOSED], ("accesses", "structure", "decomposition")),
+    (["to-cml", *_DECOMPOSED, "--sagas", "{sagas}"], ("accesses", "decomposition", "sagas")),
+    (["diagram", "--format", "dot", *_DECOMPOSED], ("accesses", "structure", "decomposition")),
+    (["diagram", "--format", "dot", "--cml", "{cml}"], ("cml",)),
+]
+
+
+@_LINES
+@given(data=st.data())
+def test_a_mutated_input_file_exits_0_or_1(workdir, data):
+    draw = data.draw
+    argv, files = draw(st.sampled_from(_READING_LINES))
+    scenario = draw(_file_mutated(draw(st.sampled_from(SCENARIOS)), files))
+    _run(workdir, scenario, [*argv, "-o", "{out}"], True)

@@ -291,6 +291,7 @@ def test_validate_flags_problems():
         "ContextMap M {\n"
         "    contains Ghost\n"
         "    A [U]-[D] A\n"
+        "    A [U]-[D] Nowhere\n"
         "}\n"
         "\n"
         "BoundedContext A {\n"
@@ -311,6 +312,10 @@ def test_validate_flags_problems():
         "            aggregateRoot\n"
         "        }\n"
         "    }\n"
+        "    Aggregate Other {\n"
+        "        Entity E {\n"
+        "        }\n"
+        "    }\n"
         "}\n"
         "\n"
         "BoundedContext A { }\n"
@@ -323,6 +328,8 @@ def test_validate_flags_problems():
     assert "aggregateRoot" in joined or "root" in joined
     assert "unknown operation A::S::missing" in joined
     assert "unknown service A::T" in joined
+    assert "relationship endpoint 'Nowhere' is not declared" in joined
+    assert "duplicate entity 'E' in context 'A'" in joined
 
 
 def test_validate_reports_the_first_repeated_operation_once():

@@ -76,6 +76,11 @@ def test_naming_rejects_empty_step():
         name_operation("f", 0, (), "full-trace")
 
 
+def test_naming_rejects_an_unknown_heuristic():
+    with pytest.raises(MappingError, match="unknown naming heuristic 'bogus'"):
+        name_operation("f", 0, _accesses(("Quiz", "R")), "bogus")
+
+
 def _fixture_sagas(model, decomposition):
     return [s for s, _ in refactor_model(model, decomposition)]
 

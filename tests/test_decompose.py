@@ -138,6 +138,9 @@ def test_an_entity_declared_twice_counts_once():
 def test_fixture_a_two_clusters(fixture_a):
     result = decompose(fixture_a, UNIT_WEIGHTS, 2)
     assert dict(result.clusters) == {"Cluster0": ("A", "B"), "Cluster1": ("C", "D")}
+    assert result.members("Cluster1") == ("C", "D")
+    with pytest.raises(DecompositionError, match="unknown cluster 'Cluster2'"):
+        result.members("Cluster2")
 
 
 def test_cluster_degenerate_cuts(fixture_a):
@@ -325,6 +328,7 @@ def test_decomposition_json_round_trips_seeded_decompositions():
             id="weight-too-large-for-a-float",
         ),
         ('{"params": [], "clusters": {"c": ["A"]}}', "'params' must be an object"),
+        ('{"clusters": {"c": ["A", 1]}}', "cluster 'c' has a non-string member"),
         ('{"params": 3, "clusters": {"c": ["A"]}}', "'params' must be an object"),
         pytest.param("[" * 100000, "malformed JSON", id="nested-too-deep"),
         pytest.param('{"clusters": %s}' % ("1" * 5000), "malformed JSON", id="integer-too-long"),

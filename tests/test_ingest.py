@@ -99,6 +99,7 @@ DSL_ERRORS = [
     # The name's own line and column, not the keyword's column on it.
     ("entity A { }\n    entity\nA { }", 3, 1, "duplicate entity 'A'"),
     ("entity A {\n  attr x: int;\n  attr x: int;\n}", 1, 1, "duplicate field"),
+    ("entity A {\n  attr x: int;\n  ref x -> B;\n}", 1, 1, "duplicate field name 'x' in entity 'A'"),
     # At the end of input an error points at the last token.
     ("entity", 1, 1, "unexpected end of input (expected more input)"),
     ("entity A extends", 1, 10, "unexpected end of input (expected more input)"),
@@ -206,6 +207,8 @@ def test_validate_model_keeps_first_duplicate():
     model = validate_model([Functionality("f", (Access("A", "R"),))], structures)
     assert model.structure("A").references == ()
     assert any("duplicate entity" in w for w in model.warnings)
+    with pytest.raises(KeyError):
+        model.structure("Nowhere")
 
 
 def test_a_model_rejects_two_functionalities_with_one_name():

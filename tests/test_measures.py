@@ -48,6 +48,8 @@ def test_fixture_a_cluster_measures(fixture_a, fixture_a_decomposition):
     assert report.complexity == pytest.approx(1.0, abs=TOL)
     assert report.cluster("Cluster0").size == 2
     assert report.cluster("Cluster0").functionalities == 3
+    with pytest.raises(DecompositionError, match="unknown cluster 'Nowhere'"):
+        report.cluster("Nowhere")
 
 
 def test_full_coverage_gives_cohesion_one():
@@ -144,6 +146,8 @@ def _candidate(model, clusters, weights=UNIT_WEIGHTS):
 def test_rank_single_candidate_wins(fixture_a, fixture_a_decomposition):
     pair = (fixture_a_decomposition, measure(fixture_a, fixture_a_decomposition))
     assert rank_decompositions([pair]) is fixture_a_decomposition
+    with pytest.raises(DecompositionError, match="no candidates to rank"):
+        rank_decompositions([])
 
 
 def test_rank_prefers_lower_coupling_over_complexity(fixture_a):

@@ -409,6 +409,25 @@ def test_the_methods_serve_a_subclass_from_the_base():
     assert Point(1.0) == Point(1.0) and Point(1.0) != Moved(1.0)
 
 
+def test_a_subclass_may_set_and_delete_its_own_attributes():
+    @record(slots=True)
+    class Point:
+        x: float
+
+    class Tagged(Point):
+        __slots__ = ("tag",)
+
+    tagged = Tagged(1.0)
+    tagged.tag = "t"
+    assert tagged.tag == "t"
+    del tagged.tag
+    assert not hasattr(tagged, "tag")
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'x'"):
+        tagged.x = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'x'"):
+        del tagged.x
+
+
 def test_the_cli_import_loads_no_dataclasses_or_inspect():
     code = (
         "import sys, mono2ddd.cli\n"

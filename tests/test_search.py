@@ -34,6 +34,7 @@ from mono2ddd.decompose import (
     SimilarityMatrix,
     SimilarityWeights,
     build_similarity,
+    check_decomposition,
     decompose,
     search_decompositions,
     weight_grid,
@@ -330,7 +331,7 @@ def test_one_memo_keeps_partitions_that_share_a_cluster_apart():
         complexities = set()
         for clusters in partitions:
             d = Decomposition(UNIT_WEIGHTS, len(clusters), clusters)
-            report = _measure(index, d, memo)[0]
+            report = _measure(index, d, check_decomposition(model, d), memo)[0]
             assert repr(report) == repr(measure(model, d)), (seed, clusters)
             complexities.add(report.cluster("Kept").complexity)
         moved += len(complexities) > 1
@@ -383,3 +384,7 @@ def test_search_rejects_nan_step(fixture_a):
     with pytest.raises(DecompositionError, match="grid step"):
         search_decompositions(fixture_a, float("nan"), [2])
 
+
+def test_search_rejects_an_empty_list_of_counts(fixture_a):
+    with pytest.raises(DecompositionError, match="no cluster counts requested"):
+        search_candidates(fixture_a, 0.5, [])

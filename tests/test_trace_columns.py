@@ -15,7 +15,6 @@ import dataclasses
 import json
 import pickle
 import random
-import sys
 
 import pytest
 
@@ -23,7 +22,7 @@ from conftest import FIXTURE_A_ACCESSES, TOPIC_QUESTION_ACCESSES, TOPIC_QUESTION
 from helpers import random_model
 from oracles import check_saga
 
-from mono2ddd import cli, model as model_module
+from mono2ddd import cli
 from mono2ddd.ingest import accesses_to_json, parse_accesses, structure_to_json
 from mono2ddd.model import Access, Functionality
 from mono2ddd.saga import Step, parse_sagas
@@ -205,25 +204,15 @@ def test_rw_entries_become_two_positions():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of ``Access`` objects built, by the columns builder and by the
-    checked constructor, over every module that binds the builder."""
-    counts = {"built": 0, "checked": 0}
-    build = model_module._access
+    """The number of ``Access`` objects built: every construction, a trace
+    read's included, runs the checked ``__post_init__``."""
+    counts = {"checked": 0}
     check = Access.__post_init__
-
-    def counting_build(entity, mode):
-        counts["built"] += 1
-        return build(entity, mode)
 
     def counting_check(self):
         counts["checked"] += 1
         check(self)
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("mono2ddd") and (
-            getattr(module, "_access", None) is build
-        ):
-            monkeypatch.setattr(module, "_access", counting_build)
     monkeypatch.setattr(Access, "__post_init__", counting_check)
     return counts
 
@@ -257,7 +246,7 @@ def test_column_readers_build_no_access(tmp_path, capsys, counted, case):
     dec, sagas = tmp_path / "dec.json", tmp_path / "sagas.json"
     _main("decompose", *model, "-n", 2, "-o", dec)
     _main("sagas", *model, "--decomposition", dec, "-o", sagas)
-    counted["built"] = counted["checked"] = 0
+    counted["checked"] = 0
 
     _main("decompose", *model, "-n", 2, "-o", tmp_path / "again.json")
     _main("search", *model, "--step", 0.5, "--n", "1,2", "-o", tmp_path / "best.json")
@@ -265,7 +254,7 @@ def test_column_readers_build_no_access(tmp_path, capsys, counted, case):
     _main("to-cml", *model, "--decomposition", dec, "--sagas", sagas, "-o", tmp_path / "m.cml")
     _main("diagram", "--format", "dot", *model, "--decomposition", dec, "-o", tmp_path / "m.dot")
     capsys.readouterr()
-    assert counted == {"built": 0, "checked": 0}
+    assert counted == {"checked": 0}
 
 
 @pytest.mark.parametrize("read_first", ["trace", "steps"])
@@ -287,12 +276,12 @@ def test_saga_calls_build_no_access_and_steps_hold_the_trace_objects(
         return pairs
 
     monkeypatch.setattr(cli, "refactor_model", recording)
-    counted["built"] = counted["checked"] = 0
+    counted["checked"] = 0
     _main("sagas", *model, "--decomposition", dec, "-o", tmp_path / "sagas.json")
     _main("to-cml", *model, "--decomposition", dec, "-o", tmp_path / "model.cml")
     capsys.readouterr()
     # Taken before any trace or step is read below.
-    assert counted == {"built": 0, "checked": 0}
+    assert counted == {"checked": 0}
     assert len(calls) == 2
 
     traced = 0
@@ -305,4 +294,4 @@ def test_saga_calls_build_no_access_and_steps_hold_the_trace_objects(
             assert check_saga(f.trace, mapping, saga) == []
             traced += len(f.trace)
     # Each trace was built once, and its steps hold the same objects.
-    assert counted == {"built": traced, "checked": 0}
+    assert counted == {"checked": traced}

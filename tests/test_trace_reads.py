@@ -29,7 +29,7 @@ from test_search import tied_model
 
 from mono2ddd.errors import ContractError
 from mono2ddd.ingest import parse_accesses, parse_model
-from mono2ddd.model import READ, WRITE, Access, Functionality, MonolithModel, _access
+from mono2ddd.model import READ, WRITE, Access, Functionality, MonolithModel
 from mono2ddd.saga import Saga, Step, parse_sagas, refactor_model
 
 # `mono2ddd.decompose` as an attribute is the function, not the module.
@@ -338,19 +338,27 @@ def test_sagas_from_a_parsed_model_pass_the_identity_oracle():
 # --- Access values ------------------------------------------------------------
 
 
+def _read_access(entity: str, mode: str) -> Access:
+    """The ``Access`` a first read of a parsed trace builds for one entry."""
+    doc = {"functionalities": [{"name": "f", "trace": [[entity, mode]]}]}
+    (f,) = parse_accesses(json.dumps(doc))
+    (access,) = f.trace
+    return access
+
+
 @pytest.mark.parametrize(("entity", "mode"), [("A", "R"), ("Order_Line", "W")])
 def test_built_access_is_the_validated_value(entity, mode):
-    built, checked = _access(entity, mode), Access(entity, mode)
+    built, checked = _read_access(entity, mode), Access(entity, mode)
     assert type(built) is Access
     assert built == checked
     assert hash(built) == hash(checked)
     assert repr(built) == repr(checked) == f"Access(entity={entity!r}, mode={mode!r})"
-    assert _access(entity, mode) is not built
+    assert _read_access(entity, mode) is not built
     assert not hasattr(built, "__dict__")
 
 
 def test_access_survives_pickle_copy_and_replace():
-    a = _access("A", "R")
+    a = _read_access("A", "R")
     for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert clone == a and type(clone) is Access
     assert dataclasses.replace(a, mode="W") == Access("A", "W")
@@ -359,7 +367,7 @@ def test_access_survives_pickle_copy_and_replace():
 
 
 def test_access_stays_frozen_and_checked():
-    a = _access("A", "R")
+    a = _read_access("A", "R")
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.entity = "B"
     with pytest.raises(dataclasses.FrozenInstanceError):
