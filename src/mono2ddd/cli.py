@@ -21,7 +21,6 @@ from . import cml as cml_mod
 from . import diagrams
 from .decompose import (
     SimilarityWeights,
-    check_decomposition,
     decompose,
     decomposition_to_json,
     parse_decomposition,
@@ -128,10 +127,8 @@ def _load_model(args):
     return parse_model(accesses, structure)
 
 
-def _load_decomposition(args, model):
-    decomposition = parse_decomposition(_read(args.decomposition))
-    check_decomposition(model, decomposition)
-    return decomposition
+def _load_decomposition(args):
+    return parse_decomposition(_read(args.decomposition))
 
 
 def _cmd_decompose(args) -> int:
@@ -160,7 +157,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_assess(args) -> int:
     model = _load_model(args)
-    decomposition = _load_decomposition(args, model)
+    decomposition = _load_decomposition(args)
     report = measure(model, decomposition)
     _write(args.output, report_tsv(report), _stamp(args, "# generated {}"))
     return 0
@@ -168,7 +165,7 @@ def _cmd_assess(args) -> int:
 
 def _cmd_sagas(args) -> int:
     model = _load_model(args)
-    decomposition = _load_decomposition(args, model)
+    decomposition = _load_decomposition(args)
     pairs = refactor_model(model, decomposition, args.orchestrator)
     # Every output is built and encoded before any is written: a name the
     # table refuses, or one stdout cannot encode, leaves no file behind.
@@ -184,7 +181,7 @@ def _cmd_sagas(args) -> int:
 
 def _cmd_to_cml(args) -> int:
     model = _load_model(args)
-    decomposition = _load_decomposition(args, model)
+    decomposition = _load_decomposition(args)
     if args.sagas:
         sagas = parse_sagas(_read(args.sagas))
     else:
@@ -211,7 +208,7 @@ def _cmd_diagram(args) -> int:
                 "--format dot needs either --cml or --accesses with --decomposition"
             )
         model = _load_model(args)
-        decomposition = _load_decomposition(args, model)
+        decomposition = _load_decomposition(args)
         text = diagrams.decomposition_dot(model, decomposition)
     _write(args.output, text, _stamp(args, "// generated {}"))
     return 0

@@ -113,19 +113,17 @@ def build_ddd_model(
 
     Each cluster becomes a context with one service and one aggregate; the
     entities keep their attributes, and a reference keeps its field but no
-    kind, so an inheritance reference becomes a plain one. An entity is
-    written only in the cluster ``check_decomposition`` gives it (the later
-    one if listed twice). A reference to an entity of the same cluster
-    stays direct. Any other target is replaced by one ``<Target>_Reference``
-    placeholder per target and context, appended after the members in name
-    order, and the target's context becomes upstream of the referencing
-    one: each ``[U]-[D]`` relationship lists its causing references, and
-    the relationships are sorted by context pair. ``MappingError`` is raised
-    for an unknown naming, sagas that do not cover the model's
-    functionalities once each or that name an unknown cluster or
-    orchestrator; then ``DecompositionError`` for a decomposition that does
-    not fit the model; then ``MappingError`` for a cluster whose every
-    member a later cluster lists, a reference target in no cluster, and a
+    kind, so an inheritance reference becomes a plain one. A reference to
+    an entity of the same cluster stays direct. Any other target is
+    replaced by one ``<Target>_Reference`` placeholder per target and
+    context, appended after the members in name order, and the target's
+    context becomes upstream of the referencing one: each ``[U]-[D]``
+    relationship lists its causing references, and the relationships are
+    sorted by context pair. ``MappingError`` is raised for an unknown
+    naming, sagas that do not cover the model's functionalities once each
+    or that name an unknown cluster or orchestrator; then
+    ``DecompositionError`` for a decomposition that does not fit the model;
+    then ``MappingError`` for a reference target in no cluster and a
     placeholder name that a member of the context already has.
     """
     if naming not in NAMING_HEURISTICS:
@@ -176,13 +174,7 @@ def build_ddd_model(
     relationships: dict[tuple[str, str], set[tuple[str, str]]] = {}
     contexts = []
     for name, members in decomposition.clusters:
-        counts = {
-            m: (external_accesses[m], local_accesses[m]) for m in members if owner[m] == name
-        }
-        if not counts:
-            raise MappingError(
-                f"cluster {name!r} keeps no entity: a later cluster lists each of its members"
-            )
+        counts = {m: (external_accesses[m], local_accesses[m]) for m in members}
         external_total = sum(external for external, _ in counts.values())
         local_total = sum(local for _, local in counts.values())
         root = elect_root(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_left
 from collections import Counter
 from functools import reduce
@@ -96,11 +97,37 @@ class SimilarityMatrix:
 
 @record
 class Decomposition:
-    """A named partition of the model's entities."""
+    """A named partition of the model's entities.
+
+    Building one checks that it is a partition, in this order, and raises
+    ``DecompositionError`` for the first fault: no clusters, then per
+    cluster in order a name an earlier cluster has, no entities, or an
+    entity listed already; then an ``n`` that is not the int count of the
+    clusters. Whether it fits a model is ``check_decomposition``'s.
+    """
 
     weights: SimilarityWeights
     n: int
     clusters: tuple[tuple[str, tuple[str, ...]], ...]
+
+    def __post_init__(self):
+        clusters = self.clusters
+        if not clusters:
+            raise DecompositionError("decomposition has no clusters")
+        names, listed = set(), set()
+        for name, members in clusters:
+            if name in names:
+                raise DecompositionError(f"two clusters are named {name!r}")
+            if not members:
+                raise DecompositionError(f"cluster {name!r} has no entities")
+            for m in members:
+                if m in listed:
+                    raise DecompositionError(f"entity {m!r} is listed more than once")
+                listed.add(m)
+            names.add(name)
+        n = self.n
+        if type(n) is not int or n != len(clusters):
+            raise DecompositionError(f"n is {n!r} but the decomposition has {len(clusters)} clusters")
 
     def cluster_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.clusters)
@@ -456,11 +483,20 @@ def cluster(matrix: SimilarityMatrix, weights: SimilarityWeights, n: int) -> Dec
     it uses picks the same pair as re-summing every linkage would.
     """
     entities = matrix.entities
+    n = _integer(n, "cluster count")
     if n < 1:
         raise DecompositionError(f"cluster count must be positive, got {n}")
     if n > len(entities):
         raise DecompositionError(f"cannot make {n} clusters from {len(entities)} entities")
     return _agglomerate(matrix, weights, [n])[0]
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as ``operator.index`` reads it; ``DecompositionError`` if it refuses."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DecompositionError(f"{what} must be an integer, got {value!r}") from None
 
 
 def decompose(model: MonolithModel, weights: SimilarityWeights, n: int) -> Decomposition:
@@ -520,6 +556,7 @@ def _search(
     """``search_decompositions`` on an index built already."""
     if not n_values:
         raise DecompositionError("no cluster counts requested")
+    n_values = [_integer(n, "cluster count") for n in n_values]
     for n in n_values:
         if n < 1 or n > len(index.names):
             raise DecompositionError(f"cluster count {n} out of range for this model")
@@ -552,50 +589,27 @@ def decomposition_to_json(decomposition: Decomposition) -> str:
 
     With ``indent`` the json module runs its pure-Python encoder, so the
     layout is written here; strings go through its C quoting and numbers
-    through its C encoder.
-
-    Raises ``DecompositionError`` for what ``parse_decomposition`` would
-    refuse or read as another partition: no clusters, two clusters of one
-    name, a cluster with no entities, an entity listed twice, and an ``n``
-    other than the number of clusters.
+    through its C encoder. A ``Decomposition`` is a partition, so
+    ``parse_decomposition`` reads the text back as the same one.
     """
-    if not decomposition.clusters:
-        raise DecompositionError("decomposition has no clusters")
-    clusters_by_name: dict[str, tuple[str, ...]] = {}
-    listed: set[str] = set()
-    for name, members in decomposition.clusters:
-        if name in clusters_by_name:
-            raise DecompositionError(f"two clusters are named {name!r}")
-        if not members:
-            raise DecompositionError(f"cluster {name!r} has no entities")
-        for m in members:
-            if m in listed:
-                raise DecompositionError(f"entity {m!r} is listed more than once")
-            listed.add(m)
-        clusters_by_name[name] = members
-    n = decomposition.n
-    if type(n) is not int or n != len(clusters_by_name):
-        raise DecompositionError(
-            f"n is {n!r} but the decomposition has {len(clusters_by_name)} clusters"
-        )
     quote = encode_basestring_ascii
     clusters = [
         f"    {quote(name)}: "
         + _json_array([f"      {quote(m)}" for m in members], "    ")
-        for name, members in sorted(clusters_by_name.items())
+        for name, members in sorted(decomposition.clusters)
     ]
     # json.dumps separates the items of a flat list of numbers by ", ".
     weights = json.dumps(list(decomposition.weights.as_tuple()))[1:-1].split(", ")
     clusters_json = "{\n" + ",\n".join(clusters) + "\n  }"
     return (
         f'{{\n  "clusters": {clusters_json},\n'
-        f'  "params": {{\n    "n": {n},\n'
+        f'  "params": {{\n    "n": {decomposition.n},\n'
         f'    "weights": {_json_array([f"      {w}" for w in weights], "    ")}\n  }}\n}}\n'
     )
 
 
 def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> dict[str, str]:
-    """Each listed entity's cluster (an entity listed twice: the later one).
+    """Each listed entity's cluster.
 
     ``DecompositionError`` names the first listed entity the model lacks,
     else the first traced entity in no cluster. Every function that takes a

@@ -21,6 +21,7 @@ from .decompose import (
     _breaks_tsv,
     _Index,
     _index,
+    _integer,
     _search,
     check_decomposition,
 )
@@ -62,7 +63,7 @@ def coupling(model: MonolithModel, decomposition: Decomposition, name: str) -> f
 
 @record
 class _ClusterFacts:
-    """What one cluster's measures take from its own members alone.
+    """What one cluster's measures take from its own entity mask alone.
 
     ``users``: the positions of the functionalities that touch it, which
     ``cohesion`` averages over; ``reach``: the mask of the entities that
@@ -79,7 +80,8 @@ class _ClusterFacts:
     complexity: dict[int, float]
 
 
-def _cluster_facts(index: _Index, mask: int, size: int) -> _ClusterFacts:
+def _cluster_facts(index: _Index, mask: int) -> _ClusterFacts:
+    size = mask.bit_count()
     hits = [(entities & mask).bit_count() for entities in index.entities]
     users = [position for position, count in enumerate(hits) if count]
     reach = 0
@@ -114,16 +116,16 @@ def _complexities(index: _Index, distributed: int) -> list[float]:
 
 
 def _measure(
-    index: _Index, decomposition: Decomposition, owner: dict[str, str], memo: dict
+    index: _Index, decomposition: Decomposition, memo: dict
 ) -> tuple[MeasureReport, list[float]]:
     """The report of one partition, plus each functionality's complexity.
 
-    ``owner`` is ``check_decomposition``'s map of the partition over the
-    index's model, and a cluster's mask holds the entities that map gives
-    it. Clusters are told apart by name. A functionality is distributed
-    when no one cluster holds all its entities. Its complexity counts, per
-    access, the other distributed functionalities that access the same
-    entity in the other mode:
+    The decomposition must fit the index's model (``check_decomposition``),
+    so each cluster's mask holds its members' numbers and its size is that
+    mask's bit count. A functionality is distributed when no one cluster
+    holds all its entities. Its complexity counts, per access, the other
+    distributed functionalities that access the same entity in the other
+    mode:
     ``sum(reads(e) * (|W(e) & D| - [f writes e]) + writes(e) * (|R(e) & D|
     - [f reads e]))`` over its entities ``e``, where ``D`` is the set of
     distributed functionalities. The sums are integers, and every float is
@@ -132,41 +134,37 @@ def _measure(
     so every version rounds the same.
 
     ``memo`` keeps what partitions of one model share, and must only ever
-    see that model's index: a cluster's ``_ClusterFacts`` under its
-    ``(entity mask, listed size)``, and the per-functionality complexities
-    under the distributed mask. Only coupling, which depends on the other
+    see that model's index: a cluster's ``_ClusterFacts`` under its entity
+    mask, and the per-functionality complexities under ``~D`` (negative, so
+    apart from every entity mask). Only coupling, which depends on the other
     clusters, is computed for every partition.
     """
-    positions = {name: c for c, name in enumerate(dict.fromkeys(decomposition.cluster_names()))}
-    masks = [0] * len(positions)
     ids = index.ids
-    for entity, name in owner.items():
-        masks[positions[name]] |= 1 << ids[entity]
+    clusters = decomposition.clusters
+    # The members are distinct, so the sum of their bits is their union.
+    masks = [sum([1 << ids[m] for m in members]) for _, members in clusters]
 
     facts = []
     contained = 0
-    for name, members in decomposition.clusters:
-        key = (masks[positions[name]], len(members))
-        cluster = memo.get(key)
+    for mask in masks:
+        cluster = memo.get(mask)
         if cluster is None:
-            cluster = memo[key] = _cluster_facts(index, *key)
+            cluster = memo[mask] = _cluster_facts(index, mask)
         facts.append(cluster)
         contained |= cluster.contained
     distributed = ((1 << len(index.functionalities)) - 1) & ~contained
-    by_functionality = memo.get(distributed)
+    by_functionality = memo.get(~distributed)
     if by_functionality is None:
-        by_functionality = memo[distributed] = _complexities(index, distributed)
+        by_functionality = memo[~distributed] = _complexities(index, distributed)
 
-    k = len(decomposition.clusters)
+    k = len(clusters)
     rows = []
-    for (name, members), cluster in zip(decomposition.clusters, facts):
+    for c, ((name, members), cluster) in enumerate(zip(clusters, facts)):
         users = cluster.users
         coupling_total = 0.0
-        if k > 1:
-            for other, other_members in decomposition.clusters:
-                if other != name:
-                    entered = (cluster.reach & masks[positions[other]]).bit_count()
-                    coupling_total += entered / len(other_members)
+        for other, mask in enumerate(masks):
+            if other != c:
+                coupling_total += (cluster.reach & mask).bit_count() / len(clusters[other][1])
         complexity = cluster.complexity.get(distributed)
         if complexity is None:
             total = reduce(add, [by_functionality[f] for f in users], 0.0)
@@ -194,9 +192,9 @@ def _measure(
 
 def complexity(model: MonolithModel, decomposition: Decomposition, name: str) -> float:
     """Complexity of one functionality under the given decomposition."""
-    owner = check_decomposition(model, decomposition)
+    check_decomposition(model, decomposition)
     index = _index(model)
-    _, by_functionality = _measure(index, decomposition, owner, {})
+    _, by_functionality = _measure(index, decomposition, {})
     complexities = dict(zip(index.functionalities, by_functionality))
     if name not in complexities:
         raise DecompositionError(f"unknown functionality {name!r}")
@@ -205,8 +203,8 @@ def complexity(model: MonolithModel, decomposition: Decomposition, name: str) ->
 
 def measure(model: MonolithModel, decomposition: Decomposition) -> MeasureReport:
     """Per-cluster and decomposition-level measures of one partition."""
-    owner = check_decomposition(model, decomposition)
-    return _measure(_index(model), decomposition, owner, {})[0]
+    check_decomposition(model, decomposition)
+    return _measure(_index(model), decomposition, {})[0]
 
 
 def search_candidates(
@@ -228,8 +226,8 @@ def search_candidates(
     candidates = []
     for d in _search(index, step, n_values):
         if d.clusters not in reports:
-            owner = check_decomposition(model, d)
-            reports[d.clusters] = _measure(index, d, owner, memo)[0]
+            check_decomposition(model, d)
+            reports[d.clusters] = _measure(index, d, memo)[0]
         candidates.append((d, reports[d.clusters]))
     return candidates
 
@@ -247,6 +245,7 @@ def rank_decompositions(
     """
     if not candidates:
         raise DecompositionError("no candidates to rank")
+    top_k = _integer(top_k, "topK")
     if top_k < 1:
         raise DecompositionError(f"topK must be positive, got {top_k}")
 

@@ -112,7 +112,7 @@ class Functionality(_AccessColumns):
     The trace is stored as columns (see the module docstring). Built from
     ``Access`` values, those values are the ``trace`` tuple; built from
     parsed columns, ``trace`` builds its tuple on the first read and returns
-    it on every later one.
+    it on every read after that.
     """
 
     __slots__ = ("name",)

@@ -38,7 +38,7 @@ class Step(_AccessColumns):
     The accesses are stored as columns, like a functionality's trace (see
     ``mono2ddd.model``). Built from ``Access`` values, those values are the
     ``accesses`` tuple; built from a parsed sagas document, ``accesses``
-    builds its tuple on the first read and returns it on every later one.
+    builds its tuple on the first read and returns it on every read after.
     A step refactored from a functionality keeps that functionality in
     place of the tuple, and its first read of ``accesses`` picks the
     functionality's own ``Access`` objects out of ``trace``, so the saga

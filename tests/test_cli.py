@@ -465,19 +465,29 @@ def test_search_is_reproducible(workdir, capsys):
 
 
 
-@pytest.mark.parametrize("command", ["assess", "sagas", "to-cml"])
+@pytest.mark.parametrize(
+    "command",
+    [["assess"], ["sagas"], ["to-cml"], ["to-cml", "--sagas"], ["diagram", "--format", "dot"]],
+    ids=["assess", "sagas", "to-cml", "to-cml-sagas", "diagram-dot"],
+)
 def test_decomposition_missing_a_traced_entity_exits_one(workdir, capsys, command):
+    # The handlers leave the fit rule to the library function each calls.
+    accesses = str(workdir / "accesses.json")
+    if command[-1] == "--sagas":
+        # Sagas of a full decomposition with the same cluster names, so the
+        # sagas file itself passes.
+        full = workdir / "full.json"
+        full.write_text('{"clusters": {"Cluster0": ["A", "B"], "Cluster1": ["C", "D"]}}')
+        sagas = workdir / "sagas.json"
+        code, _, err = run(
+            capsys, "sagas", "--accesses", accesses, "--decomposition", str(full), "-o", str(sagas)
+        )
+        assert code == 0, err
+        command = [*command, str(sagas)]
     dec = workdir / "partial.json"
     dec.write_text('{"clusters": {"Cluster0": ["A", "B"], "Cluster1": ["C"]}}')
-    code, _, err = run(
-        capsys,
-        command,
-        "--accesses",
-        str(workdir / "accesses.json"),
-        "--decomposition",
-        str(dec),
-    )
-    assert code == 1
+    code, out, err = run(capsys, *command, "--accesses", accesses, "--decomposition", str(dec))
+    assert (code, out) == (1, "")
     assert err == "error: entity 'D' is not mapped to a cluster\n"
 
 

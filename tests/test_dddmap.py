@@ -288,25 +288,18 @@ def test_build_ddd_model_rejects_a_member_the_model_lacks():
     assert type(err.value) is DecompositionError
 
 
-def test_an_entity_listed_twice_is_written_only_in_its_later_cluster():
-    model = _structure_model(("A", ()), ("B", (("a", "A"),)))
-    ddd = build_ddd_model(model, _decomposition(("C0", ("A", "B")), ("C1", ("A",))), [])
-    c0, c1 = ddd.context("C0"), ddd.context("C1")
-    assert [e.name for e in c0.entities] == ["B", "A_Reference"]
-    assert [e.name for e in c1.entities] == ["A"]
-    assert _entity(c0, "B").references == (CmlReference("A_Reference", "a"),)
-    assert _entity(c0, "A_Reference").comments == (f"{REFERENCE_COMMENT} C1.A",)
-    assert [(r.upstream, r.downstream, r.comments) for r in ddd.relationships] == [
-        ("C1", "C0", ("reference: B -> A",))
-    ]
-    assert validate_document(ddd) == []
-
-
 def test_build_ddd_model_rejects_a_cluster_a_later_one_empties():
-    model = _structure_model(("A", ()), ("B", ()))
-    dec = _decomposition(("C0", ("A",)), ("C1", ("A", "B")))
-    with pytest.raises(MappingError, match="cluster 'C0' keeps no entity"):
-        build_ddd_model(model, dec, [])
+    # C1 lists C0's only entity again: no such decomposition is built, so
+    # none reaches the mapping.
+    with pytest.raises(DecompositionError, match="^entity 'A' is listed more than once$"):
+        _decomposition(("C0", ("A",)), ("C1", ("A", "B")))
+
+
+def test_clusters_sharing_a_name_are_refused_before_they_are_mapped():
+    # Mapped, these clusters made two contexts named C0, which
+    # validate_document refuses as a duplicate bounded context.
+    with pytest.raises(DecompositionError, match="^two clusters are named 'C0'$"):
+        _decomposition(("C0", ("A",)), ("C0", ("B", "C")))
 
 
 def _tiny_document(*contexts):

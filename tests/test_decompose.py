@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -158,6 +159,15 @@ def test_cluster_count_bounds(fixture_a):
         cluster(matrix, UNIT_WEIGHTS, 0)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+def test_a_cluster_count_that_is_not_an_integer_is_refused(fixture_a, n):
+    message = f"^cluster count must be an integer, got {n!r}$"
+    with pytest.raises(DecompositionError, match=message):
+        decompose(fixture_a, UNIT_WEIGHTS, n)
+    with pytest.raises(DecompositionError, match=message):
+        cluster(build_similarity(fixture_a, UNIT_WEIGHTS), UNIT_WEIGHTS, n)
+
+
 def test_clustering_matches_lance_williams_oracle():
     rng = random.Random(20240812)
     for _ in range(60):
@@ -220,8 +230,12 @@ def test_decomposition_json_round_trip(fixture_a_decomposition):
     assert decomposition_to_json(again) == text
 
 
-def json_dumps_decomposition(decomposition: Decomposition) -> str:
-    """The builder `decomposition_to_json` replaced, kept as its reference."""
+def json_dumps_decomposition(decomposition) -> str:
+    """The builder `decomposition_to_json` replaced, kept as its reference.
+
+    It reads only `weights`, `n` and `clusters`, so it also writes fields
+    that no `Decomposition` accepts, passed in a `SimpleNamespace`.
+    """
     doc = {
         "params": {
             "weights": list(decomposition.weights.as_tuple()),
@@ -270,15 +284,16 @@ def canonical(decomposition: Decomposition) -> Decomposition:
     ],
 )
 def test_decomposition_json_refuses_what_it_could_not_read_back(clusters, n, message):
-    decomposition = Decomposition(UNIT_WEIGHTS, n, clusters)
+    # No such value is built, so none reaches the writer.
     with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
-        decomposition_to_json(decomposition)
+        Decomposition(UNIT_WEIGHTS, n, clusters)
     # Written the old way, each of these is refused or read as another partition.
+    fields = SimpleNamespace(weights=UNIT_WEIGHTS, n=n, clusters=clusters)
     try:
-        again = parse_decomposition(json_dumps_decomposition(decomposition))
+        again = parse_decomposition(json_dumps_decomposition(fields))
     except ContractError:
         return
-    assert again != canonical(decomposition)
+    assert again.clusters != tuple(sorted((c, tuple(sorted(m))) for c, m in clusters))
 
 
 def test_decomposition_json_round_trips_seeded_decompositions():

@@ -8,12 +8,15 @@ These tests hold copies of `measure`, `_cluster_hits`, `_complexities` and
 report by `repr` (so every float is bit-equal), or the same error type and
 message, on seeded, tied and generated models. The copies sum floats left
 to right onto `0.0`, as the package does, because from Python 3.12 `sum`
-compensates.
+compensates. The last property builds decompositions from arbitrary
+cluster lists: each is refused with the first partition fault, or is a
+partition measured as the copies and `tests/oracles.py` measure it.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from functools import reduce
 from operator import add
 
@@ -22,6 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import UNIT_WEIGHTS, random_model, random_partition
+from oracles import (
+    oracle_cluster_complexity,
+    oracle_cohesion,
+    oracle_coupling,
+    oracle_decomposition_measures,
+)
 from test_search import tied_model
 
 from mono2ddd.decompose import Decomposition
@@ -34,6 +43,8 @@ from mono2ddd.measures import (
     search_candidates,
 )
 from mono2ddd.model import READ, WRITE, Access, EntityStructure, Functionality, MonolithModel
+
+TOL = 1e-12
 
 # --- literal copies of the measures before the index ---------------------------
 
@@ -295,7 +306,7 @@ def test_a_traced_entity_the_model_lacks_gives_the_same_error():
         assert_same_measures(model, Decomposition(UNIT_WEIGHTS, 1, (("Cluster0", members),)))
 
 
-def test_clusters_sharing_a_name_and_entities_listed_twice_measure_the_same():
+def test_clusters_sharing_a_name_or_an_entity_are_refused_when_built():
     rng = random.Random(8)
     for _ in range(60):
         model = random_model(rng)
@@ -309,8 +320,12 @@ def test_clusters_sharing_a_name_and_entities_listed_twice_measure_the_same():
         # The second cluster takes the first one's name.
         shared = list(clusters)
         shared[1] = (shared[0][0], shared[1][1])
-        for variant in (twice, shared):
-            assert_same_measures(model, Decomposition(UNIT_WEIGHTS, len(variant), tuple(variant)))
+        for variant, message in (
+            (twice, f"entity {twice[0][1][0]!r} is listed more than once"),
+            (shared, f"two clusters are named {shared[0][0]!r}"),
+        ):
+            with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
+                Decomposition(UNIT_WEIGHTS, len(variant), tuple(variant))
 
 
 _TRACES = st.lists(
@@ -340,3 +355,92 @@ def test_measures_equal_the_trace_walk_on_generated_models(traces, clusters, unt
         tuple((f"Cluster{i}", tuple(g)) for i, g in enumerate(ordered)),
     )
     assert_same_measures(model, dec)
+
+
+def _partition_fault(clusters: list, n) -> str | None:
+    """The first fault that keeps ``(clusters, n)`` from being a partition."""
+    if not clusters:
+        return "decomposition has no clusters"
+    names: list[str] = []
+    listed: list[str] = []
+    for name, members in clusters:
+        if name in names:
+            return f"two clusters are named {name!r}"
+        if not members:
+            return f"cluster {name!r} has no entities"
+        for m in members:
+            if m in listed:
+                return f"entity {m!r} is listed more than once"
+            listed.append(m)
+        names.append(name)
+    if isinstance(n, bool) or not isinstance(n, int) or n != len(clusters):
+        return f"n is {n!r} but the decomposition has {len(clusters)} clusters"
+    return None
+
+
+def _cut(order: list[str], cuts: set[int]) -> list[tuple[str, tuple[str, ...]]]:
+    bounds = [0, *sorted(cuts), len(order)]
+    return [(f"C{i}", tuple(order[a:b])) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+
+_CLUSTER_LISTS = st.one_of(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("C0", "C1", "C2", "C3")),
+            st.lists(st.sampled_from("ABCDEF"), max_size=3).map(tuple),
+        ),
+        max_size=4,
+    ),
+    # Partitions of some of the letters, so that many draws are built.
+    st.builds(_cut, st.permutations("ABCDEF").map(lambda p: p[:4]), st.sets(st.integers(1, 3))),
+)
+# None stands for the number of clusters.
+_COUNTS = st.sampled_from((None, None, None, 0, 1, 2, 3, 5, True, False, 2.0))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_CLUSTER_LISTS, _COUNTS, st.data())
+def test_a_built_decomposition_is_a_partition_measured_as_the_oracles_measure(
+    clusters, n, data
+):
+    n = len(clusters) if n is None else n
+    fault = _partition_fault(clusters, n)
+    try:
+        dec = Decomposition(UNIT_WEIGHTS, n, tuple(clusters))
+    except DecompositionError as exc:
+        assert str(exc) == fault
+        return
+    assert fault is None
+    listed = [m for _, members in dec.clusters for m in members]
+    assert len(set(listed)) == len(listed)
+    assert len(set(dec.cluster_names())) == len(dec.clusters) == dec.n
+    # A model that declares every letter and traces only listed entities.
+    traces = data.draw(
+        st.lists(
+            st.lists(
+                st.builds(Access, st.sampled_from(listed), st.sampled_from((READ, WRITE))),
+                min_size=1,
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    model = MonolithModel(
+        tuple(EntityStructure(e) for e in "ABCDEF"),
+        tuple(Functionality(f"f{i}", tuple(t)) for i, t in enumerate(traces)),
+    )
+    assert_same_measures(model, dec)
+    report = measure(model, dec)
+    groups = dict(dec.clusters)
+    for row in report.clusters:
+        assert row.cohesion == pytest.approx(oracle_cohesion(model, groups, row.name), abs=TOL)
+        assert row.coupling == pytest.approx(oracle_coupling(model, groups, row.name), abs=TOL)
+        assert row.complexity == pytest.approx(
+            oracle_cluster_complexity(model, groups, row.name), abs=TOL
+        )
+    assert sum(row.size for row in report.clusters) == len(listed)
+    expected = oracle_decomposition_measures(model, groups)
+    assert (report.cohesion, report.coupling, report.complexity) == pytest.approx(
+        expected, abs=TOL
+    )

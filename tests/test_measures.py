@@ -150,6 +150,20 @@ def test_rank_single_candidate_wins(fixture_a, fixture_a_decomposition):
         rank_decompositions([])
 
 
+@pytest.mark.parametrize("top_k", [1.5, 1.0, "1", None])
+def test_rank_refuses_a_top_k_that_is_not_an_integer(fixture_a, fixture_a_decomposition, top_k):
+    pair = (fixture_a_decomposition, measure(fixture_a, fixture_a_decomposition))
+    with pytest.raises(DecompositionError, match=f"^topK must be an integer, got {top_k!r}$"):
+        rank_decompositions([pair], top_k)
+
+
+def test_a_repeated_cluster_name_is_refused_before_it_is_measured():
+    # Measured, these clusters gave C0 a cohesion of 2.0, though a mean of
+    # shares never exceeds 1.
+    with pytest.raises(DecompositionError, match="^two clusters are named 'C0'$"):
+        Decomposition(UNIT_WEIGHTS, 2, (("C0", ("A",)), ("C0", ("B", "C"))))
+
+
 def test_rank_prefers_lower_coupling_over_complexity(fixture_a):
     low = _candidate(fixture_a, {"Cluster0": ("A", "B"), "Cluster1": ("C", "D")})
     high = _candidate(fixture_a, {"Cluster0": ("A", "C"), "Cluster1": ("B", "D")})
