@@ -2,139 +2,91 @@
 decompositions, quality measures, saga refactorings, and a generated
 domain-driven design model emitted in a context-mapping DSL subset."""
 
-from .cml import (
-    CmlDocument,
-    emit_document,
-    merge_bounded_contexts,
-    parse_document,
-    split_aggregate,
-    validate_document,
-)
-from .decompose import (
-    Decomposition,
-    SimilarityMatrix,
-    SimilarityWeights,
-    build_similarity,
-    cluster,
-    decompose,
-    decomposition_to_json,
-    parse_decomposition,
-    search_decompositions,
-    weight_grid,
-)
-from .dddmap import build_ddd_model, name_operation
-from .diagrams import coordination_bpmn, decomposition_dot, document_dot
-from .errors import (
-    CmlEmitError,
-    CmlParseError,
-    ContractError,
-    DecompositionError,
-    DslParseError,
-    MappingError,
-    Mono2DddError,
-    RefactorError,
-    SagaError,
-)
-from .ingest import (
-    accesses_to_json,
-    parse_accesses,
-    parse_model,
-    parse_structure,
-    structure_to_json,
-    validate_model,
-)
-from .measures import (
-    MeasureReport,
-    cohesion,
-    complexity,
-    coupling,
-    measure,
-    rank_decompositions,
-    report_tsv,
-    search_candidates,
-)
-from .model import (
-    Access,
-    Attribute,
-    EntityStructure,
-    Functionality,
-    MonolithModel,
-    Reference,
-)
-from .saga import (
-    ReductionStats,
-    Saga,
-    Step,
-    collapse_runs,
-    merge_steps,
-    parse_sagas,
-    refactor_functionality,
-    refactor_model,
-    sagas_to_json,
-    stats_tsv,
-)
+# `decompose` is both a public function and a submodule. Binding the
+# function here, once the submodule is loaded, keeps `mono2ddd.decompose`
+# the function whatever is imported later.
+from .decompose import decompose
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Access",
-    "Attribute",
-    "CmlDocument",
-    "CmlEmitError",
-    "CmlParseError",
-    "ContractError",
-    "Decomposition",
-    "DecompositionError",
-    "DslParseError",
-    "EntityStructure",
-    "Functionality",
-    "MappingError",
-    "MeasureReport",
-    "Mono2DddError",
-    "MonolithModel",
-    "Reference",
-    "ReductionStats",
-    "RefactorError",
-    "Saga",
-    "SagaError",
-    "SimilarityMatrix",
-    "SimilarityWeights",
-    "Step",
-    "accesses_to_json",
-    "build_ddd_model",
-    "build_similarity",
-    "cluster",
-    "cohesion",
-    "collapse_runs",
-    "complexity",
-    "coordination_bpmn",
-    "coupling",
-    "decompose",
-    "decomposition_dot",
-    "decomposition_to_json",
-    "document_dot",
-    "emit_document",
-    "measure",
-    "merge_bounded_contexts",
-    "merge_steps",
-    "name_operation",
-    "parse_accesses",
-    "parse_decomposition",
-    "parse_document",
-    "parse_model",
-    "parse_sagas",
-    "parse_structure",
-    "rank_decompositions",
-    "refactor_functionality",
-    "refactor_model",
-    "report_tsv",
-    "sagas_to_json",
-    "search_candidates",
-    "search_decompositions",
-    "split_aggregate",
-    "stats_tsv",
-    "structure_to_json",
-    "validate_document",
-    "validate_model",
-    "weight_grid",
-]
+# Each public name and the submodule that defines it. The submodule is
+# imported on the name's first use (PEP 562), so a command line loads only
+# the modules it runs.
+_OWNERS = {
+    "Access": "model",
+    "Attribute": "model",
+    "CmlDocument": "cml",
+    "CmlEmitError": "errors",
+    "CmlParseError": "errors",
+    "ContractError": "errors",
+    "Decomposition": "decompose",
+    "DecompositionError": "errors",
+    "DslParseError": "errors",
+    "EntityStructure": "model",
+    "Functionality": "model",
+    "MappingError": "errors",
+    "MeasureReport": "measures",
+    "Mono2DddError": "errors",
+    "MonolithModel": "model",
+    "Reference": "model",
+    "ReductionStats": "saga",
+    "RefactorError": "errors",
+    "Saga": "saga",
+    "SagaError": "errors",
+    "SimilarityMatrix": "decompose",
+    "SimilarityWeights": "decompose",
+    "Step": "saga",
+    "accesses_to_json": "ingest",
+    "build_ddd_model": "dddmap",
+    "build_similarity": "decompose",
+    "cluster": "decompose",
+    "cohesion": "measures",
+    "collapse_runs": "saga",
+    "complexity": "measures",
+    "coordination_bpmn": "diagrams",
+    "coupling": "measures",
+    "decompose": "decompose",
+    "decomposition_dot": "diagrams",
+    "decomposition_to_json": "decompose",
+    "document_dot": "diagrams",
+    "emit_document": "cml",
+    "measure": "measures",
+    "merge_bounded_contexts": "cml",
+    "merge_steps": "saga",
+    "name_operation": "dddmap",
+    "parse_accesses": "ingest",
+    "parse_decomposition": "decompose",
+    "parse_document": "cml",
+    "parse_model": "ingest",
+    "parse_sagas": "saga",
+    "parse_structure": "ingest",
+    "rank_decompositions": "measures",
+    "refactor_functionality": "saga",
+    "refactor_model": "saga",
+    "report_tsv": "measures",
+    "sagas_to_json": "saga",
+    "search_candidates": "measures",
+    "search_decompositions": "decompose",
+    "split_aggregate": "cml",
+    "stats_tsv": "saga",
+    "structure_to_json": "ingest",
+    "validate_document": "cml",
+    "validate_model": "ingest",
+    "weight_grid": "decompose",
+}
+
+__all__ = list(_OWNERS)
+
+
+def __getattr__(name: str):
+    module = _OWNERS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,39 +12,30 @@ are byte-reproducible; `--stamp` opts in to a generation timestamp.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 import time
+from functools import cache
+from types import SimpleNamespace
 
+# Loaded with this module: what `search` runs, and `ingest` and `cml`, which
+# the benchmark's set-up probe reads from `sys.modules` after `import
+# mono2ddd.cli`. `argparse`, `saga`, `dddmap` and `diagrams` are imported
+# where they run.
 from . import cml as cml_mod
-from . import diagrams
 from .decompose import (
     SimilarityWeights,
     decompose,
     decomposition_to_json,
     parse_decomposition,
 )
-from .dddmap import NAMING_HEURISTICS, build_ddd_model
 from .errors import ContractError, Mono2DddError
 from .ingest import parse_model
 from .measures import measure, rank_decompositions, report_tsv, search_candidates
-from .saga import (
-    ORCHESTRATOR_POLICIES,
-    parse_sagas,
-    refactor_model,
-    sagas_to_json,
-    stats_tsv,
-)
 
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
 def _read(path: str) -> str:
@@ -164,6 +155,8 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_sagas(args) -> int:
+    from .saga import refactor_model, sagas_to_json, stats_tsv
+
     model = _load_model(args)
     decomposition = _load_decomposition(args)
     pairs = refactor_model(model, decomposition, args.orchestrator)
@@ -180,6 +173,9 @@ def _cmd_sagas(args) -> int:
 
 
 def _cmd_to_cml(args) -> int:
+    from .dddmap import build_ddd_model
+    from .saga import parse_sagas, refactor_model
+
     model = _load_model(args)
     decomposition = _load_decomposition(args)
     if args.sagas:
@@ -192,6 +188,8 @@ def _cmd_to_cml(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from . import diagrams
+
     if args.format == "bpmn":
         if not args.cml or not args.coordination:
             raise ContractError("--format bpmn needs --cml and --coordination")
@@ -257,8 +255,9 @@ def _add_subcommands(parser, dest: str, commands: dict[str, str], prefix: str = 
         _add_arguments(sub.add_parser(name, help=help), prefix + name)
 
 
-def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
-    """Add the arguments of ``command`` (``cml merge`` for a nested one) to ``p``."""
+def _add_arguments(p, command: str) -> None:
+    """Add the arguments of ``command`` (``cml merge`` for a nested one) to
+    ``p``, an ``argparse`` parser or a ``_Spec``."""
     if command in ("decompose", "search", "assess", "sagas", "to-cml"):
         p.add_argument("--accesses", required=True, help="accesses JSON file")
         p.add_argument("--structure", help="entity structure file (JSON or the mini DSL)")
@@ -281,6 +280,8 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--stamp", action="store_true", help="prepend a timestamp line")
         p.set_defaults(func=_cmd_assess)
     elif command == "sagas":
+        from .saga import ORCHESTRATOR_POLICIES
+
         p.add_argument("--decomposition", required=True)
         p.add_argument(
             "--orchestrator",
@@ -296,6 +297,9 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--stamp", action="store_true", help="prepend a timestamp line")
         p.set_defaults(func=_cmd_sagas)
     elif command == "to-cml":
+        from .dddmap import NAMING_HEURISTICS
+        from .saga import ORCHESTRATOR_POLICIES
+
         p.add_argument("--decomposition", required=True)
         p.add_argument("--sagas", help="sagas JSON (computed on the fly when omitted)")
         p.add_argument("--naming", choices=NAMING_HEURISTICS, default="full-trace")
@@ -379,14 +383,16 @@ class _Spec:
         self.defaults.update(kwargs)
 
 
-def _quick_args(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace ``argparse`` would build from a plain, valid ``argv``.
+def _quick_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes ``argparse`` would set from a plain, valid ``argv``,
+    in the same order, on a ``SimpleNamespace``; ``argparse`` is not
+    imported.
 
     Plain means: a command name (``cml`` with ``merge`` or ``split``), then
     only exact option strings of that command, each ``store`` option
     followed by a value that does not start with ``-`` (or is ``-``). Any
     other form, and any value ``type`` or ``choices`` refuses, gives
-    ``None``, and ``main`` hands the line to ``argparse`` for its help,
+    ``None``, and ``main`` hands the line to ``build_parser`` for its help,
     usage errors and the rest. The spec is recorded on every call, so the
     handlers it names are the module's current ones.
     """
@@ -426,12 +432,33 @@ def _quick_args(argv: list[str]) -> argparse.Namespace | None:
         given[dest] = value
     if not given.keys() >= spec.required:
         return None
-    return argparse.Namespace(**found, **{**spec.defaults, **given})
+    return SimpleNamespace(**found, **{**spec.defaults, **given})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``argparse`` parser, for help, usage errors and the forms ``_quick_args`` leaves."""
-    parser = _Parser(prog="mono2ddd", description=__doc__.splitlines()[0])
+@cache
+def _parser_class():
+    """The ``argparse.ArgumentParser`` subclass whose usage error raises
+    ``_UsageError`` with the message and usage text ``argparse`` would
+    print; ``main`` prints it and exits 1.
+
+    ``argparse`` (and, through it, ``gettext``) is imported on the first
+    call, so a plain command line never loads it. The class is made once:
+    a class sits in a reference cycle, so one made per parser would leave
+    cyclic garbage behind each call that falls back to ``argparse``.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+
+    return _Parser
+
+
+def build_parser():
+    """The ``argparse`` parser, for help, usage errors and the forms
+    ``_quick_args`` leaves; see ``_parser_class``."""
+    parser = _parser_class()(prog="mono2ddd", description=__doc__.splitlines()[0])
     _add_subcommands(parser, "command", _COMMANDS)
     return parser
 
@@ -443,11 +470,20 @@ def main(argv: list[str] | None = None) -> int:
     help, usage errors and the other forms.
 
     The cyclic garbage collector is paused for the call, because no
-    successful call makes a reference cycle (a test runs every call of the
-    benchmark chains and checks this), so its scans of the parsed traces
-    and document nodes would free nothing. The pause is process-wide
-    while ``main`` runs; on every way out, an exception included, the
-    collector is left enabled or disabled as the caller had it.
+    successful call that ``_quick_args`` reads makes a reference cycle (a
+    test runs every call of the benchmark chains and checks this), so its
+    scans of the parsed traces and document nodes would free nothing. A
+    call that ``argparse`` parses leaves the parser's own cycles (its help
+    formatter and the formatter's sections), which the collector frees
+    once it runs again. The pause is process-wide while ``main`` runs; on
+    every way out, an exception included, the collector is left enabled
+    or disabled as the caller had it.
+
+    The modules only some commands run (``saga``, ``dddmap``, ``diagrams``,
+    and ``argparse`` for the other forms) are first imported inside the
+    call, so while the collector is paused; what an import builds stays
+    reachable from ``sys.modules``, and a test runs such a first call in a
+    fresh process and checks that it leaves no cyclic garbage either.
     """
     if argv is None:
         argv = sys.argv[1:]

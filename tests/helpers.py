@@ -1,11 +1,17 @@
-"""Seeded random generators shared by the unit and acceptance tests."""
+"""Seeded random generators shared by the unit and acceptance tests, and a
+fresh interpreter for the tests of what an import loads."""
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
 import string
+import subprocess
+import sys
 from dataclasses import replace
 
+import mono2ddd
 from mono2ddd.cml import (
     REFERENCE_COMMENT,
     CmlAggregate,
@@ -194,3 +200,18 @@ def random_ddd_model(rng: random.Random, max_contexts: int = 4) -> CmlDocument:
     )
     context_map = CmlContextMap("Decomposition", tuple(context_names), rels)
     return CmlDocument(context_map, tuple(contexts))
+
+
+def run_fresh(code: str, *args: str, cwd: pathlib.Path | None = None) -> str:
+    """Stdout of ``code`` run with ``args`` in a new interpreter, where the
+    package is not yet imported.
+
+    The interpreter runs without ``site``, so a ``.pth`` file of the
+    environment cannot import anything first.
+    """
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(mono2ddd.__file__).parent.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout

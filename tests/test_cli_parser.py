@@ -38,7 +38,6 @@ from mono2ddd.cli import (
     _cmd_sagas,
     _cmd_search,
     _cmd_to_cml,
-    _Parser,
 )
 from mono2ddd.dddmap import NAMING_HEURISTICS
 from mono2ddd.saga import ORCHESTRATOR_POLICIES
@@ -55,8 +54,12 @@ def _add_model_arguments(parser, structure_required=False):
     )
 
 
+# The parser class `build_parser` uses, whose usage errors raise `_UsageError`.
+PARSER = cli._parser_class()
+
+
 def eager_build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mono2ddd", description=cli.__doc__.splitlines()[0])
+    parser = PARSER(prog="mono2ddd", description=cli.__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="cluster entities into one decomposition")
@@ -361,7 +364,7 @@ def test_quick_args_agrees_with_eager_parser(line):
     eager = eager_parse(argv)
     if quick is not None:
         assert eager is not None, argv
-        assert vars(quick).keys() == vars(eager).keys(), argv
+        assert list(vars(quick)) == list(vars(eager)), argv
         assert all(same_value(v, getattr(eager, k)) for k, v in vars(quick).items()), argv
     plain = all(token in spec.options or not token.startswith("-") for token in tokens)
     if eager is not None and plain:

@@ -22,7 +22,7 @@ from conftest import FIXTURE_A_ACCESSES, TOPIC_QUESTION_ACCESSES, TOPIC_QUESTION
 from helpers import random_model
 from oracles import check_saga
 
-from mono2ddd import cli
+from mono2ddd import cli, saga
 from mono2ddd.ingest import accesses_to_json, parse_accesses, structure_to_json
 from mono2ddd.model import Access, Functionality
 from mono2ddd.saga import Step, parse_sagas
@@ -268,14 +268,15 @@ def test_saga_calls_build_no_access_and_steps_hold_the_trace_objects(
     _main("decompose", *model, "-n", 2, "-o", dec)
 
     calls = []
-    refactor = cli.refactor_model
+    refactor = saga.refactor_model
 
     def recording(model, decomposition, policy):
         pairs = refactor(model, decomposition, policy)
         calls.append((model, decomposition, pairs))
         return pairs
 
-    monkeypatch.setattr(cli, "refactor_model", recording)
+    # `sagas` and `to-cml` import it from `saga` when they run.
+    monkeypatch.setattr(saga, "refactor_model", recording)
     counted["checked"] = 0
     _main("sagas", *model, "--decomposition", dec, "-o", tmp_path / "sagas.json")
     _main("to-cml", *model, "--decomposition", dec, "-o", tmp_path / "model.cml")
@@ -287,11 +288,11 @@ def test_saga_calls_build_no_access_and_steps_hold_the_trace_objects(
     traced = 0
     for parsed, decomposition, pairs in calls:
         mapping = decomposition.assignment()
-        for f, (saga, _) in zip(parsed.functionalities, pairs):
+        for f, (made, _) in zip(parsed.functionalities, pairs):
             if read_first == "steps":
-                for step in saga.steps:
+                for step in made.steps:
                     step.accesses
-            assert check_saga(f.trace, mapping, saga) == []
+            assert check_saga(f.trace, mapping, made) == []
             traced += len(f.trace)
     # Each trace was built once, and its steps hold the same objects.
     assert counted == {"checked": traced}
