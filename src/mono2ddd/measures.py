@@ -11,6 +11,7 @@ all its partitions (``_measure``).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import reduce
 from operator import add
 
@@ -226,7 +227,9 @@ def search_candidates(
     candidates = []
     for d in _search(index, step, n_values):
         if d.clusters not in reports:
-            check_decomposition(model, d)
+            # Every partition lists the index's names, so all fit if the first does.
+            if not reports:
+                check_decomposition(model, d)
             reports[d.clusters] = _measure(index, d, memo)[0]
         candidates.append((d, reports[d.clusters]))
     return candidates
@@ -241,7 +244,9 @@ def rank_decompositions(
     Candidates are ordered by coupling ascending then cohesion descending;
     within the first ``top_k`` the one with minimal complexity wins. The
     serialized decomposition is the last tie-break at both stages, which
-    makes the result independent of input order.
+    makes the result independent of input order. It is only written for
+    the candidates a tie-break has to order: those tied at the ``top_k``
+    cut, and those tied on the least complexity.
     """
     if not candidates:
         raise DecompositionError("no candidates to rank")
@@ -249,14 +254,25 @@ def rank_decompositions(
     if top_k < 1:
         raise DecompositionError(f"topK must be positive, got {top_k}")
 
-    keyed = [
-        (report.coupling, -report.cohesion, decomposition_to_json(d), report.complexity, d)
-        for d, report in candidates
-    ]
-    keyed.sort(key=lambda item: item[:3])
-    short_list = keyed[:top_k]
-    _, _, _, _, winner = min(short_list, key=lambda item: (item[3], item[2]))
-    return winner
+    order = sorted(candidates, key=_rank_key)
+    if len(order) > top_k:
+        # Only the group that the cut splits needs its serialized order.
+        keys = [_rank_key(item) for item in order]
+        lo = bisect_left(keys, keys[top_k - 1])
+        hi = bisect_right(keys, keys[top_k - 1])
+        order[lo:hi] = sorted(order[lo:hi], key=_serialized)
+        del order[top_k:]
+    best = min(report.complexity for _, report in order)
+    tied = [item for item in order if item[1].complexity == best]
+    return min(tied, key=_serialized)[0] if len(tied) > 1 else tied[0][0]
+
+
+def _rank_key(item: tuple[Decomposition, MeasureReport]) -> tuple[float, float]:
+    return item[1].coupling, -item[1].cohesion
+
+
+def _serialized(item: tuple[Decomposition, MeasureReport]) -> str:
+    return decomposition_to_json(item[0])
 
 
 def report_tsv(report: MeasureReport) -> str:

@@ -1,13 +1,16 @@
 """The CML reader against a literal copy of its per-line, per-token predecessor.
 
-The reader tokenizes the whole text in one pass into flat lists, keeps
-comments out of the token stream and works out a line and column only for
-an error. The copies below are the tokenizer as it was before that, which
-scanned each `str.splitlines` line and built a `_Token` with a position per
-token, and the parser as it was before its block bodies shared one
-`members()` loop. On seeded token soup, on mutated well-formed documents
-and on documents laid out with every kind of line break, both must give the
-same tree, or the same error type, message, line and column.
+The reader cuts the text at its comments, pads the punctuation of each
+piece of code with spaces and splits it at whitespace, keeps comments out of
+the token stream and works out a line and column only for an error, by a
+regex scan that also names a stray character. The copies below are the
+tokenizer as it was before that, which scanned each `str.splitlines` line
+with a regex and built a `_Token` with a position per token, and the parser
+as it was before its block bodies shared one `members()` loop. On seeded
+token soup, on mutated well-formed documents, on documents laid out with
+every kind of line break and on tokens run together with no space between
+them, both must give the same tree, or the same error type, message, line
+and column.
 """
 
 from __future__ import annotations
@@ -15,10 +18,14 @@ from __future__ import annotations
 import pathlib
 import random
 import re
+import sys
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mono2ddd import cml
 from mono2ddd.cml import (
     KEYWORDS,
     CmlAggregate,
@@ -557,3 +564,101 @@ def test_comment_ends_at_every_line_break(line_break):
     doc = parse_document(text[:-1])
     assert doc.contexts == (CmlBoundedContext("A", comments=("a",)),)
     assert doc.trailing_comments == ("b",)
+
+
+def test_str_split_and_the_regex_whitespace_class_agree_on_every_code_point():
+    # The tokenizer cuts at what `str.split` counts as whitespace, and the
+    # error scan skips what `\s` matches: they must be the same characters.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.sub(r"\s", "", every) == "".join(every.split())
+
+
+def test_parsing_the_goldens_never_compiles_the_token_pattern():
+    cml._token.cache_clear()
+    for path in sorted(GOLDEN.glob("*.cml")):
+        parse_document(path.read_text())
+    assert cml._token.cache_info().misses == 0
+    with pytest.raises(CmlParseError, match="unexpected character '@'"):
+        parse_document("@")
+    assert cml._token.cache_info().misses == 1
+
+
+# Tokens run together with no space between them, and characters that are
+# no token or only part of one: a NUL, stray colons, brackets and digits.
+_TIGHT = (
+    "A-Target", "-Target", "A[U]-[D]B", "[U]-[D]", "C::S::op;", "::::", ":::", ":", "[", "]",
+    "[U]", "-[D]", "[U]-[D", "1", "9a", "a9", "_", "\x00", "é", "/", "void op();",
+    "Entity E{", "{}", "A,B", "//c\x00d", "// x",
+)
+_TIGHT_VOCABULARY = _VOCABULARY + _TIGHT
+
+
+def _render_tight(rng, tokens):
+    parts = []
+    for tok in tokens:
+        parts.append(tok)
+        if tok.startswith("//"):
+            parts.append("\n")
+        else:
+            parts.append(rng.choice(("", "", " ", "\n", "\t")))
+    return "".join(parts)
+
+
+def _tight_soup(rng):
+    writer = _Writer(rng)
+    writer.document()
+    tokens = writer.tokens
+    for _ in range(rng.randint(0, 2)):
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(_TIGHT))
+    if rng.random() < 0.3:
+        _mutate(rng, tokens)
+    return _render_tight(rng, tokens)
+
+
+def test_parser_matches_the_old_copy_on_tokens_without_spaces():
+    rng = random.Random(20261021)
+    outcomes = {"parsed": 0, "stray": 0, "other": 0}
+    for _ in range(30_000):
+        text = _tight_soup(rng)
+        outcome = _outcome(parse_document, text)
+        assert outcome == _outcome(_old_parse, text), repr(text)
+        if isinstance(outcome, str):
+            outcomes["parsed"] += 1
+        elif "unexpected character" in outcome[1]:
+            outcomes["stray"] += 1
+        else:
+            outcomes["other"] += 1
+    assert all(count > 3_000 for count in outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "BoundedContext C { Aggregate G { Entity E { -Target t } } }",
+        "ContextMap M { A[U]-[D]B }",
+        "ContextMap M{contains A,B A[U]-[D]B}",
+        "BoundedContext C{Application{Coordination K{C::S::op;}}}",
+        "BoundedContext C { Application { Coordination K { :::: } } }",
+        "BoundedContext C { Application { Coordination K { C:::S::op; } } }",
+        "ContextMap M { A [U]-[D B }",
+        "BoundedContext C1 { Aggregate 1G { } }",
+        "BoundedContext C { }\x00",
+        "BoundedContext C { } // a \x00 in a comment\n",
+        "// \x00\nBoundedContext C\x00{ }",
+        "BoundedContext Caf\u00e9 { }",
+    ],
+)
+def test_parser_matches_the_old_copy_on_tight_and_stray_forms(text):
+    _assert_same(text)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(_TIGHT_VOCABULARY)), st.randoms(use_true_random=False))
+def test_parser_matches_the_old_copy_on_generated_token_runs(tokens, rng):
+    _assert_same(_render_tight(rng, tokens))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.text(alphabet=st.sampled_from("AZaz_09 -[]UD:;,(){}/\x00\n\t\u00e9\x85")))
+def test_parser_matches_the_old_copy_on_generated_characters(text):
+    _assert_same(text)

@@ -25,6 +25,7 @@ from mono2ddd.measures import (
     measure,
     rank_decompositions,
     report_tsv,
+    search_candidates,
 )
 
 TOL = 1e-9
@@ -191,6 +192,39 @@ def test_rank_picks_min_complexity_inside_top_k(fixture_a):
     dec = decompose(fixture_a, UNIT_WEIGHTS, 2)
     report = measure(fixture_a, dec)
     assert rank_decompositions([(dec, report), (dec, report)]) == dec
+
+
+def _eager_rank(candidates, top_k):
+    """The ranking rule with every candidate serialized up front."""
+    keyed = [
+        (report.coupling, -report.cohesion, decomposition_to_json(d), report.complexity, d)
+        for d, report in candidates
+    ]
+    keyed.sort(key=lambda item: item[:3])
+    return min(keyed[:top_k], key=lambda item: (item[3], item[2]))[4]
+
+
+def test_rank_equals_the_eagerly_serialized_ranking():
+    # Search grids repeat partitions under other weights, so candidates tie
+    # on coupling and cohesion, at the top_k cut and on complexity.
+    rng = random.Random(20261021)
+    cut_ties = 0
+    for _ in range(60):
+        model = random_model(rng, max_entities=7, max_functionalities=5)
+        size = len(model.entities)
+        candidates = search_candidates(
+            model, rng.choice((0.5, 0.25)), sorted(rng.sample(range(1, size + 1), min(3, size)))
+        )
+        rng.shuffle(candidates)
+        keys = sorted((r.coupling, -r.cohesion) for _, r in candidates)
+        for top_k in {1, rng.randint(1, len(candidates)), len(candidates), 100}:
+            if top_k < len(candidates) and keys[top_k - 1] == keys[top_k]:
+                cut_ties += 1
+            winner = rank_decompositions(candidates, top_k)
+            assert decomposition_to_json(winner) == decomposition_to_json(
+                _eager_rank(candidates, top_k)
+            )
+    assert cut_ties > 20
 
 
 def test_report_tsv_shape(fixture_a, fixture_a_decomposition):

@@ -34,6 +34,7 @@ from mono2ddd.decompose import (
     SimilarityMatrix,
     SimilarityWeights,
     build_similarity,
+    check_decomposition,
     decompose,
     search_decompositions,
     weight_grid,
@@ -41,6 +42,7 @@ from mono2ddd.decompose import (
     _index,
 )
 from mono2ddd.errors import DecompositionError
+from mono2ddd import measures
 from mono2ddd.measures import _measure, measure, search_candidates
 from mono2ddd.model import Access, EntityStructure, Functionality, MonolithModel
 
@@ -332,6 +334,50 @@ def test_one_memo_keeps_partitions_that_share_a_cluster_apart():
             complexities.add(report.cluster("Kept").complexity)
         moved += len(complexities) > 1
     assert moved > 5
+
+
+def _counting_fit_checks(monkeypatch) -> list:
+    calls = []
+    real = measures.check_decomposition
+
+    def counting(model, decomposition):
+        calls.append(decomposition)
+        return real(model, decomposition)
+
+    monkeypatch.setattr(measures, "check_decomposition", counting)
+    return calls
+
+
+def test_search_checks_the_fit_of_one_partition(monkeypatch):
+    calls = _counting_fit_checks(monkeypatch)
+    for rng, model in seeded_models(6):
+        calls.clear()
+        candidates = search_candidates(model, 0.25, list(range(1, len(model.entities) + 1)))
+        assert len({d.clusters for d, _ in candidates}) > 1
+        assert calls == [candidates[0][0]]
+
+
+def test_search_refuses_a_model_tracing_undeclared_entities_once(monkeypatch):
+    # A hand-built model may trace entities it does not declare. Clusters
+    # hold only the declared names, so no partition of the grid fits, and
+    # the first undeclared traced entity is the one named.
+    model = MonolithModel(
+        (EntityStructure("A"), EntityStructure("B"), EntityStructure("C")),
+        (
+            Functionality("f", (Access("A", "R"), Access("Ghost", "W"), Access("B", "R"))),
+            Functionality("g", (Access("Zed", "R"), Access("C", "W"), Access("A", "W"))),
+        ),
+    )
+    n_values = [1, 2, 3]
+    first = search_decompositions(model, 0.5, n_values)[0]
+    with pytest.raises(DecompositionError) as expected:
+        check_decomposition(model, first)
+    assert str(expected.value) == "entity 'Ghost' is not mapped to a cluster"
+    calls = _counting_fit_checks(monkeypatch)
+    with pytest.raises(DecompositionError) as refused:
+        search_candidates(model, 0.5, n_values)
+    assert str(refused.value) == str(expected.value)
+    assert calls == [first]
 
 
 def test_equal_partitions_share_one_report():
