@@ -132,6 +132,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_search(args) -> int:
     model = _load_model(args)
     measured = search_candidates(model, args.step, _parse_n_list(args.n))
+    # Ranked before anything is written: a ranking that fails leaves no file.
+    outputs = []
     if args.candidates:
         lines = ["weights\tn\tcohesion\tcoupling\tcomplexity"]
         for d, report in measured:
@@ -140,9 +142,10 @@ def _cmd_search(args) -> int:
                 f"{weights}\t{d.n}\t{report.cohesion:.6f}"
                 f"\t{report.coupling:.6f}\t{report.complexity:.6f}"
             )
-        _write(args.candidates, "\n".join(lines) + "\n")
+        outputs.append((args.candidates, "\n".join(lines) + "\n"))
     best = rank_decompositions(measured, args.top)
-    _write(args.output, decomposition_to_json(best))
+    outputs.append((args.output, decomposition_to_json(best)))
+    _write_all(outputs)
     return 0
 
 

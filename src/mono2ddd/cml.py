@@ -36,10 +36,10 @@ document of the ``cml-refactor`` benchmark (seed 47), a parse takes about
 ``findall`` per piece and a regex name check (medians of 60 alternating
 runs with the collector paused, Python 3.11.7 on a 2-core VM).
 
-Nodes are frozen, slotted records that keep the dataclass protocol (see
-``mono2ddd._record``). The parser and the refactors build them through
-their own constructors, whose compiled ``__init__`` writes each slot
-through its descriptor and runs no other check.
+Nodes are frozen, slotted records (see ``mono2ddd._record``). The parser
+and the refactors build them through their own constructors, whose
+compiled ``__init__`` writes each slot through its descriptor and runs no
+other check.
 """
 
 from __future__ import annotations
@@ -1030,7 +1030,11 @@ def split_aggregate(
             "split requires exactly one"
         )
     aggregate = ctx.aggregates[0]
-    by_name = {e.name: e for e in aggregate.entities}
+    by_name: dict[str, CmlEntity] = {}
+    for e in aggregate.entities:
+        if e.name in by_name:
+            raise RefactorError(f"aggregate {aggregate.name!r} lists entity {e.name!r} twice")
+        by_name[e.name] = e
 
     if not partition or any(not part for part in partition):
         raise RefactorError("every part of the partition must be non-empty")

@@ -9,7 +9,6 @@ import random
 import string
 import subprocess
 import sys
-from dataclasses import replace
 
 import mono2ddd
 from mono2ddd.cml import (
@@ -38,6 +37,12 @@ from mono2ddd.model import (
 )
 
 UNIT_WEIGHTS = SimilarityWeights(1.0, 0.0, 0.0, 0.0)
+
+
+def replace(value, /, **changes):
+    """A copy of the record ``value`` with ``changes``, built through its constructor."""
+    fields = {name: getattr(value, name) for name in type(value).__annotations__}
+    return type(value)(**{**fields, **changes})
 
 
 def random_model(

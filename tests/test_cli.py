@@ -322,6 +322,20 @@ BoundedContext B {
 """
 
 
+# An aggregate that lists Entity A twice: the parser reads it, and only
+# ``validate_document`` reports the duplicate.
+_TWICE_A_CML = """BoundedContext C {
+    Aggregate G {
+        Entity A {
+            String x
+        }
+        Entity A { }
+        Entity B { }
+    }
+}
+"""
+
+
 @pytest.mark.parametrize("a, b", [("A", "B"), ("B", "A")])
 def test_cml_merge_refuses_two_real_entities_of_one_name(workdir, capsys, a, b):
     # Each context may hold its own E0; the merged context cannot hold both.
@@ -332,6 +346,18 @@ def test_cml_merge_refuses_two_real_entities_of_one_name(workdir, capsys, a, b):
     assert code == 1
     assert f"context '{a}_{b}'" in err and "'E0'" in err
     assert out == ""
+
+
+def test_cml_split_refuses_an_aggregate_listing_an_entity_twice(workdir, capsys):
+    cml, out = workdir / "twice.cml", workdir / "split.cml"
+    cml.write_text(_TWICE_A_CML)
+    code, _, err = run(
+        capsys, "cml", "split", "--in", str(cml), "--context", "C", "--parts", "A/B",
+        "-o", str(out),
+    )
+    assert code == 1
+    assert err == "error: aggregate 'G' lists entity 'A' twice\n"
+    assert not out.exists()
 
 
 def test_cml_split_accepts_a_real_entity_named_like_a_placeholder(workdir, capsys):
@@ -447,6 +473,27 @@ def test_search_top_one_keeps_lowest_coupling(workdir, capsys):
     # and the serialized tie-break keeps the sequence-weights one.
     assert doc["params"]["weights"] == [0.0, 0.0, 0.0, 1.0]
     assert doc["clusters"] == {"Cluster0": ["A", "B"], "Cluster1": ["C", "D"]}
+
+
+def test_search_writes_nothing_when_ranking_fails(workdir, capsys):
+    candidates, best = workdir / "c.tsv", workdir / "best.json"
+    code, out, err = run(
+        capsys, "search", "--accesses", str(workdir / "accesses.json"), "--step", "1.0",
+        "--n", "2", "--top", "0", "--candidates", str(candidates), "-o", str(best),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not candidates.exists() and not best.exists()
+
+
+def test_search_to_one_path_keeps_the_decomposition(workdir, capsys):
+    both = workdir / "both.json"
+    args = ("search", "--accesses", str(workdir / "accesses.json"), "--step", "1.0", "--n", "2")
+    code, out, err = run(capsys, *args)
+    assert code == 0, err
+    code, _, err = run(capsys, *args, "--candidates", str(both), "-o", str(both))
+    assert code == 0, err
+    assert both.read_text(encoding="utf-8") == out
 
 
 def test_search_is_reproducible(workdir, capsys):

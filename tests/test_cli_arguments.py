@@ -13,8 +13,9 @@ it given a lone surrogate (JSON spells one as `\ud800`), a saga named for
 a functionality the accesses lack, or a structure entity dropped or given
 a reference to an undeclared entity. An unmutated line must exit 0. The
 runs are derandomized, so every run and every CI leg sees the same
-examples. Stdout here is a `StringIO`, which takes any text, so a name
-that only stdout would refuse is tested in `test_cli.py`.
+examples. A call that exits 1 must leave no output file. Stdout here is a
+`StringIO`, which takes any text, so a name that only stdout would refuse
+is tested in `test_cli.py`.
 """
 
 from __future__ import annotations
@@ -99,13 +100,15 @@ _MODEL = ["--accesses", "{accesses}", "--structure", "{structure}"]
 
 
 def _run(workdir, scenario, argv, mutated):
-    """Write the scenario's files, run ``mono2ddd <argv>`` on them, check the exit code.
+    """Write the scenario's files, run ``mono2ddd <argv>`` on them, check the
+    exit code, and check that a call exiting 1 wrote no ``{out}`` file.
 
     An argument ``{name}`` is the path of the file ``name``.
     """
     paths = {f"{{{name}}}": str(workdir / name) for name in (*_FILES, "out")}
     for name in _FILES:
         (workdir / name).write_bytes(_file_bytes(scenario[name]))
+    (workdir / "out").unlink(missing_ok=True)
     argv = [paths.get(arg, arg) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -113,6 +116,8 @@ def _run(workdir, scenario, argv, mutated):
     assert code in (0, 1), (argv, err.getvalue())
     if not mutated:
         assert code == 0, (argv, err.getvalue())
+    if code == 1:
+        assert not (workdir / "out").exists(), (argv, err.getvalue())
 
 
 @st.composite

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pathlib
 import random
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_ddd_model
+from helpers import random_ddd_model, replace
 
 from mono2ddd.cml import (
     KEYWORDS,
@@ -378,9 +377,9 @@ def test_entities_and_relationships_are_derived_not_stored():
     assert doc.relationships == (rel,)
     assert CmlDocument(None, (ctx,)).relationships == ()
     # Properties are not fields: equality and replace see only the fields.
-    assert [f.name for f in fields(CmlBoundedContext)] == [
+    assert CmlBoundedContext.__slots__ == (
         "name", "services", "coordinations", "aggregates", "comments"
-    ]
+    )
     assert replace(doc, context_map=None).relationships == ()
 
 
@@ -604,6 +603,15 @@ def test_split_partition_errors(fixture_a, fixture_a_decomposition, partition, m
     doc = _fixture_doc(fixture_a, fixture_a_decomposition)
     with pytest.raises(RefactorError, match=match):
         split_aggregate(doc, "Cluster0", partition)
+
+
+def test_split_refuses_an_aggregate_listing_an_entity_twice():
+    first = CmlEntity("A", attributes=(CmlAttribute("String", "x"),))
+    aggregate = CmlAggregate("G", (first, CmlEntity("A"), CmlEntity("B")))
+    doc = CmlDocument(None, (CmlBoundedContext("C", aggregates=(aggregate,)),))
+    assert validate_document(doc) == ["duplicate entity 'A' in context 'C'"]
+    with pytest.raises(RefactorError, match="^aggregate 'G' lists entity 'A' twice$"):
+        split_aggregate(doc, "C", [["A"], ["B"]])
 
 
 def test_split_requires_single_aggregate(fixture_a, fixture_a_decomposition):

@@ -5,7 +5,8 @@ The twelve ``Cml*`` classes are frozen, slotted records. The parser,
 own constructors, whose compiled ``__init__`` writes each slot through its
 descriptor. A node they build must be the same value as one a caller
 builds again from its fields: equal, with the same hash and repr, still
-frozen, and surviving ``replace``, copies and pickling. Checked on every node of the golden files, of seeded
+frozen, and surviving a change built through its constructor, copies and
+pickling. Checked on every node of the golden files, of seeded
 generated documents, and of the results of merging and splitting them.
 """
 
@@ -19,7 +20,7 @@ import random
 
 import pytest
 
-from helpers import random_model, random_partition
+from helpers import random_model, random_partition, replace
 
 from mono2ddd.cml import (
     CmlAggregate,
@@ -137,23 +138,21 @@ def test_built_nodes_keep_the_dataclass_contract(doc):
     for node in nodes(doc):
         cls = type(node)
         names = FIELDS[cls]
-        assert tuple(f.name for f in dataclasses.fields(node)) == names
-        assert cls.__slots__ == names
+        assert tuple(cls.__annotations__) == cls.__slots__ == names
         assert not hasattr(node, "__dict__")
-        assert dataclasses.astuple(node) == dataclasses.astuple(rebuild(node))
+        assert [getattr(node, n) for n in names] == [getattr(rebuild(node), n) for n in names]
         for name in names:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, name, getattr(node, name))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(node, name)
-        # A name that is no field is refused too; on 3.10 and 3.11 the frozen
-        # ``__setattr__`` of a slotted class raises TypeError for it.
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        # A name that is no field is refused too.
+        with pytest.raises(dataclasses.FrozenInstanceError):
             node.extra = 1
 
-        same = dataclasses.replace(node)
+        same = replace(node)
         assert same == node and same is not node
-        changed = dataclasses.replace(node, **{names[-1]: ("changed",)})
+        changed = replace(node, **{names[-1]: ("changed",)})
         assert changed == cls(*(getattr(node, n) for n in names[:-1]), ("changed",))
         assert changed != node
 

@@ -10,15 +10,16 @@ comment, duplicate relationships and services, one-step coordinations,
 runs of same-context steps in unrelated contexts), both must give equal
 trees or the same error. The merge copy also has the merge's later refusal
 of two contexts that both hold a real entity of one name, because the
-random documents often repeat a name across contexts.
+random documents often repeat a name across contexts, and the split copy
+has split's later refusal of an aggregate that lists one entity twice,
+which the random documents also hold.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
-from helpers import random_ddd_model
+from helpers import random_ddd_model, replace
 
 from mono2ddd.cml import (
     REFERENCE_COMMENT,
@@ -273,6 +274,10 @@ def _old_split(
         )
     aggregate = ctx.aggregates[0]
     by_name = {e.name: e for e in aggregate.entities}
+    # An entity listed twice would lose one of its copies to ``by_name``.
+    for i, e in enumerate(aggregate.entities):
+        if any(other.name == e.name for other in aggregate.entities[:i]):
+            raise RefactorError(f"aggregate {aggregate.name!r} lists entity {e.name!r} twice")
 
     if not partition or any(not part for part in partition):
         raise RefactorError("every part of the partition must be non-empty")

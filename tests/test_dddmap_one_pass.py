@@ -12,11 +12,10 @@ same bytes or raise the same error with the same message.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from helpers import random_model, random_partition
+from helpers import random_model, random_partition, replace
 
 from mono2ddd.cml import (
     REFERENCE_COMMENT,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import UNIT_WEIGHTS, random_model, random_partition
+from helpers import UNIT_WEIGHTS, random_model, random_partition, replace
 from oracles import check_saga
 
 from mono2ddd.decompose import Decomposition, decompose
@@ -549,7 +549,7 @@ def test_a_refactored_step_pickles_and_copies(read_first):
 @pytest.mark.parametrize("read_first", _READ_ORDERS)
 def test_a_refactored_step_replaces_and_stays_frozen(read_first):
     _, step = _refactored(read_first)
-    moved = dataclasses.replace(step, index=3)
+    moved = replace(step, index=3)
     assert moved == Step("C", tuple(Access(e, m) for e, m in _STEP_C), 3)
     assert moved.accesses is step.accesses
     for name in ("cluster", "accesses", "index", "_entities", "_modes", "_built"):

@@ -4,7 +4,7 @@ and the CLI calls that never build an `Access`.
 A functionality's trace and a saga step's accesses are stored as an entity
 column and a mode column. Built from `Access` values, those values are the
 access tuple; built from parsed columns, the tuple is built on its first
-read. Either way the value must behave as the frozen dataclass it was:
+read. Either way the value must behave as the frozen record it was:
 same equality, hash, `repr`, pickling, copying and frozenness.
 """
 
@@ -19,7 +19,7 @@ import random
 import pytest
 
 from conftest import FIXTURE_A_ACCESSES, TOPIC_QUESTION_ACCESSES, TOPIC_QUESTION_STRUCTURE
-from helpers import random_model
+from helpers import random_model, replace
 from oracles import check_saga
 
 from mono2ddd import cli, saga
@@ -160,7 +160,7 @@ def test_pickle_and_copy_round_trip(index, read_first):
 @pytest.mark.parametrize("index", range(4))
 def test_values_stay_frozen(index):
     value = _values()[index]
-    fields = [f.name for f in dataclasses.fields(value)]
+    fields = list(type(value).__annotations__)
     expected = ["name", "trace"] if isinstance(value, Functionality) else ["cluster", "accesses", "index"]
     assert fields == expected
     for name in [*fields, "_entities", "_modes", "_built", "other"]:
@@ -174,9 +174,9 @@ def test_values_stay_frozen(index):
 
 def test_replace_builds_through_the_constructor():
     f, parsed = _functionalities()
-    assert dataclasses.replace(parsed, name="g") == Functionality("g", _accesses())
+    assert replace(parsed, name="g") == Functionality("g", _accesses())
     step, parsed_step = _steps()
-    moved = dataclasses.replace(parsed_step, cluster="D")
+    moved = replace(parsed_step, cluster="D")
     assert moved == Step("D", _accesses(), 0)
     assert moved.accesses is parsed_step.accesses
 

@@ -22,7 +22,7 @@ import random
 import pytest
 from hypothesis import given
 
-from helpers import random_model, random_partition
+from helpers import random_model, random_partition, replace
 from oracles import check_saga
 from test_fuzz import _ACCESSES, _FUZZ, _SAGAS
 from test_search import tied_model
@@ -361,9 +361,9 @@ def test_access_survives_pickle_copy_and_replace():
     a = _read_access("A", "R")
     for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert clone == a and type(clone) is Access
-    assert dataclasses.replace(a, mode="W") == Access("A", "W")
+    assert replace(a, mode="W") == Access("A", "W")
     with pytest.raises(ValueError):
-        dataclasses.replace(a, mode="X")
+        replace(a, mode="X")
 
 
 def test_access_stays_frozen_and_checked():
