@@ -59,25 +59,28 @@ def _write_all(outputs: list[tuple[str | None, str]]) -> None:
     other to a UTF-8 file, once every text encodes for its target.
 
     ``ContractError`` names the first output that cannot take its text, and
-    then nothing is written.
+    then nothing is written. A file gets the bytes that check made.
     """
+    checked = []
     for path, text in outputs:
-        if path is None or path == "-":
+        to_stdout = path is None or path == "-"
+        if to_stdout:
             name, encoding, errors = "stdout", sys.stdout.encoding, sys.stdout.errors
         else:
             name, encoding, errors = path, "utf-8", "strict"
         try:
-            if encoding:  # An in-memory stdout has none and takes any text.
-                text.encode(encoding, errors)
+            # An in-memory stdout has no encoding and takes any text.
+            data = text.encode(encoding, errors) if encoding else text
         except UnicodeEncodeError as exc:
             raise ContractError(f"cannot write {name}: {exc}") from exc
-    for path, text in outputs:
-        if path is None or path == "-":
-            sys.stdout.write(text)
+        checked.append((None, text) if to_stdout else (path, data))
+    for path, data in checked:
+        if path is None:
+            sys.stdout.write(data)
             continue
         try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            with open(path, "wb") as fh:
+                fh.write(data)
         except OSError as exc:
             raise ContractError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -85,9 +85,8 @@ def stats_comment(external: int, external_total: int, local: int, local_total: i
     (multi-step saga) and local (single-step saga) accesses, with the counts."""
     external_share = external / external_total if external_total else 0.0
     local_share = local / local_total if local_total else 0.0
-    return (
-        f"accesses: external {external_share * 100:.2f}% ({external}/{external_total}), "
-        f"local {local_share * 100:.2f}% ({local}/{local_total})"
+    return "accesses: external %.2f%% (%s/%s), local %.2f%% (%s/%s)" % (
+        external_share * 100, external, external_total, local_share * 100, local, local_total
     )
 
 
@@ -180,7 +179,7 @@ class CmlBoundedContext:
         for a in self.aggregates:
             if a.name == name:
                 return a
-        raise RefactorError(f"no aggregate {name!r} in context {self.name!r}")
+        raise RefactorError("no aggregate %r in context %r" % (name, self.name))
 
 
 @record(slots=True)
@@ -213,7 +212,7 @@ class CmlDocument:
         for c in self.contexts:
             if c.name == name:
                 return c
-        raise RefactorError(f"no bounded context {name!r}")
+        raise RefactorError("no bounded context %r" % (name,))
 
 
 def emit_document(doc: CmlDocument) -> str:
@@ -233,19 +232,19 @@ def emit_document(doc: CmlDocument) -> str:
 
     def check(name: str, what: str, opens_line: bool = False) -> None:
         if not (name.isascii() and name.isidentifier()):
-            raise CmlEmitError(f"{what} {name!r} is not a valid identifier")
+            raise CmlEmitError("%s %r is not a valid identifier" % (what, name))
         if name not in KEYWORDS:
             valid.add(name)
         elif opens_line:
-            raise CmlEmitError(f"{what} {name!r} is a keyword and cannot start a line")
+            raise CmlEmitError("%s %r is a keyword and cannot start a line" % (what, name))
 
     def comments(node_comments: tuple[str, ...], indent: str) -> list[str]:
         for c in node_comments:
             # Splitting drops exactly the characters at which a comment ends.
             if "".join(c.splitlines()) != c:
-                raise CmlEmitError(f"comment contains a line break: {c!r}")
+                raise CmlEmitError("comment contains a line break: %r" % (c,))
             if c.strip() != c:
-                raise CmlEmitError(f"comment has whitespace at an end: {c!r}")
+                raise CmlEmitError("comment has whitespace at an end: %r" % (c,))
         return [f"{indent}// {c}" for c in node_comments]
 
     def block(start: int, indent: str, header: str, node_comments: tuple[str, ...]) -> None:
@@ -354,7 +353,7 @@ def emit_document(doc: CmlDocument) -> str:
 
 
 # A comment's text; splitting at it leaves the code between comments.
-_COMMENT = re.compile(rf"//([^{_LINE_BREAKS}]*)")
+_COMMENT = re.compile(r"//([^%s]*)" % _LINE_BREAKS)
 _PUNCT = frozenset(("{", "}", "(", ")", ";", ",", "-", "::", "[U]-[D]"))
 # Tokens that cannot open an attribute or a relationship.
 _NOT_NAMES = _PUNCT | KEYWORDS
@@ -392,7 +391,7 @@ def _stray(text: str) -> CmlParseError:
     """
     found = next(m for m in _token().finditer(text) if m.group(2) is not None)
     return CmlParseError(
-        f"unexpected character {found.group(2)!r}", *line_and_column(text, found.start(2))
+        "unexpected character %r" % (found.group(2),), *line_and_column(text, found.start(2))
     )
 
 
@@ -468,17 +467,17 @@ class _Parser:
             # Point at the last token, comments included, or at 1:1.
             last = pos + self.before[pos] - 1
             return CmlParseError(
-                f"unexpected end of input (expected {expected or what})",
+                "unexpected end of input (expected %s)" % (expected or what,),
                 *(_position(self.text, last) if last >= 0 else (1, 1)),
             )
         if expected is not None:
-            return self.error(f"expected {expected!r}, got {tok!r}", pos)
-        return self.error(f"expected {what}, got {tok!r}", pos)
+            return self.error("expected %r, got %r" % (expected, tok), pos)
+        return self.error("expected %s, got %r" % (what, tok), pos)
 
     def outside(self, pos: int, expected: str) -> CmlParseError:
         """Token ``pos`` does not start any member allowed here."""
         return self.error(
-            f"{self.tokens[pos]!r} is outside supported subset (expected {expected})", pos
+            "%r is outside supported subset (expected %s)" % (self.tokens[pos], expected), pos
         )
 
     def grab_comments(self) -> tuple[str, ...]:
@@ -711,19 +710,19 @@ def validate_document(doc: CmlDocument) -> list[str]:
     seen = set()
     for name in context_names:
         if name in seen:
-            problems.append(f"duplicate bounded context {name!r}")
+            problems.append("duplicate bounded context %r" % (name,))
         seen.add(name)
 
     if doc.context_map is not None:
         for name in doc.context_map.contains:
             if name not in seen:
-                problems.append(f"context map contains unknown context {name!r}")
+                problems.append("context map contains unknown context %r" % (name,))
     for rel in doc.relationships:
         if rel.upstream == rel.downstream:
-            problems.append(f"relationship {rel.upstream!r} points at itself")
+            problems.append("relationship %r points at itself" % (rel.upstream,))
         for endpoint in (rel.upstream, rel.downstream):
             if endpoint not in seen:
-                problems.append(f"relationship endpoint {endpoint!r} is not declared")
+                problems.append("relationship endpoint %r is not declared" % (endpoint,))
 
     services = {
         (ctx.name, s.name): {op.name for op in s.operations}
@@ -736,25 +735,25 @@ def validate_document(doc: CmlDocument) -> list[str]:
             roots = [e.name for e in agg.entities if e.aggregate_root]
             if len(roots) > 1:
                 problems.append(
-                    f"aggregate {agg.name!r} has multiple roots: {', '.join(roots)}"
+                    "aggregate %r has multiple roots: %s" % (agg.name, ", ".join(roots))
                 )
             for e in agg.entities:
                 if e.name in entity_names:
-                    problems.append(f"duplicate entity {e.name!r} in context {ctx.name!r}")
+                    problems.append("duplicate entity %r in context %r" % (e.name, ctx.name))
                 entity_names.add(e.name)
         for e in ctx.entities:
             for r in e.references:
                 if r.target not in entity_names:
                     problems.append(
-                        f"{ctx.name}.{e.name}.{r.name}: reference target "
-                        f"{r.target!r} is not an entity of this context"
+                        "%s.%s.%s: reference target %r is not an entity of this context"
+                        % (ctx.name, e.name, r.name, r.target)
                     )
         for s in ctx.services:
             # Counter keeps first-seen order: report the first name repeated.
             for name, count in Counter(op.name for op in s.operations).items():
                 if count > 1:
                     problems.append(
-                        f"duplicate operation {name!r} in service {s.name!r}"
+                        "duplicate operation %r in service %r" % (name, s.name)
                     )
                     break
         for coordination in ctx.coordinations:
@@ -762,20 +761,20 @@ def validate_document(doc: CmlDocument) -> list[str]:
                 key = (step.context, step.service)
                 if key not in services:
                     problems.append(
-                        f"coordination {coordination.name!r}: step targets unknown "
-                        f"service {step.context}::{step.service}"
+                        "coordination %r: step targets unknown service %s::%s"
+                        % (coordination.name, step.context, step.service)
                     )
                 elif step.operation not in services[key]:
                     problems.append(
-                        f"coordination {coordination.name!r}: step targets unknown "
-                        f"operation {step.context}::{step.service}::{step.operation}"
+                        "coordination %r: step targets unknown operation %s::%s::%s"
+                        % (coordination.name, step.context, step.service, step.operation)
                     )
     # A coordination is found by name alone, in any context: each name
     # repeated in the document is reported once, in first-seen order.
     coordination_names = Counter(c.name for ctx in doc.contexts for c in ctx.coordinations)
     for name, count in coordination_names.items():
         if count > 1:
-            problems.append(f"duplicate coordination {name!r}")
+            problems.append("duplicate coordination %r" % (name,))
     return problems
 
 
@@ -814,17 +813,17 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
         raise RefactorError("cannot merge a context with itself")
     ctx_a = doc.context(a)
     ctx_b = doc.context(b)
-    merged_name = f"{a}_{b}"
+    merged_name = a + "_" + b
     if any(c.name == merged_name for c in doc.contexts):
-        raise RefactorError(f"context {merged_name!r} already exists")
+        raise RefactorError("context %r already exists" % (merged_name,))
 
     local_a = {e.name for e in ctx_a.entities if not e.is_reference}
     local_b = {e.name for e in ctx_b.entities if not e.is_reference}
     shared = sorted(local_a & local_b)
     if shared:
         raise RefactorError(
-            f"context {merged_name!r} would have two entities named {shared[0]!r}, "
-            f"one from {a!r} and one from {b!r}"
+            "context %r would have two entities named %r, one from %r and one from %r"
+            % (merged_name, shared[0], a, b)
         )
     local_entities = local_a | local_b
 
@@ -847,8 +846,8 @@ def merge_bounded_contexts(doc: CmlDocument, a: str, b: str) -> CmlDocument:
                         continue
                     if e.name in local_entities:
                         raise RefactorError(
-                            f"context {merged_name!r} would have an entity {e.name!r} "
-                            f"and the placeholder of that name for {target!r}"
+                            "context %r would have an entity %r and the placeholder of"
+                            " that name for %r" % (merged_name, e.name, target)
                         )
                     seen_placeholders.add(e.name)
                 entities.append(e)
@@ -1026,14 +1025,14 @@ def split_aggregate(
     ctx = doc.context(context_name)
     if len(ctx.aggregates) != 1:
         raise RefactorError(
-            f"context {context_name!r} has {len(ctx.aggregates)} aggregates; "
-            "split requires exactly one"
+            "context %r has %d aggregates; split requires exactly one"
+            % (context_name, len(ctx.aggregates))
         )
     aggregate = ctx.aggregates[0]
     by_name: dict[str, CmlEntity] = {}
     for e in aggregate.entities:
         if e.name in by_name:
-            raise RefactorError(f"aggregate {aggregate.name!r} lists entity {e.name!r} twice")
+            raise RefactorError("aggregate %r lists entity %r twice" % (aggregate.name, e.name))
         by_name[e.name] = e
 
     if not partition or any(not part for part in partition):
@@ -1046,10 +1045,10 @@ def split_aggregate(
         extra = sorted(set(claimed) - set(by_name))
         details = []
         if missing:
-            details.append(f"missing: {', '.join(missing)}")
+            details.append("missing: " + ", ".join(missing))
         if extra:
-            details.append(f"not in aggregate: {', '.join(extra)}")
-        raise RefactorError(f"partition does not cover the aggregate ({'; '.join(details)})")
+            details.append("not in aggregate: " + ", ".join(extra))
+        raise RefactorError("partition does not cover the aggregate (%s)" % "; ".join(details))
 
     new_aggregates = []
     for i, part in enumerate(partition, start=1):
@@ -1057,7 +1056,7 @@ def split_aggregate(
         candidates = [e for e in entities if not e.is_reference]
         if not candidates:
             raise RefactorError(
-                f"part {i} has only reference placeholders; no root candidate"
+                "part %d has only reference placeholders; no root candidate" % i
             )
         root = min(candidates, key=lambda e: (-external_share(e), e.name)).name
         entities = [

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
+from itertools import chain
 
 from .cml import (
     REFERENCE_COMMENT,
@@ -85,14 +86,16 @@ def _name_operation(
 
 
 def _saga_accesses(sagas: list[Saga]) -> tuple[Counter[str], Counter[str]]:
-    """Per entity, its accesses by multi-step sagas and by single-step ones."""
-    external: Counter[str] = Counter()
-    local: Counter[str] = Counter()
-    for saga in sagas:
-        table = external if len(saga.steps) > 1 else local
-        for step in saga.steps:
-            table.update(step._entities)
-    return external, local
+    """Per entity, its accesses by multi-step sagas and by single-step ones.
+
+    Each table is one ``Counter`` over all its steps' entities: a ``Counter``
+    per step, or an ``update`` per step, pays a type check every time."""
+    multi = [saga.steps for saga in sagas if len(saga.steps) > 1]
+    single = [saga.steps for saga in sagas if len(saga.steps) <= 1]
+    return (
+        Counter(chain.from_iterable(step._entities for steps in multi for step in steps)),
+        Counter(chain.from_iterable(step._entities for steps in single for step in steps)),
+    )
 
 
 def elect_root(external_shares: dict[str, float]) -> str:

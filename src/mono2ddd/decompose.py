@@ -5,11 +5,13 @@ clustering (average linkage on distance ``1 - s``) -> named clusters. A grid
 search enumerates weight combinations and cluster counts to produce candidate
 decompositions for later ranking.
 
-One walk over a model's traces builds its index (``_index``), which the
-similarity criteria here and the measures in ``measures`` both read.
-Similarity is weighed straight into the rows of numbered entity distances
-that the clustering reads; one weight vector's similarity computes only the
-criteria it weighs.
+One walk over a model's traces builds its index (``_index``), which a grid
+search's similarity criteria, the sequence criterion and the measures in
+``measures`` read. Similarity is weighed straight into the rows of numbered
+entity distances that the clustering reads; one weight vector's similarity
+computes only the criteria it weighs, and without the sequence criterion it
+reads each trace only for its distinct entities, and its distinct
+``(entity, mode)`` pairs when read or write weighs, not for the index.
 
 Clustering does not re-sum linkages: a float screen kept by Lance and
 Williams' update rule, with a nearest-neighbour cache per row, finds the
@@ -177,9 +179,14 @@ class _Index:
     successors: tuple[int, ...]
 
 
+def _names(model: MonolithModel) -> tuple[str, ...]:
+    """The model's distinct entity names in name order, numbered by position."""
+    return tuple(sorted(set(model.entity_names())))
+
+
 def _index(model: MonolithModel) -> _Index:
     """Walk every trace once and keep what similarity and the measures need."""
-    names = tuple(sorted(set(model.entity_names())))
+    names = _names(model)
     ids = {name: e for e, name in enumerate(names)}
     readers = [0] * len(names)
     writers = [0] * len(names)
@@ -312,25 +319,67 @@ def _pair_counts(index: _Index) -> dict[tuple[int, int], int]:
     return pair_counts
 
 
+def _accessors(
+    model: MonolithModel, names: tuple[str, ...], by_mode: bool
+) -> tuple[list[int], list[int], list[int]]:
+    """Per entity of ``names``, as ``_index`` numbers them, the masks of the
+    functionalities that access, read and write it.
+
+    Without ``by_mode`` the reader and writer masks are the accessor ones:
+    each trace is read for its distinct entities only. With it, for its
+    distinct ``(entity, mode)`` pairs. A traced entity the model does not
+    declare has no number in ``names`` and is skipped; ``_index`` numbers
+    it after them, so no similarity row reads it there either.
+    """
+    get = {name: e for e, name in enumerate(names)}.get
+    if not by_mode:
+        acc = [0] * len(names)
+        for position, f in enumerate(model.functionalities):
+            bit = 1 << position
+            for entity in set(f._entities):
+                e = get(entity)
+                if e is not None:
+                    acc[e] |= bit
+        return acc, acc, acc
+    rd, wt = [0] * len(names), [0] * len(names)
+    for position, f in enumerate(model.functionalities):
+        bit = 1 << position
+        for entity, mode in set(zip(f._entities, f._modes)):
+            e = get(entity)
+            if e is not None:
+                if mode == READ:
+                    rd[e] |= bit
+                else:
+                    wt[e] |= bit
+    return [r | w for r, w in zip(rd, wt)], rd, wt
+
+
 def build_similarity(model: MonolithModel, weights: SimilarityWeights) -> SimilarityMatrix:
     """Compute the symmetrized similarity matrix for all model entities.
 
     Only the criteria whose weight is non-zero are computed: the sequence
     pair counts, and each intersection of accessors, writers or readers,
-    only when its weight needs it. Each direction adds its terms in the
-    order of ``_combine`` onto ``0.0``. A term of weight zero is a zero, and
-    adding a zero changes at most the sign of a zero sum, which ``1.0 -
-    (forward + backward) / 2.0`` erases; so every distance is bit-equal to
-    ``_combine`` over all four criteria.
+    only when its weight needs it. Only the sequence criterion reads the
+    trace index (``_index``); without it the masks come from each trace's
+    distinct entities, and its distinct ``(entity, mode)`` pairs when the
+    read or write weight is non-zero (``_accessors``). Each direction adds
+    its terms in the order of ``_combine`` onto ``0.0``. A term of weight
+    zero is a zero, and adding a zero changes at most the sign of a zero
+    sum, which ``1.0 - (forward + backward) / 2.0`` erases; so every
+    distance is bit-equal to ``_combine`` over all four criteria.
     """
-    index = _index(model)
-    names = index.names
-    size = len(names)
     wa, ww, wr, ws = weights.as_tuple()
-    rd, wt = index.readers, index.writers
-    acc = [r | w for r, w in zip(rd, wt)]
+    if ws:
+        index = _index(model)
+        names, rd, wt = index.names, index.readers, index.writers
+        acc = [r | w for r, w in zip(rd, wt)]
+        pair_counts = _pair_counts(index)
+    else:
+        names = _names(model)
+        acc, rd, wt = _accessors(model, names, bool(ww or wr))
+        pair_counts = {}
+    size = len(names)
     na, nw, nr = ([m.bit_count() for m in masks] for masks in (acc, wt, rd))
-    pair_counts = _pair_counts(index) if ws else {}
     max_pair = max(pair_counts.values(), default=0)
     rows = [[0.0] * size for _ in names]
     for i in range(size):
@@ -613,7 +662,9 @@ def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> d
 
     ``DecompositionError`` names the first listed entity the model lacks,
     else the first traced entity in no cluster. Every function that takes a
-    model and a decomposition applies this rule through this function.
+    model and a decomposition applies this rule through this function. The
+    traced names are the model's set of them; only an error walks the
+    traces, for the first one in trace order.
     """
     owner = decomposition.assignment()
     known = set(model.entity_names())
@@ -622,9 +673,10 @@ def check_decomposition(model: MonolithModel, decomposition: Decomposition) -> d
             raise DecompositionError(
                 f"decomposition names entity {entity!r}, which the model does not have"
             )
-    for entity in model._traced:
-        if entity not in owner:
-            raise DecompositionError(f"entity {entity!r} is not mapped to a cluster")
+    if not owner.keys() >= model._traced_names:
+        for entity in model._traced:
+            if entity not in owner:
+                raise DecompositionError(f"entity {entity!r} is not mapped to a cluster")
     return owner
 
 

@@ -365,7 +365,10 @@ def validate_model(
                 by_name[r.target] = EntityStructure(r.target)
 
     entities = tuple(by_name[name] for name in sorted(by_name))
-    return MonolithModel(entities, tuple(kept_functionalities), tuple(warnings))
+    model = MonolithModel(entities, tuple(kept_functionalities), tuple(warnings))
+    # The traced names, so a fit check walks no trace again.
+    object.__setattr__(model, "_traced_names", accessed)
+    return model
 
 
 def parse_model(accesses_text: str, structure_text: str | None = None) -> MonolithModel:

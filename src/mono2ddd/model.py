@@ -216,6 +216,13 @@ class MonolithModel:
         """Traced entity names in first-seen order, from the columns on first read."""
         return tuple(dict.fromkeys(chain.from_iterable(f._entities for f in self.functionalities)))
 
+    @cached_property
+    def _traced_names(self) -> set[str]:
+        """The set of traced entity names. ``validate_model`` keeps the one
+        its walk over the traces built; a hand-built model's comes from
+        ``_traced`` on first read. Nothing may change it."""
+        return set(self._traced)
+
     def structure(self, name: str) -> EntityStructure:
         for e in self.entities:
             if e.name == name:

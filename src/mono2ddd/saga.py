@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from ._record import record
-from .decompose import Decomposition, _breaks_tsv, _json_array, check_decomposition
+from .decompose import Decomposition, _breaks_tsv, check_decomposition
 from .errors import ContractError, SagaError, json_document
 from .model import WRITE, Access, Functionality, MonolithModel, _AccessColumns, _set_built
 
@@ -291,12 +291,13 @@ def refactor_model(
 
 
 class _AccessItems(dict):
-    """The JSON text of each ``(entity, mode)`` step entry, written on first use."""
+    """The JSON text of each ``(entity, mode)`` step entry, after the comma
+    and line break that separate it from the entry before, written on first use."""
 
     def __missing__(self, key: tuple[str, str]) -> str:
         entity, mode = key
         text = self[key] = (
-            f"            [\n              {encode_basestring_ascii(entity)},\n"
+            f",\n            [\n              {encode_basestring_ascii(entity)},\n"
             f"              {encode_basestring_ascii(mode)}\n            ]"
         )
         return text
@@ -307,26 +308,38 @@ def sagas_to_json(sagas: list[Saga]) -> str:
 
     With ``indent`` the json module runs its pure-Python encoder, so the
     layout is written here and only the strings go through its C quoting.
-    Each distinct ``(entity, mode)`` item is written once per call.
+    Each distinct ``(entity, mode)`` item is written once per call. Every
+    fragment goes into one list, joined once at the end, so the document's
+    text is copied once.
     """
     quote = encode_basestring_ascii
-    items = _AccessItems()
-    item = items.__getitem__
-    saga_items = []
+    item = _AccessItems().__getitem__
+    out = ['{\n  "sagas": [']
+    add, extend = out.append, out.extend
+    saga_sep = "\n"
     for s in sagas:
-        step_items = []
-        for step in s.steps:
-            accesses = list(map(item, zip(step._entities, step._modes)))
-            step_items.append(
-                f'        {{\n          "accesses": {_json_array(accesses, " " * 10)},\n'
-                f'          "cluster": {quote(step.cluster)}\n        }}'
-            )
-        saga_items.append(
-            f'    {{\n      "functionality": {quote(s.functionality)},\n'
-            f'      "orchestrator": {quote(s.orchestrator)},\n'
-            f'      "steps": {_json_array(step_items, " " * 6)}\n    }}'
+        add(
+            f'{saga_sep}    {{\n      "functionality": {quote(s.functionality)},\n'
+            f'      "orchestrator": {quote(s.orchestrator)},\n      "steps": ['
         )
-    return f'{{\n  "sagas": {_json_array(saga_items, "  ")}\n}}\n'
+        saga_sep = ",\n"
+        step_sep = "\n"
+        for step in s.steps:
+            add(f'{step_sep}        {{\n          "accesses": [')
+            step_sep = ",\n"
+            pairs = zip(step._entities, step._modes)
+            first = next(pairs, None)
+            if first is None:
+                add("]")
+            else:
+                # The first entry goes without its comma; the rest keep theirs.
+                add(item(first)[1:])
+                extend(map(item, pairs))
+                add("\n          ]")
+            add(f',\n          "cluster": {quote(step.cluster)}\n        }}')
+        add("\n      ]\n    }" if s.steps else "]\n    }")
+    add("\n  ]\n}\n" if sagas else "]\n}\n")
+    return "".join(out)
 
 
 def parse_sagas(text: str) -> list[Saga]:
