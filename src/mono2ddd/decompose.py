@@ -5,13 +5,12 @@ clustering (average linkage on distance ``1 - s``) -> named clusters. A grid
 search enumerates weight combinations and cluster counts to produce candidate
 decompositions for later ranking.
 
-One walk over a model's traces builds its index (``_index``), which a grid
-search's similarity criteria, the sequence criterion and the measures in
-``measures`` read. Similarity is weighed straight into the rows of numbered
-entity distances that the clustering reads; one weight vector's similarity
-computes only the criteria it weighs, and without the sequence criterion it
-reads each trace only for its distinct entities, and its distinct
-``(entity, mode)`` pairs when read or write weighs, not for the index.
+One walk over a model's traces builds its index (``_index``), which the
+measures in ``measures``, a grid search's similarity and any similarity
+that weighs writes, reads or sequence read. Similarity is weighed straight
+into the rows of numbered entity distances that the clustering reads; one
+weight vector's similarity computes only the criteria it weighs, and one
+that weighs access alone reads each trace only for its distinct entities.
 
 Clustering does not re-sum linkages: a float screen kept by Lance and
 Williams' update rule, with a nearest-neighbour cache per row, finds the
@@ -319,39 +318,23 @@ def _pair_counts(index: _Index) -> dict[tuple[int, int], int]:
     return pair_counts
 
 
-def _accessors(
-    model: MonolithModel, names: tuple[str, ...], by_mode: bool
-) -> tuple[list[int], list[int], list[int]]:
-    """Per entity of ``names``, as ``_index`` numbers them, the masks of the
-    functionalities that access, read and write it.
+def _accessors(model: MonolithModel, names: tuple[str, ...]) -> list[int]:
+    """Per entity of ``names``, as ``_index`` numbers them, the mask of the
+    functionalities that access it, read from each trace's distinct entities.
 
-    Without ``by_mode`` the reader and writer masks are the accessor ones:
-    each trace is read for its distinct entities only. With it, for its
-    distinct ``(entity, mode)`` pairs. A traced entity the model does not
-    declare has no number in ``names`` and is skipped; ``_index`` numbers
-    it after them, so no similarity row reads it there either.
+    A traced entity the model does not declare has no number in ``names``
+    and is skipped; ``_index`` numbers it after them, so no similarity row
+    reads it there either.
     """
     get = {name: e for e, name in enumerate(names)}.get
-    if not by_mode:
-        acc = [0] * len(names)
-        for position, f in enumerate(model.functionalities):
-            bit = 1 << position
-            for entity in set(f._entities):
-                e = get(entity)
-                if e is not None:
-                    acc[e] |= bit
-        return acc, acc, acc
-    rd, wt = [0] * len(names), [0] * len(names)
+    acc = [0] * len(names)
     for position, f in enumerate(model.functionalities):
         bit = 1 << position
-        for entity, mode in set(zip(f._entities, f._modes)):
+        for entity in set(f._entities):
             e = get(entity)
             if e is not None:
-                if mode == READ:
-                    rd[e] |= bit
-                else:
-                    wt[e] |= bit
-    return [r | w for r, w in zip(rd, wt)], rd, wt
+                acc[e] |= bit
+    return acc
 
 
 def build_similarity(model: MonolithModel, weights: SimilarityWeights) -> SimilarityMatrix:
@@ -359,24 +342,23 @@ def build_similarity(model: MonolithModel, weights: SimilarityWeights) -> Simila
 
     Only the criteria whose weight is non-zero are computed: the sequence
     pair counts, and each intersection of accessors, writers or readers,
-    only when its weight needs it. Only the sequence criterion reads the
-    trace index (``_index``); without it the masks come from each trace's
-    distinct entities, and its distinct ``(entity, mode)`` pairs when the
-    read or write weight is non-zero (``_accessors``). Each direction adds
-    its terms in the order of ``_combine`` onto ``0.0``. A term of weight
-    zero is a zero, and adding a zero changes at most the sign of a zero
-    sum, which ``1.0 - (forward + backward) / 2.0`` erases; so every
-    distance is bit-equal to ``_combine`` over all four criteria.
+    only when its weight needs it. The write, read and sequence criteria
+    read the trace index (``_index``); the access criterion alone takes its
+    masks from each trace's distinct entities (``_accessors``). Each
+    direction adds its terms in the order of ``_combine`` onto ``0.0``. A
+    term of weight zero is a zero, and adding a zero changes at most the
+    sign of a zero sum, which ``1.0 - (forward + backward) / 2.0`` erases;
+    so every distance is bit-equal to ``_combine`` over all four criteria.
     """
     wa, ww, wr, ws = weights.as_tuple()
-    if ws:
+    if ww or wr or ws:
         index = _index(model)
         names, rd, wt = index.names, index.readers, index.writers
         acc = [r | w for r, w in zip(rd, wt)]
-        pair_counts = _pair_counts(index)
+        pair_counts = _pair_counts(index) if ws else {}
     else:
         names = _names(model)
-        acc, rd, wt = _accessors(model, names, bool(ww or wr))
+        acc = rd = wt = _accessors(model, names)
         pair_counts = {}
     size = len(names)
     na, nw, nr = ([m.bit_count() for m in masks] for masks in (acc, wt, rd))

@@ -365,10 +365,10 @@ def validate_model(
                 by_name[r.target] = EntityStructure(r.target)
 
     entities = tuple(by_name[name] for name in sorted(by_name))
-    model = MonolithModel(entities, tuple(kept_functionalities), tuple(warnings))
-    # The traced names, so a fit check walks no trace again.
-    object.__setattr__(model, "_traced_names", accessed)
-    return model
+    # The model keeps the traced names, so a fit check walks no trace again.
+    return MonolithModel._with_traced_names(
+        entities, tuple(kept_functionalities), tuple(warnings), frozenset(accessed)
+    )
 
 
 def parse_model(accesses_text: str, structure_text: str | None = None) -> MonolithModel:

@@ -5,9 +5,9 @@ cross-cluster hops in the traces; complexity estimates migration cost by
 counting read/write interleavings between functionalities that span more
 than one cluster. All of them read the one index of a model's traces that
 ``decompose._index`` builds, the index a grid search's similarity criteria
-and the sequence criterion are read from, and a grid search shares one memo
-of per-cluster and per-distributed-set facts across all its partitions
-(``_measure``).
+and the write, read and sequence criteria are read from, and a grid search
+shares one memo of per-cluster and per-distributed-set facts across all its
+partitions (``_measure``).
 """
 
 from __future__ import annotations

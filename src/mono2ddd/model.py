@@ -217,11 +217,24 @@ class MonolithModel:
         return tuple(dict.fromkeys(chain.from_iterable(f._entities for f in self.functionalities)))
 
     @cached_property
-    def _traced_names(self) -> set[str]:
-        """The set of traced entity names. ``validate_model`` keeps the one
-        its walk over the traces built; a hand-built model's comes from
-        ``_traced`` on first read. Nothing may change it."""
-        return set(self._traced)
+    def _traced_names(self) -> frozenset[str]:
+        """The set of traced entity names, from ``_traced`` on first read
+        unless the model was built by ``_with_traced_names``."""
+        return frozenset(self._traced)
+
+    @classmethod
+    def _with_traced_names(
+        cls,
+        entities: tuple[EntityStructure, ...],
+        functionalities: tuple[Functionality, ...],
+        warnings: tuple[str, ...],
+        traced_names: frozenset[str],
+    ) -> MonolithModel:
+        """A model whose traced names the caller has already collected, as
+        ``validate_model``'s walk over the traces does."""
+        model = cls(entities, functionalities, warnings)
+        model.__dict__["_traced_names"] = traced_names
+        return model
 
     def structure(self, name: str) -> EntityStructure:
         for e in self.entities:

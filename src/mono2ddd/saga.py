@@ -315,30 +315,33 @@ def sagas_to_json(sagas: list[Saga]) -> str:
     quote = encode_basestring_ascii
     item = _AccessItems().__getitem__
     out = ['{\n  "sagas": [']
-    add, extend = out.append, out.extend
-    saga_sep = "\n"
+    add = out.append
+
+    def close(start: int, indent: str) -> None:
+        # Every entry of an array, from ``out[start]`` on, is written after
+        # its comma and line break; the first one drops its comma.
+        if len(out) > start:
+            out[start] = out[start][1:]
+            add(f"\n{indent}]")
+        else:
+            add("]")
+
     for s in sagas:
         add(
-            f'{saga_sep}    {{\n      "functionality": {quote(s.functionality)},\n'
+            f',\n    {{\n      "functionality": {quote(s.functionality)},\n'
             f'      "orchestrator": {quote(s.orchestrator)},\n      "steps": ['
         )
-        saga_sep = ",\n"
-        step_sep = "\n"
+        steps = len(out)
         for step in s.steps:
-            add(f'{step_sep}        {{\n          "accesses": [')
-            step_sep = ",\n"
-            pairs = zip(step._entities, step._modes)
-            first = next(pairs, None)
-            if first is None:
-                add("]")
-            else:
-                # The first entry goes without its comma; the rest keep theirs.
-                add(item(first)[1:])
-                extend(map(item, pairs))
-                add("\n          ]")
+            add(',\n        {\n          "accesses": [')
+            accesses = len(out)
+            out.extend(map(item, zip(step._entities, step._modes)))
+            close(accesses, " " * 10)
             add(f',\n          "cluster": {quote(step.cluster)}\n        }}')
-        add("\n      ]\n    }" if s.steps else "]\n    }")
-    add("\n  ]\n}\n" if sagas else "]\n}\n")
+        close(steps, " " * 6)
+        add("\n    }")
+    close(1, "  ")
+    add("\n}\n")
     return "".join(out)
 
 

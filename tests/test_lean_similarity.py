@@ -1,10 +1,10 @@
 """Similarity and the fit check walk no trace for what they do not read.
 
-Without the sequence criterion, `build_similarity` (and so `decompose`)
-takes its masks from each trace's distinct entities, or its distinct
-`(entity, mode)` pairs, and never builds the trace index. With `_index`
-made to raise, every weight vector with a zero sequence weight must still
-give the rows, by `repr`, and the cut that the index gives.
+When only the access criterion weighs, `build_similarity` (and so
+`decompose`) takes its masks from each trace's distinct entities and never
+builds the trace index. With `_index` made to raise, every such weight
+vector must still give the rows, by `repr`, and the cut that the index
+gives; a write, read or sequence weight still reads the index.
 
 `validate_model` keeps the set of traced names its walk built, so
 `check_decomposition` reads no trace for a decomposition that fits; only
@@ -36,17 +36,16 @@ from mono2ddd.saga import refactor_model
 
 decompose_module = importlib.import_module("mono2ddd.decompose")
 
-# Zero sequence weight, on and off the grid, signed zeros included.
+# Access weight only, on and off the grid, signed zeros included.
 VECTORS = [
     w
     for w in weight_grid(0.25) + weight_grid(0.1)
     + [
         SimilarityWeights(1.0, -0.0, 0.0, -0.0),
-        SimilarityWeights(-0.0, 0.0, 1.0, 0.0),
-        SimilarityWeights(1.0 + 5e-10, -5e-10, 0.0, 0.0),
-        SimilarityWeights(0.3, 0.2, 0.5, 0.0),
+        SimilarityWeights(1.0, 0.0, -0.0, 0.0),
+        SimilarityWeights(1.0 - 5e-10, 0.0, 0.0, 0.0),
     ]
-    if not w.sequence
+    if not (w.write or w.read or w.sequence)
 ]
 
 
@@ -81,7 +80,7 @@ def _expected(model: MonolithModel):
         yield weights, matrix, decompose_module.cluster(matrix, weights, 2)
 
 
-def test_no_sequence_weight_builds_no_trace_index(monkeypatch):
+def test_an_access_weight_alone_builds_no_trace_index(monkeypatch):
     models = [(model, list(_expected(model))) for model in _models()]
 
     def no_index(model):
@@ -96,23 +95,34 @@ def test_no_sequence_weight_builds_no_trace_index(monkeypatch):
             assert decompose(model, weights, 2) == cut
 
 
-def test_a_sequence_weight_still_reads_the_trace_index(monkeypatch):
+@pytest.mark.parametrize(
+    "weights",
+    [
+        SimilarityWeights(0.5, 0.5, 0.0, 0.0),
+        SimilarityWeights(0.5, 0.0, 0.5, 0.0),
+        SimilarityWeights(0.5, 0.0, 0.0, 0.5),
+        SimilarityWeights(1.0 + 5e-10, -5e-10, 0.0, 0.0),
+    ],
+)
+def test_another_weight_still_reads_the_trace_index(monkeypatch, weights):
     def no_index(model):
         raise AssertionError("the trace index was built")
 
     monkeypatch.setattr(decompose_module, "_index", no_index)
     model = next(_models())
     with pytest.raises(AssertionError, match="trace index"):
-        build_similarity(model, SimilarityWeights(0.5, 0.0, 0.0, 0.5))
+        build_similarity(model, weights)
 
 
 def test_validation_keeps_the_traced_names():
     f = Functionality("f", _trace("BR", "AW", "BW"))
     dropped = Functionality("f", _trace("GR",))
     model = validate_model([f, dropped], [EntityStructure("A")])
-    assert model._traced_names == {"A", "B"} == set(model._traced)
+    assert model._traced_names == frozenset("AB") == set(model._traced)
+    assert type(model._traced_names) is frozenset
     hand_built = MonolithModel(model.entities, model.functionalities)
-    assert hand_built._traced_names == {"A", "B"}
+    assert hand_built._traced_names == frozenset("AB")
+    assert type(hand_built._traced_names) is frozenset
 
 
 def test_a_fitting_decomposition_walks_no_trace(monkeypatch):
