@@ -75,8 +75,8 @@ KEYWORDS = frozenset(
 REFERENCE_SUFFIX = "_Reference"
 REFERENCE_COMMENT = "generated reference to"
 _STATS_COMMENT = re.compile(
-    r"accesses: external (?P<pct>[0-9.]+)% \((?P<count>\d+)/(?P<total>\d+)\), "
-    r"local (?P<lpct>[0-9.]+)% \((?P<lcount>\d+)/(?P<ltotal>\d+)\)"
+    r"accesses: external (?P<pct>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)% \((?P<count>\d+)/(?P<total>\d+)\), "
+    r"local (?P<lpct>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)% \((?P<lcount>\d+)/(?P<ltotal>\d+)\)"
 )
 
 

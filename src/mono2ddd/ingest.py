@@ -15,6 +15,9 @@ Two input documents are understood:
           ref question -> Question;
       }
 
+The DSL reader splits the text into tokens with string methods, and only
+text with a stray character, or an error's position, compiles its regexes.
+
 Validation cross-checks traces against structures and never fails: entities
 that are accessed but undeclared are synthesized with an empty structure and
 reported through the model's warning list.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import cache
 from itertools import islice
 
 from .errors import LINE_BREAKS, ContractError, DslParseError, json_document, line_and_column
@@ -174,10 +178,25 @@ def parse_structure_json(text: str) -> list[EntityStructure]:
     return result
 
 
-# A comment runs to the next line boundary; dropping it joins no tokens.
-_DSL_COMMENT = re.compile(rf"#[^{LINE_BREAKS}]*")
-# A token and the whitespace before it.
-_DSL_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|->|[{}:;]|\S)")
+# The tokens that are not names.
+_DSL_PUNCT = frozenset(("->", "{", "}", ":", ";"))
+
+
+@cache
+def _dsl_comment() -> re.Pattern[str]:
+    """A comment, which runs to the next line boundary; dropping it joins
+    no tokens. Only errors and text with a stray character read it."""
+    return re.compile(rf"#[^{LINE_BREAKS}]*")
+
+
+@cache
+def _dsl_token() -> re.Pattern[str]:
+    """A token and the whitespace before it: a name, a punctuation token or
+    any other character (a stray one). ``\\s`` is what ``str.split`` counts
+    as whitespace."""
+    return re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|->|[{}:;]|\S)")
+
+
 # A token that starts with one of these is a whole name.
 _ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # What reads past the last token see: '#' equals no literal and starts no
@@ -195,8 +214,39 @@ def _dsl_position(text: str, index: int) -> tuple[int, int]:
     Positions are only needed for errors, so the reader keeps none and this
     rescans, with each comment blanked out in place.
     """
-    code = _DSL_COMMENT.sub(lambda comment: " " * len(comment[0]), text)
-    return line_and_column(text, next(islice(_DSL_TOKEN.finditer(code), index, None)).start(1))
+    code = _dsl_comment().sub(lambda comment: " " * len(comment[0]), text)
+    return line_and_column(text, next(islice(_dsl_token().finditer(code), index, None)).start(1))
+
+
+def _dsl_tokens(text: str) -> list[str]:
+    """The text's tokens, comments cut out.
+
+    Each piece of text after a ``#`` loses its comment, which ends at the
+    piece's first ``str.splitlines`` boundary: at its first ``"\\n"`` or
+    before. The punctuation of what is left gets spaces around it, and
+    ``str.split`` cuts it into words. When every distinct word is
+    punctuation or an ASCII name, the words are the tokens; otherwise the
+    text holds a stray character, and the token regex reads it instead.
+    """
+    pieces = text.split("#")
+    for k in range(1, len(pieces)):
+        comment = pieces[k].partition("\n")[0].splitlines()
+        pieces[k] = pieces[k][len(comment[0]) if comment else 0 :]
+    words = (
+        "".join(pieces)
+        .replace("->", " -> ")
+        .replace("{", " { ")
+        .replace("}", " } ")
+        .replace(":", " : ")
+        .replace(";", " ; ")
+        .split()
+    )
+    for word in set(words) - _DSL_PUNCT:
+        if not (word.isascii() and word.isidentifier()):
+            # Without its trailing whitespace: a run that no token follows
+            # would be rescanned from each of its characters.
+            return _dsl_token().findall(_dsl_comment().sub("", text).rstrip())
+    return words
 
 
 def _dsl_error(
@@ -225,17 +275,16 @@ def _unexpected(text: str, tokens: list[str], end: int, pos: int, expected) -> D
 def parse_structure_dsl(text: str) -> list[EntityStructure]:
     """Parse the mini structure DSL (one ``entity`` block per entity).
 
-    Comments, which run to the next ``str.splitlines`` boundary, are cut
-    out, and one ``findall`` splits the rest into tokens, each match
-    swallowing the whitespace before its token. The text loses its trailing
-    whitespace first: a run that no token follows would be rescanned from
-    each of its characters. The parser walks the token list by index and
-    reads a member's five tokens at once; reads past the end see
-    ``_PAST_END``, which fails every check. A name is checked by its first
-    character, which the token pattern makes equivalent to matching the
-    whole name. Only an error computes a position (``_dsl_position``).
+    ``_dsl_tokens`` cuts out the comments, which run to the next
+    ``str.splitlines`` boundary, and splits the rest into tokens with
+    string methods; a valid text compiles no regex. The parser walks the
+    token list by index and reads a member's five tokens at once; reads
+    past the end see ``_PAST_END``, which fails every check. A name is
+    checked by its first character: a token is a whole name, punctuation
+    or one stray character. Only an error computes a position
+    (``_dsl_position``), with the token regex.
     """
-    tokens = _DSL_TOKEN.findall(_DSL_COMMENT.sub("", text).rstrip())
+    tokens = _dsl_tokens(text)
     end = len(tokens)
     tokens += _PAST_END
     result: list[EntityStructure] = []

@@ -360,6 +360,26 @@ def test_cml_split_refuses_an_aggregate_listing_an_entity_twice(workdir, capsys)
     assert not out.exists()
 
 
+def test_cml_split_reads_a_stats_share_that_is_no_number_as_a_note(workdir, capsys):
+    cml, out = workdir / "odd.cml", workdir / "split.cml"
+    cml.write_text(
+        "BoundedContext C {\n    Aggregate G {\n"
+        "        // accesses: external 1.2.3% (1/2), local 0.00% (0/0)\n"
+        "        Entity X { }\n        Entity Y { }\n    }\n}\n"
+    )
+    code, _, err = run(
+        capsys, "cml", "split", "--in", str(cml), "--context", "C", "--parts", "X/Y",
+        "-o", str(out),
+    )
+    assert (code, err) == (0, "")
+    parts = cml_mod.parse_document(out.read_text()).context("C").aggregates
+    assert [[(e.name, e.aggregate_root) for e in a.entities] for a in parts] == [
+        [("X", True)],
+        [("Y", True)],
+    ]
+    assert parts[0].entities[0].comments == ("accesses: external 1.2.3% (1/2), local 0.00% (0/0)",)
+
+
 def test_cml_split_accepts_a_real_entity_named_like_a_placeholder(workdir, capsys):
     cml = _reference_named_cml(workdir, capsys)
     code, out, err = run(

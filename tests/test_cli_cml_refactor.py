@@ -10,8 +10,11 @@ only. A mutated line must exit 1. A valid one may exit 1 too (merging two
 contexts that both hold one entity name is refused). Either way the CLI
 agrees with the library: on exit 0 the written document parses back equal
 to the library's result, and on exit 1 stderr is the library's error and
-no file is written. The runs are derandomized, so every run and every CI
-leg sees the same examples.
+no file is written. The same lines run again on documents whose
+stats-comment shares are rewritten as random runs of ``[0-9.]``, which
+may be no number (``1.2.3``, ``..``): such a comment is a plain note. The
+runs are derandomized, so every run and every CI leg sees the same
+examples.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import contextlib
 import io
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -132,3 +136,36 @@ def test_cml_split_exits_0_or_1_and_agrees_with_the_library(workdir, line):
     spec = "/".join(",".join(part) for part in parts)
     argv = ["split", "--context", context, "--parts", spec]
     _check(workdir, text, argv, split_aggregate, (context, parts), bad)
+
+
+# A stats comment's two shares, as ``stats_comment`` writes them.
+_SHARE = re.compile(r"(?<=accesses: external )[0-9.]+(?=%)|(?<=\), local )[0-9.]+(?=%)")
+
+
+def _reshared(text, seed):
+    """``text`` with each stats-comment share a seeded random run of ``[0-9.]``."""
+    rng = random.Random(seed)
+    return _SHARE.sub(lambda _: "".join(rng.choices("0123456789..", k=rng.randint(1, 5))), text)
+
+
+def test_the_rewritten_shares_include_numbers_and_non_numbers():
+    shares = [s for seed in range(20) for s in _SHARE.findall(_reshared(DOCUMENTS[0], seed))]
+    numbers = sum(bool(re.fullmatch(r"[0-9]+(\.[0-9]*)?|\.[0-9]+", s)) for s in shares)
+    assert len(shares) == 20 * len(_SHARE.findall(DOCUMENTS[0])) > 0
+    assert 0 < numbers < len(shares)
+
+
+@_LINES
+@given(line=_merge_lines(), seed=st.integers(0, 2**32))
+def test_cml_merge_exits_0_or_1_whatever_the_stats_shares(workdir, line, seed):
+    text, a, b, bad = line
+    argv = ["merge", "-a", a, "-b", b]
+    _check(workdir, _reshared(text, seed), argv, merge_bounded_contexts, (a, b), bad)
+
+
+@_LINES
+@given(line=_split_lines(), seed=st.integers(0, 2**32))
+def test_cml_split_exits_0_or_1_whatever_the_stats_shares(workdir, line, seed):
+    text, context, parts, bad = line
+    argv = ["split", "--context", context, "--parts", "/".join(",".join(p) for p in parts)]
+    _check(workdir, _reshared(text, seed), argv, split_aggregate, (context, parts), bad)

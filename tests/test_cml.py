@@ -353,6 +353,24 @@ def test_external_share_reads_stats_comment():
     assert external_share(CmlEntity("B")) == 0.0
 
 
+def test_a_stats_share_that_is_no_number_marks_no_stats_comment():
+    """A share must be a float literal: ``1.2.3`` makes the comment a plain
+    note, so it gives no share, marks no real entity and leaves the split
+    to elect roots by name."""
+    odd = "accesses: external 1.2.3% (1/2), local 0.00% (0/0)"
+    assert external_share(CmlEntity("X", comments=(odd,))) == 0.0
+    assert CmlEntity("X_Reference", comments=(odd,)).is_reference
+    for share, value in (("5", 0.05), ("5.", 0.05), (".5", 0.005), ("12.50", 0.125)):
+        stats = f"accesses: external {share}% (1/2), local 0.00% (0/0)"
+        assert external_share(CmlEntity("X", comments=(stats,))) == pytest.approx(value)
+    x = CmlEntity("X", comments=(odd,))
+    y = CmlEntity("Y", comments=("accesses: external 5.% (1/2), local 0.00% (0/0)",))
+    doc = CmlDocument(None, (CmlBoundedContext("C", aggregates=(CmlAggregate("G", (x, y)),)),))
+    split = split_aggregate(doc, "C", [["X", "Y"]])
+    entities = split.context("C").entities
+    assert [(e.name, e.aggregate_root) for e in entities] == [("X", False), ("Y", True)]
+
+
 def test_is_reference_reads_the_marker_comments_before_the_name():
     stats = "accesses: external 0.00% (0/0), local 0.00% (0/2)"
     marker = f"{REFERENCE_COMMENT} C0.Question"

@@ -14,15 +14,24 @@ compared fields, which gives the same result on every Python version
 dataclass: it has no dataclass fields, match arguments, generated
 docstring or ``__replace__``.
 
+Every record of the package whose ``__init__`` the decorator makes, the
+private ones too, has the ``__init__`` that a compile for the class alone
+gives (``per_class_init``, the decorator's former code): the same code
+fields, line numbers, globals, defaults, annotations, names and
+``TypeError`` texts. Column positions are not compared: they follow the
+length of the template's placeholder names, and a compiled ``__init__``
+has no source for a traceback to point into.
+
 Also checked: importing the command line loads none of ``dataclasses``,
-``inspect`` and ``typing``, and no module of the package grows past the
-token budget.
+``inspect`` and ``typing``, compiles one ``__init__`` template per record
+shape, and no module of the package grows past the token budget.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import inspect
 import os
 import pathlib
@@ -36,6 +45,7 @@ import pytest
 
 from helpers import replace
 
+from mono2ddd import _record
 from mono2ddd._record import record
 from mono2ddd.cml import (
     CmlAggregate,
@@ -387,6 +397,14 @@ def test_a_record_keeps_what_its_class_defines():
             a: int = 0
             b: int
 
+    # A per-class compile refused it as a duplicate parameter; a template
+    # would take it, so the decorator refuses it itself.
+    with pytest.raises(TypeError, match="^a record field may not be named 'self'$"):
+
+        @record
+        class Selfish:
+            self: int
+
 
 def test_the_methods_serve_a_subclass_from_the_base():
     @record(slots=True)
@@ -427,6 +445,126 @@ def test_the_cli_import_loads_no_dataclasses_or_inspect():
         "['mono2ddd.cml', 'mono2ddd.ingest']",
         "Access(entity='A', mode='R') False",
     ]
+
+
+def per_class_init(cls, names, annotations, defaults, setters):
+    """The ``__init__`` of ``cls``, compiled for its fields alone, as the
+    decorator made it before it shared one template per shape."""
+    if setters is not None:
+        namespace = {f"_set_{i}": setter for i, setter in enumerate(setters)}
+        body = [f"_set_{i}(self, {name})" for i, name in enumerate(names)]
+    else:
+        namespace = {"_setattr": object.__setattr__}
+        body = [f"_setattr(self, {name!r}, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    source = f"def __init__({', '.join(('self', *names))}):\n"
+    source += "".join(f"    {line}\n" for line in body or ["pass"])
+    namespace["__name__"] = cls.__module__
+    # ``exec`` compiles with this module's ``from __future__`` flags, as it
+    # does in ``_record``, so the code's ``co_flags`` compare equal.
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults.values()) or None
+    init.__annotations__ = {**{name: annotations[name] for name in names}, "return": None}
+    return init
+
+
+MODULES = ("model", "decompose", "measures", "cml", "saga", "dddmap", "diagrams", "cli")
+
+
+def _made_init(cls):
+    init = vars(cls).get("__init__")
+    return init is not None and init.__code__.co_filename == "<string>"
+
+
+# Every record of the package with an ``__init__`` the decorator made:
+# all records but ``Functionality`` and ``Step``, which write their own.
+INIT_RECORDS = [
+    cls
+    for module in map(importlib.import_module, (f"mono2ddd.{name}" for name in MODULES))
+    for cls in vars(module).values()
+    if isinstance(cls, type)
+    and cls.__module__ == module.__name__
+    and cls.__setattr__ is _record._setattr
+    and _made_init(cls)
+]
+
+
+def _shape(cls):
+    return len(cls.__annotations__), "__slots__" in vars(cls), hasattr(cls, "__post_init__")
+
+
+def test_every_record_but_two_has_a_made_init():
+    assert set(RECORDS) <= set(INIT_RECORDS)
+    assert {cls.__name__ for cls in INIT_RECORDS} - {cls.__name__ for cls in RECORDS} == {
+        "_Index",
+        "_ClusterFacts",
+    }
+    assert not _made_init(Functionality) and not _made_init(Step)
+
+
+_CODE_FIELDS = (
+    "co_argcount", "co_posonlyargcount", "co_kwonlyargcount", "co_nlocals", "co_stacksize",
+    "co_flags", "co_code", "co_consts", "co_names", "co_varnames", "co_freevars",
+    "co_cellvars", "co_filename", "co_name", "co_qualname", "co_firstlineno",
+)
+
+
+def _type_error(call, *args, **kwargs):
+    with pytest.raises(TypeError) as refused:
+        call(*args, **kwargs)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("cls", INIT_RECORDS, ids=[cls.__name__ for cls in INIT_RECORDS])
+def test_a_shared_template_gives_the_per_class_init(cls):
+    init = vars(cls)["__init__"]
+    names = tuple(cls.__annotations__)
+    slotted = "__slots__" in vars(cls)
+    if slotted:
+        defaults = SLOTTED_DEFAULTS[cls]
+    else:
+        defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    setters = tuple(getattr(cls, name).__set__ for name in names) if slotted else None
+    ref = per_class_init(cls, names, cls.__annotations__, defaults, setters)
+    ref.__qualname__ = f"{cls.__qualname__}.__init__"
+    for field in _CODE_FIELDS:
+        if hasattr(ref.__code__, field):  # co_qualname is new in 3.11
+            assert getattr(init.__code__, field) == getattr(ref.__code__, field), field
+    assert list(init.__code__.co_lines()) == list(ref.__code__.co_lines())
+    hidden = ("__builtins__", "__init__")
+    assert init.__globals__ == {k: v for k, v in ref.__globals__.items() if k not in hidden}
+    for attr in ("__defaults__", "__kwdefaults__", "__annotations__", "__qualname__",
+                 "__name__", "__module__"):
+        assert getattr(init, attr) == getattr(ref, attr), attr
+    assert init.__code__ is not _record._template(*_shape(cls))
+    # Too few, too many and unknown arguments are refused before the body runs.
+    if len(defaults) < len(names):
+        assert _type_error(cls) == _type_error(ref, None)
+    too_many = range(len(names) + 1)
+    assert _type_error(cls, *too_many) == _type_error(ref, None, *too_many)
+    assert _type_error(cls, nope=1) == _type_error(ref, None, nope=1)
+
+
+def test_the_cli_import_compiles_one_init_template_per_record_shape():
+    code = (
+        "import sys, mono2ddd.cli\n"
+        "from mono2ddd import _record\n"
+        "info = _record._template.cache_info()\n"
+        "print(info.misses, info.hits, info.currsize)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('mono2ddd.'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    counts, loaded = run.stdout.splitlines()
+    made = [cls for cls in INIT_RECORDS if cls.__module__ in loaded.split()]
+    shapes = len(set(map(_shape, made)))
+    assert counts.split() == [str(shapes), str(len(made) - shapes), str(shapes)]
+    assert shapes < len(made)
 
 
 # Past this many tokens, compiling a module in the benchmark's harness
